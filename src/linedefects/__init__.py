@@ -22,10 +22,9 @@ from .corpus import (
     vectorize,
     write_dataset,
 )
-from .explain import Explanation, explain, generate_neighbors, k_lasso, kernel_weight
+from .explain import Explanation, explain
 from .model import (
     LogisticModel,
-    ScalerStats,
     TrainConfig,
     load_model,
     predict_proba,
@@ -57,7 +56,6 @@ __all__ = [
     "ReleaseDataset",
     "RiskyTokenSet",
     "RunConfig",
-    "ScalerStats",
     "SourceFile",
     "TrainConfig",
     "Vocabulary",
@@ -65,9 +63,6 @@ __all__ = [
     "defect_density",
     "explain",
     "flag_lines",
-    "generate_neighbors",
-    "k_lasso",
-    "kernel_weight",
     "load_dataset",
     "load_model",
     "predict_proba",

@@ -12,14 +12,16 @@ from collections import Counter
 import numpy as np
 
 from .corpus import ReleaseDataset, SourceFile, Vocabulary, tokenize, vectorize
-from .evaluation import confusion_counts, d2h, far, line_truth, recall
-from .model import LogisticModel, TrainConfig, standardized_coefficients
+from .evaluation import detection_rates, line_truth
+from .model import LogisticModel, standardized_coefficients
 from .pipeline import (
-    FlaggedLine,
     MethodResult,
     RankedLine,
     RiskyTokenSet,
+    as_release_list,
+    defect_prone_files,
     flag_lines,
+    number_lines,
     predict_files,
     rank_lines_global,
 )
@@ -52,54 +54,32 @@ def random_baseline(
     are kept. Flagged lines are then ranked by a seeded uniform shuffle.
     """
     file_probs = predict_files(model, vocab, test)
-    flagged: list[FlaggedLine] = []
-    for f in sorted(test.files, key=lambda f: f.path):
-        prob = file_probs[f.path]
-        if prob <= 0.5:
-            continue
+    flagged: list[RankedLine] = []
+    for f in defect_prone_files(test, file_probs):
         distinct = sorted({t for t in f.token_stream() if t in vocab.token_to_index})
         if not distinct:
             continue
         rng = np.random.default_rng(derive_seed(seed, "random", f.release_id, f.path))
         scores = rng.uniform(-1.0, 1.0, size=len(distinct))
-        scored = [(t, float(s)) for t, s in zip(distinct, scores) if s > 0.0]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        risky = RiskyTokenSet(tokens=tuple(scored[:k_risky]))
-        flagged.extend(flag_lines(f, risky, prob))
+        risky = RiskyTokenSet.top_positive(zip(distinct, scores.tolist()), k_risky)
+        flagged.extend(flag_lines(f, risky, file_probs[f.path]))
     flagged.sort(key=lambda f: (f.release_id, f.file_path, f.line_number))
     rng = np.random.default_rng(derive_seed(seed, "random-rank", test.release_id))
     order = rng.permutation(len(flagged))
-    ranked = [
-        RankedLine(
-            release_id=f.release_id,
-            file_path=f.file_path,
-            line_number=f.line_number,
-            hit_count=f.hit_count,
-            score_sum=f.score_sum,
-            file_probability=f.file_probability,
-            global_rank=rank,
-        )
-        for rank, f in enumerate((flagged[i] for i in order), start=1)
-    ]
-    return MethodResult(method="random", ranked=ranked, file_probabilities=file_probs)
+    return MethodResult(
+        method="random", ranked=number_lines(flagged[i] for i in order), file_probabilities=file_probs
+    )
 
 
 def global_risky_tokens(
-    train: ReleaseDataset | list[ReleaseDataset],
-    vocab: Vocabulary,
-    k_risky: int = 20,
-    train_config: TrainConfig = TrainConfig(),
+    train: ReleaseDataset | list[ReleaseDataset], vocab: Vocabulary, k_risky: int = 20
 ) -> RiskyTokenSet:
     """One release-wide risky set: top tokens by positive standardized coefficient."""
-    releases = [train] if isinstance(train, ReleaseDataset) else list(train)
-    files = [f for ds in releases for f in ds.files]
+    files = [f for ds in as_release_list(train) for f in ds.files]
     X = [vectorize(f, vocab) for f in files]
     y = [f.file_label for f in files]
-    coefs = standardized_coefficients(X, y, train_config)
-    tokens = vocab.tokens
-    positive = [(tokens[i], float(c)) for i, c in enumerate(coefs) if c > 0.0]
-    positive.sort(key=lambda item: (-item[1], item[0]))
-    return RiskyTokenSet(tokens=tuple(positive[:k_risky]))
+    coefs = standardized_coefficients(X, y)
+    return RiskyTokenSet.top_positive(zip(vocab.tokens, coefs.tolist()), k_risky)
 
 
 def tmi_lr_baseline(
@@ -108,7 +88,6 @@ def tmi_lr_baseline(
     model: LogisticModel,
     vocab: Vocabulary,
     k_risky: int = 20,
-    train_config: TrainConfig = TrainConfig(),
 ) -> MethodResult:
     """Apply one global standardized-coefficient risky set to every defect-prone file.
 
@@ -116,14 +95,13 @@ def tmi_lr_baseline(
     used for every predicted-defective test file; flagging and hit-count
     ranking are otherwise identical.
     """
-    risky = global_risky_tokens(train, vocab, k_risky, train_config)
+    risky = global_risky_tokens(train, vocab, k_risky)
     file_probs = predict_files(model, vocab, test)
-    flagged: list[FlaggedLine] = []
-    for f in sorted(test.files, key=lambda f: f.path):
-        prob = file_probs[f.path]
-        if prob <= 0.5:
-            continue
-        flagged.extend(flag_lines(f, risky, prob))
+    flagged = [
+        line
+        for f in defect_prone_files(test, file_probs)
+        for line in flag_lines(f, risky, file_probs[f.path])
+    ]
     return MethodResult(
         method="tmi_lr",
         ranked=rank_lines_global(flagged),
@@ -132,15 +110,15 @@ def tmi_lr_baseline(
     )
 
 
-def _file_stream(file: SourceFile, order: int) -> tuple[list[str], list[int]]:
+def _file_stream(file: SourceFile) -> tuple[list[str], list[int]]:
     """Token stream with start padding and line sentinels.
 
     Returns the stream and, per position, the owning line number (0 for
     padding and sentinel positions, which provide context but are not
     scored).
     """
-    stream = [_STREAM_START] * (order - 1)
-    owners = [0] * (order - 1)
+    stream = [_STREAM_START] * (NGRAM_ORDER - 1)
+    owners = [0] * (NGRAM_ORDER - 1)
     for line in file.lines:
         for token in tokenize(line.content):
             stream.append(token)
@@ -148,6 +126,43 @@ def _file_stream(file: SourceFile, order: int) -> tuple[list[str], list[int]]:
         stream.append(_LINE_SENTINEL)
         owners.append(0)
     return stream, owners
+
+
+class _NgramCounts:
+    """Continuation counts of the orders ``lowest_order..NGRAM_ORDER``.
+
+    ``interpolate`` runs the Jelinek-Mercer chain over them: starting from
+    a lower-order probability, each order whose context has been seen mixes
+    in its maximum-likelihood estimate.
+    """
+
+    def __init__(self, lowest_order: int):
+        self.orders = range(lowest_order, NGRAM_ORDER + 1)
+        # counts[o-1]: context tuple of length o-1 -> Counter of continuations
+        self.counts: list[dict[tuple[str, ...], Counter]] = [dict() for _ in range(NGRAM_ORDER)]
+        self.totals: list[dict[tuple[str, ...], int]] = [dict() for _ in range(NGRAM_ORDER)]
+
+    def add(self, stream: list[str], i: int) -> None:
+        """Count ``stream[i]`` as the continuation of each of its preceding contexts."""
+        token = stream[i]
+        for o in self.orders:
+            if i - (o - 1) < 0:
+                continue
+            ctx = tuple(stream[i - o + 1 : i])
+            bucket = self.counts[o - 1].setdefault(ctx, Counter())
+            bucket[token] += 1
+            self.totals[o - 1][ctx] = self.totals[o - 1].get(ctx, 0) + 1
+
+    def interpolate(self, token: str, context: tuple[str, ...], p: float) -> float:
+        for o in self.orders:
+            if o - 1 > len(context):
+                break
+            ctx = tuple(context[len(context) - (o - 1) :])
+            total = self.totals[o - 1].get(ctx, 0)
+            if total > 0:
+                ml = self.counts[o - 1][ctx][token] / total
+                p = JM_ML_WEIGHT * ml + (1.0 - JM_ML_WEIGHT) * p
+        return p
 
 
 class NgramModel:
@@ -160,110 +175,54 @@ class NgramModel:
     and unseen tokens keep a small positive probability.
     """
 
-    def __init__(self, order: int = NGRAM_ORDER, ml_weight: float = JM_ML_WEIGHT):
-        self.order = order
-        self.ml_weight = ml_weight
-        self.jm_lambdas = tuple(ml_weight for _ in range(order))
-        self.cache_weight = CACHE_WEIGHT
-        # counts[o-1]: context tuple of length o-1 -> Counter of continuations
-        self.counts: list[dict[tuple[str, ...], Counter]] = [dict() for _ in range(order)]
-        self.totals: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
+    def __init__(self):
+        self.table = _NgramCounts(lowest_order=1)
         self.vocabulary: set[str] = set()
 
     def fit(self, train: ReleaseDataset | list[ReleaseDataset]) -> "NgramModel":
-        releases = [train] if isinstance(train, ReleaseDataset) else list(train)
-        for ds in releases:
+        for ds in as_release_list(train):
             for f in ds.files:
-                stream, _ = _file_stream(f, self.order)
-                self._count_stream(stream)
+                stream, _ = _file_stream(f)
+                for i, token in enumerate(stream):
+                    if token == _STREAM_START:
+                        continue  # padding provides context only, never a continuation event
+                    self.vocabulary.add(token)
+                    self.table.add(stream, i)
         if not self.vocabulary:
             raise ValueError("cannot fit an n-gram model on an empty training corpus")
         return self
-
-    def _count_stream(self, stream: list[str]) -> None:
-        for i, token in enumerate(stream):
-            if token == _STREAM_START:
-                continue  # padding provides context only, never a continuation event
-            self.vocabulary.add(token)
-            for o in range(1, self.order + 1):
-                if i - (o - 1) < 0:
-                    continue
-                ctx = tuple(stream[i - o + 1 : i])
-                bucket = self.counts[o - 1].setdefault(ctx, Counter())
-                bucket[token] += 1
-                self.totals[o - 1][ctx] = self.totals[o - 1].get(ctx, 0) + 1
 
     @property
     def floor(self) -> float:
         return 1.0 / (len(self.vocabulary) + 1)
 
     def probability(self, token: str, context: tuple[str, ...]) -> float:
-        """Interpolated P(token | up to order-1 preceding tokens)."""
-        p = self.floor
-        for o in range(1, self.order + 1):
-            if o - 1 > len(context):
-                break
-            ctx = tuple(context[len(context) - (o - 1) :])
-            total = self.totals[o - 1].get(ctx, 0)
-            if total > 0:
-                ml = self.counts[o - 1][ctx][token] / total
-                p = self.ml_weight * ml + (1.0 - self.ml_weight) * p
-        return p
+        """Interpolated P(token | up to NGRAM_ORDER-1 preceding tokens)."""
+        return self.table.interpolate(token, context, self.floor)
 
     def surprisal(self, token: str, context: tuple[str, ...]) -> float:
         """Negative log2 probability in bits."""
         return -float(np.log2(self.probability(token, context)))
 
 
-class _FileCache:
-    """Per-file dynamic n-gram counts (orders >= 2), reset for each test file.
-
-    The cache chain backs off to the static model's prediction, so a cache
-    that has never seen the current context defers entirely to the static
-    model instead of punishing it.
-    """
-
-    def __init__(self, order: int, ml_weight: float):
-        self.order = order
-        self.ml_weight = ml_weight
-        self.counts: list[dict[tuple[str, ...], Counter]] = [dict() for _ in range(order)]
-        self.totals: list[dict[tuple[str, ...], int]] = [dict() for _ in range(order)]
-
-    def probability(self, token: str, context: tuple[str, ...], static_p: float) -> float:
-        p = static_p
-        for o in range(2, self.order + 1):
-            if o - 1 > len(context):
-                break
-            ctx = tuple(context[len(context) - (o - 1) :])
-            total = self.totals[o - 1].get(ctx, 0)
-            if total > 0:
-                ml = self.counts[o - 1][ctx][token] / total
-                p = self.ml_weight * ml + (1.0 - self.ml_weight) * p
-        return p
-
-    def add(self, stream: list[str], i: int) -> None:
-        for o in range(2, self.order + 1):
-            if i - (o - 1) < 0:
-                continue
-            ctx = tuple(stream[i - o + 1 : i])
-            bucket = self.counts[o - 1].setdefault(ctx, Counter())
-            bucket[stream[i]] += 1
-            self.totals[o - 1][ctx] = self.totals[o - 1].get(ctx, 0) + 1
-
-
 def line_entropies(model: NgramModel, file: SourceFile) -> dict[int, float]:
-    """Mean token surprisal per line; lines without tokens are absent."""
-    stream, owners = _file_stream(file, model.order)
-    cache = _FileCache(model.order, model.ml_weight)
+    """Mean token surprisal per line; lines without tokens are absent.
+
+    A per-file cache of orders >= 2, reset for each file, is mixed with the
+    static model. Its chain backs off to the static model's prediction, so
+    a cache that has never seen the current context defers entirely to the
+    static model instead of punishing it.
+    """
+    stream, owners = _file_stream(file)
+    cache = _NgramCounts(lowest_order=2)
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for i, token in enumerate(stream):
-        if i < model.order - 1:
-            continue  # start padding
-        context = tuple(stream[max(0, i - model.order + 1) : i])
+    for i in range(NGRAM_ORDER - 1, len(stream)):  # skip the start padding
+        token = stream[i]
+        context = tuple(stream[i - NGRAM_ORDER + 1 : i])
         static_p = model.probability(token, context)
-        cache_p = cache.probability(token, context, static_p)
-        p = (1.0 - model.cache_weight) * static_p + model.cache_weight * cache_p
+        cache_p = cache.interpolate(token, context, static_p)
+        p = (1.0 - CACHE_WEIGHT) * static_p + CACHE_WEIGHT * cache_p
         owner = owners[i]
         if owner > 0:
             sums[owner] = sums.get(owner, 0.0) + (-float(np.log2(p)))
@@ -272,11 +231,18 @@ def line_entropies(model: NgramModel, file: SourceFile) -> dict[int, float]:
     return {line: sums[line] / counts[line] for line in sums}
 
 
+def _scored_lines(train: ReleaseDataset | list[ReleaseDataset], test: ReleaseDataset) -> list[RankedLine]:
+    """Every tokenised test line with its mean entropy in ``score_sum``, unranked, in path order."""
+    model = NgramModel().fit(train)
+    return [
+        RankedLine(f.release_id, f.path, line_number, hit_count=0, score_sum=score, file_probability=0.0)
+        for f in sorted(test.files, key=lambda f: f.path)
+        for line_number, score in line_entropies(model, f).items()
+    ]
+
+
 def ngram_entropy_baseline(
-    train: ReleaseDataset | list[ReleaseDataset],
-    test: ReleaseDataset,
-    threshold: float,
-    order: int = NGRAM_ORDER,
+    train: ReleaseDataset | list[ReleaseDataset], test: ReleaseDataset, threshold: float
 ) -> MethodResult:
     """Flag lines whose mean token surprisal exceeds the threshold; rank by surprisal.
 
@@ -284,49 +250,25 @@ def ngram_entropy_baseline(
     scored; ranked rows carry the line's mean entropy in score_sum and a
     file probability of 0.
     """
-    model = NgramModel(order=order).fit(train)
-    scored: list[tuple[float, str, str, int]] = []
-    for f in sorted(test.files, key=lambda f: f.path):
-        for line_number, score in line_entropies(model, f).items():
-            if score > threshold:
-                scored.append((score, f.release_id, f.path, line_number))
-    scored.sort(key=lambda item: (-item[0], item[2], item[3]))
-    ranked = [
-        RankedLine(
-            release_id=release_id,
-            file_path=path,
-            line_number=line_number,
-            hit_count=0,
-            score_sum=score,
-            file_probability=0.0,
-            global_rank=rank,
-        )
-        for rank, (score, release_id, path, line_number) in enumerate(scored, start=1)
-    ]
-    return MethodResult(method="ngram", ranked=ranked, file_probabilities={})
+    flagged = [line for line in _scored_lines(train, test) if line.score_sum > threshold]
+    flagged.sort(key=lambda line: (-line.score_sum, line.file_path, line.line_number))
+    return MethodResult(method="ngram", ranked=number_lines(flagged), file_probabilities={})
 
 
 def sensitivity_entropy_threshold(
     train: ReleaseDataset | list[ReleaseDataset],
     test: ReleaseDataset,
     thresholds: tuple[float, ...] = ENTROPY_THRESHOLD_GRID,
-    order: int = NGRAM_ORDER,
 ) -> list[dict]:
     """Recall / FAR / d2h of the entropy baseline per flag threshold.
 
     Lines are scored once; raising the threshold only shrinks the flagged
     set, so recall and FAR are non-increasing in the threshold.
     """
-    model = NgramModel(order=order).fit(train)
-    per_line: list[tuple[float, str, str, int]] = []
-    for f in sorted(test.files, key=lambda f: f.path):
-        for line_number, score in line_entropies(model, f).items():
-            per_line.append((score, f.release_id, f.path, line_number))
+    scored = _scored_lines(train, test)
     truth = line_truth(test)
     rows = []
     for threshold in thresholds:
-        predicted = {(path, line) for score, _, path, line in per_line if score > threshold}
-        c = confusion_counts(predicted, truth)
-        r, fa = recall(c), far(c)
-        rows.append({"threshold": threshold, "recall": r, "far": fa, "d2h": d2h(r, fa)})
+        predicted = {(line.file_path, line.line_number) for line in scored if line.score_sum > threshold}
+        rows.append({"threshold": threshold, **detection_rates(predicted, truth)})
     return rows

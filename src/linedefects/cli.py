@@ -8,8 +8,6 @@ error, 2 data error (diagnostics go to stderr).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from pathlib import Path
@@ -19,7 +17,7 @@ from .config import RunConfig, make_config
 from .corpus import DatasetError, defect_density, load_dataset, write_dataset
 from .evaluation import write_metrics_csv, write_stats_csv
 from .model import load_model, save_model
-from .util import atomic_write_text
+from .util import write_csv
 
 RANKED_CSV_COLUMNS = (
     "rank",
@@ -47,35 +45,13 @@ class DataError(Exception):
 
 
 def _write_ranked_csv(path: str, ranked, method: str | None = None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    header = RANKED_CSV_COLUMNS if method is None else RANKED_CSV_COLUMNS + ("method",)
-    writer.writerow(header)
-    for line in ranked:
-        row = [
-            line.global_rank,
-            line.release_id,
-            line.file_path,
-            line.line_number,
-            line.hit_count,
-            format(line.score_sum, ".10g"),
-            format(line.file_probability, ".10g"),
-        ]
-        if method is not None:
-            row.append(method)
-        writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
-
-
-def _write_table_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(
-            ["" if row.get(c) is None else (format(row[c], ".10g") if isinstance(row[c], float) else row[c]) for c in columns]
-        )
-    atomic_write_text(path, buf.getvalue())
+    extra = () if method is None else (method,)
+    rows = (
+        (line.global_rank, line.release_id, line.file_path, line.line_number, line.hit_count,
+         line.score_sum, line.file_probability) + extra
+        for line in ranked
+    )
+    write_csv(path, RANKED_CSV_COLUMNS + (() if method is None else ("method",)), rows)
 
 
 def _load_releases(args) -> list:
@@ -194,14 +170,17 @@ def cmd_predict(args) -> int:
         if args.train_release is None:
             raise DataError(f"method {method} needs --train-release")
         train = _pick_release(releases, args.train_release)
-    if method == "linedp":
-        result = pipeline.identify_lines(model, vocab, test, config)
-    elif method == "random":
-        result = baselines.random_baseline(test, model, vocab, config.k_risky, config.seed)
-    elif method == "tmi_lr":
-        result = baselines.tmi_lr_baseline(train, test, model, vocab, config.k_risky)
-    else:
-        result = baselines.ngram_entropy_baseline(train, test, config.entropy_threshold_cross)
+    try:
+        if method == "linedp":
+            result = pipeline.identify_lines(model, vocab, test, config)
+        elif method == "random":
+            result = baselines.random_baseline(test, model, vocab, config.k_risky, config.seed)
+        elif method == "tmi_lr":
+            result = baselines.tmi_lr_baseline(train, test, model, vocab, config.k_risky)
+        else:
+            result = baselines.ngram_entropy_baseline(train, test, config.entropy_threshold_cross)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     _write_ranked_csv(args.out, result.ranked, method=method if args.method_column else None)
     print(f"{method}: {len(result.ranked)} flagged lines; wrote {args.out}")
     return EXIT_OK
@@ -233,32 +212,27 @@ def cmd_sensitivity(args) -> int:
     train = _pick_release(releases, args.train_release)
     test = _pick_release(releases, args.test_release)
     config = _config_from_args(args)
-    if args.target == "k_risky":
-        rows = pipeline.sensitivity_k(train, test, config=config)
-        _write_table_csv(args.out, ("k", "recall", "far", "d2h"), rows)
-    else:
-        rows = baselines.sensitivity_entropy_threshold(train, test)
-        _write_table_csv(args.out, ("threshold", "recall", "far", "d2h"), rows)
+    try:
+        if args.target == "k_risky":
+            key, rows = "k", pipeline.sensitivity_k(train, test, config=config)
+        else:
+            key, rows = "threshold", baselines.sensitivity_entropy_threshold(train, test)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    columns = (key, "recall", "far", "d2h")
+    write_csv(args.out, columns, ([row[c] for c in columns] for row in rows))
     print(f"{len(rows)} sensitivity rows; wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
     releases = _load_releases(args)
-    rows = []
-    for ds in releases:
-        for f in ds.files:
-            defective = sum(1 for line in f.lines if line.is_defective)
-            rows.append(
-                {
-                    "release": ds.release_id,
-                    "file_path": f.path,
-                    "loc": len(f.lines),
-                    "defective_lines": defective,
-                    "density": defect_density(f),
-                }
-            )
-    _write_table_csv(args.out, ("release", "file_path", "loc", "defective_lines", "density"), rows)
+    rows = [
+        (ds.release_id, f.path, len(f.lines), sum(line.is_defective for line in f.lines), defect_density(f))
+        for ds in releases
+        for f in ds.files
+    ]
+    write_csv(args.out, ("release", "file_path", "loc", "defective_lines", "density"), rows)
     print(f"{len(rows)} files; wrote {args.out}")
     return EXIT_OK
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-from .util import atomic_write_text
+from .util import write_csv
 
 DATASET_COLUMNS = ("release", "file_path", "line_number", "line_content", "file_label", "line_label")
 METADATA_COLUMNS = ("release", "release_date")
@@ -262,39 +261,26 @@ def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> l
     return datasets
 
 
-def dataset_to_csv_text(datasets: list[ReleaseDataset]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(DATASET_COLUMNS)
-    for ds in sorted(datasets, key=lambda d: d.release_id):
-        for f in sorted(ds.files, key=lambda f: f.path):
-            label = "true" if f.file_label else "false"
-            for line in f.lines:
-                writer.writerow(
-                    (
-                        ds.release_id,
-                        f.path,
-                        line.number,
-                        line.content,
-                        label,
-                        "true" if line.is_defective else "false",
-                    )
-                )
-    return buf.getvalue()
-
-
 def write_dataset(
     datasets: list[ReleaseDataset],
     path: str | Path,
     metadata_path: str | Path | None = None,
 ) -> None:
     """Write datasets in the canonical CSV format (rows ordered by release, path, line)."""
-    atomic_write_text(path, dataset_to_csv_text(datasets))
+    ordered = sorted(datasets, key=lambda d: d.release_id)
+    write_csv(
+        path,
+        DATASET_COLUMNS,
+        (
+            (ds.release_id, f.path, line.number, line.content, f.file_label, line.is_defective)
+            for ds in ordered
+            for f in sorted(ds.files, key=lambda f: f.path)
+            for line in f.lines
+        ),
+    )
     if metadata_path is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(METADATA_COLUMNS)
-        for ds in sorted(datasets, key=lambda d: d.release_id):
-            if ds.release_date is not None:
-                writer.writerow((ds.release_id, ds.release_date.isoformat()))
-        atomic_write_text(metadata_path, buf.getvalue())
+        write_csv(
+            metadata_path,
+            METADATA_COLUMNS,
+            ((ds.release_id, ds.release_date.isoformat()) for ds in ordered if ds.release_date is not None),
+        )

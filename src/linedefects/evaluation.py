@@ -8,8 +8,6 @@ file subsets.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -19,7 +17,7 @@ from scipy.special import ndtr
 from scipy.stats import rankdata
 
 from .corpus import ReleaseDataset
-from .util import atomic_write_text
+from .util import write_csv
 
 METRICS_CSV_COLUMNS = ("setting", "method", "unit_id", "recall", "far", "d2h", "mcc", "recall_top20loc", "ifa")
 STATS_CSV_COLUMNS = ("setting", "metric", "baseline", "pct_diff", "p_value", "effect_r", "magnitude")
@@ -114,6 +112,13 @@ def d2h(recall_value: float | None, far_value: float | None) -> float | None:
     if recall_value is None or far_value is None:
         return None
     return math.sqrt(((1.0 - recall_value) ** 2 + (0.0 - far_value) ** 2) / 2.0)
+
+
+def detection_rates(predicted: set, truth: dict) -> dict[str, float | None]:
+    """Recall, FAR and d2h of a predicted-defective line set over the full line universe."""
+    c = confusion_counts(predicted, truth)
+    r, f = recall(c), far(c)
+    return {"recall": r, "far": f, "d2h": d2h(r, f)}
 
 
 def mcc(c: ConfusionCounts) -> float:
@@ -345,41 +350,14 @@ def wilcoxon_one_sided(
     return StatTestResult(p_value=p, z_score=z, effect_r=r, magnitude=_effect_magnitude(r), n=n)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
 def write_metrics_csv(path, setting: str, reports: Sequence[MetricsReport]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(METRICS_CSV_COLUMNS)
-    for rep in reports:
-        writer.writerow(
-            (
-                setting,
-                rep.method,
-                rep.unit_id,
-                _fmt(rep.recall),
-                _fmt(rep.far),
-                _fmt(rep.d2h),
-                _fmt(rep.mcc),
-                _fmt(rep.recall_at_20pct_loc),
-                _fmt(rep.ifa),
-            )
-        )
-    atomic_write_text(path, buf.getvalue())
+    rows = (
+        (setting, rep.method, rep.unit_id, rep.recall, rep.far, rep.d2h, rep.mcc, rep.recall_at_20pct_loc,
+         rep.ifa)
+        for rep in reports
+    )
+    write_csv(path, METRICS_CSV_COLUMNS, rows)
 
 
 def write_stats_csv(path, rows: Sequence[dict]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(STATS_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(tuple(_fmt(row.get(col)) for col in STATS_CSV_COLUMNS))
-    atomic_write_text(path, buf.getvalue())
+    write_csv(path, STATS_CSV_COLUMNS, ([row.get(col) for col in STATS_CSV_COLUMNS] for row in rows))

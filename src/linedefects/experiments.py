@@ -17,7 +17,6 @@ from .evaluation import (
     stratified_kfold,
     wilcoxon_one_sided,
 )
-from .model import TrainConfig
 from .pipeline import MethodResult, identify_lines, train_file_model
 from .util import derive_seed
 
@@ -51,9 +50,7 @@ def _run_methods(
     if "random" in methods:
         results["random"] = random_baseline(test, model, vocab, config.k_risky, seed)
     if "tmi_lr" in methods:
-        results["tmi_lr"] = tmi_lr_baseline(
-            train, test, model, vocab, config.k_risky, TrainConfig(seed=config.seed)
-        )
+        results["tmi_lr"] = tmi_lr_baseline(train, test, model, vocab, config.k_risky)
     if "ngram" in methods:
         results["ngram"] = ngram_entropy_baseline(train, test, entropy_threshold)
     return results

@@ -43,26 +43,12 @@ class TrainMeta:
     final_grad_norm: float
 
 
-@dataclass(frozen=True)
-class ScalerStats:
-    """Per-feature mean and standard deviation; zero stds are replaced by 1 at transform time."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def safe_std(self) -> np.ndarray:
-        out = self.std.copy()
-        out[out == 0.0] = 1.0
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class LogisticModel:
     weights: np.ndarray
     bias: float
     vocab_fingerprint: str
     train_meta: TrainMeta
-    scaler: ScalerStats | None = None
 
     @property
     def dimension(self) -> int:
@@ -109,12 +95,18 @@ class _RawDesign:
 
 
 class _StandardizedDesign:
-    """Z-scored design (X - mean) / std applied lazily, so sparse X is never densified."""
+    """Z-scored design (X - mean) / std applied lazily, so sparse X is never densified.
 
-    def __init__(self, X: sp.csr_matrix, scaler: ScalerStats):
+    Constant columns have zero std and are divided by 1 instead.
+    """
+
+    def __init__(self, X: sp.csr_matrix):
         self.X = X
-        self.inv_std = 1.0 / scaler.safe_std()
-        self.mean = scaler.mean
+        self.mean = np.asarray(X.mean(axis=0)).ravel()
+        mean_sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
+        std = np.sqrt(np.maximum(mean_sq - self.mean**2, 0.0))
+        std[std == 0.0] = 1.0
+        self.inv_std = 1.0 / std
         self.n_samples, self.n_features = X.shape
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -123,14 +115,6 @@ class _StandardizedDesign:
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         return (self.X.T @ r - self.mean * r.sum()) * self.inv_std
-
-
-def fit_scaler(X: sp.csr_matrix) -> ScalerStats:
-    n = X.shape[0]
-    mean = np.asarray(X.mean(axis=0)).ravel()
-    mean_sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
-    var = np.maximum(mean_sq - mean**2, 0.0)
-    return ScalerStats(mean=mean, std=np.sqrt(var))
 
 
 def _objective(theta: np.ndarray, design, y: np.ndarray, lam: float) -> float:
@@ -237,11 +221,7 @@ def predict_proba(model: LogisticModel, x: FeatureVector) -> float:
     return min(max(p, _PROB_EPS), 1.0 - _PROB_EPS)
 
 
-def standardized_coefficients(
-    X: list[FeatureVector],
-    y: list[bool],
-    config: TrainConfig = TrainConfig(),
-) -> np.ndarray:
+def standardized_coefficients(X: list[FeatureVector], y: list[bool]) -> np.ndarray:
     """Coefficients of the same logistic trainer fitted on z-scored features.
 
     Standardized coefficients are unit-free, so their magnitudes are
@@ -251,9 +231,7 @@ def standardized_coefficients(
     Xm = features_to_csr(X)
     labels = np.asarray(y, dtype=np.float64)
     _validate_labels(Xm.shape[0], labels)
-    scaler = fit_scaler(Xm)
-    design = _StandardizedDesign(Xm, scaler)
-    theta, _ = _minimize(design, labels, config)
+    theta, _ = _minimize(_StandardizedDesign(Xm), labels, TrainConfig())
     return theta[:-1]
 
 
@@ -266,9 +244,6 @@ def save_model(model: LogisticModel, vocab: Vocabulary, path: str | Path) -> Non
         "tokens": vocab.tokens,
         "weights": model.weights.tolist(),
         "bias": model.bias,
-        "scaler": None
-        if model.scaler is None
-        else {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
         "train_meta": asdict(model.train_meta),
         "vocab_fingerprint": vocab.fingerprint(),
     }
@@ -288,17 +263,10 @@ def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
     weights = np.asarray(doc["weights"], dtype=np.float64)
     if weights.shape[0] != len(vocab):
         raise ValueError(f"{path}: weight vector length does not match vocabulary size")
-    scaler = None
-    if doc.get("scaler") is not None:
-        scaler = ScalerStats(
-            mean=np.asarray(doc["scaler"]["mean"], dtype=np.float64),
-            std=np.asarray(doc["scaler"]["std"], dtype=np.float64),
-        )
     model = LogisticModel(
         weights=weights,
         bias=float(doc["bias"]),
         vocab_fingerprint=doc["vocab_fingerprint"],
         train_meta=TrainMeta(**doc["train_meta"]),
-        scaler=scaler,
     )
     return model, vocab

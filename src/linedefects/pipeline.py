@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .config import RunConfig
 from .corpus import ReleaseDataset, SourceFile, Vocabulary, build_vocabulary, tokenize, vectorize
-from .evaluation import confusion_counts, d2h, far, line_truth, recall
+from .evaluation import detection_rates, line_truth
 from .explain import Explanation, explain
 from .model import LogisticModel, TrainConfig, predict_proba, train_logistic
 from .util import derive_seed
@@ -27,6 +28,13 @@ class RiskyTokenSet:
 
     tokens: tuple[tuple[str, float], ...]
 
+    @classmethod
+    def top_positive(cls, scored: Iterable[tuple[str, float]], k: int) -> "RiskyTokenSet":
+        """Keep the k largest strictly positive scores; ties break on token text."""
+        positive = [(token, score) for token, score in scored if score > 0.0]
+        positive.sort(key=lambda item: (-item[1], item[0]))
+        return cls(tokens=tuple(positive[:k]))
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -38,24 +46,16 @@ class RiskyTokenSet:
 
 
 @dataclass(frozen=True)
-class FlaggedLine:
-    release_id: str
-    file_path: str
-    line_number: int
-    hit_count: int
-    score_sum: float
-    file_probability: float
-
-
-@dataclass(frozen=True)
 class RankedLine:
+    """One flagged line; ``global_rank`` stays 0 until the line is ranked."""
+
     release_id: str
     file_path: str
     line_number: int
     hit_count: int
     score_sum: float
     file_probability: float
-    global_rank: int
+    global_rank: int = 0
 
 
 @dataclass
@@ -70,15 +70,13 @@ class MethodResult:
 
 def select_risky_tokens(expl: Explanation, k_risky: int = 20) -> RiskyTokenSet:
     """Keep the k largest strictly positive scores; ties break on token text."""
-    positive = [(token, score) for token, score in expl.scores.items() if score > 0.0]
-    positive.sort(key=lambda item: (-item[1], item[0]))
-    return RiskyTokenSet(tokens=tuple(positive[:k_risky]))
+    return RiskyTokenSet.top_positive(expl.scores.items(), k_risky)
 
 
 def flag_lines(
     file: SourceFile, risky: RiskyTokenSet, file_probability: float = 1.0
-) -> list[FlaggedLine]:
-    """Flag every line containing at least one risky token.
+) -> list[RankedLine]:
+    """Flag every line containing at least one risky token (unranked records).
 
     The hit count is the number of DISTINCT risky tokens present in the
     line; repeated occurrences of the same token do not accumulate.
@@ -92,7 +90,7 @@ def flag_lines(
         matched = set(tokenize(line.content)) & token_set
         if matched:
             flagged.append(
-                FlaggedLine(
+                RankedLine(
                     release_id=file.release_id,
                     file_path=file.path,
                     line_number=line.number,
@@ -104,38 +102,33 @@ def flag_lines(
     return flagged
 
 
-def rank_lines_global(flagged: list[FlaggedLine]) -> list[RankedLine]:
+def number_lines(ordered: Iterable[RankedLine]) -> list[RankedLine]:
+    """Assign global ranks 1..N in the given order."""
+    return [replace(line, global_rank=rank) for rank, line in enumerate(ordered, start=1)]
+
+
+def rank_lines_global(flagged: list[RankedLine]) -> list[RankedLine]:
     """Total order over all flagged lines of all predicted-defective files.
 
     Keys: hit count desc, score sum desc, file probability desc, then
     (path, line number) asc as the final deterministic tie break.
     """
-    ordered = sorted(
-        flagged,
-        key=lambda f: (
-            -f.hit_count,
-            -f.score_sum,
-            -f.file_probability,
-            f.release_id,
-            f.file_path,
-            f.line_number,
-        ),
-    )
-    return [
-        RankedLine(
-            release_id=f.release_id,
-            file_path=f.file_path,
-            line_number=f.line_number,
-            hit_count=f.hit_count,
-            score_sum=f.score_sum,
-            file_probability=f.file_probability,
-            global_rank=rank,
+    return number_lines(
+        sorted(
+            flagged,
+            key=lambda f: (
+                -f.hit_count,
+                -f.score_sum,
+                -f.file_probability,
+                f.release_id,
+                f.file_path,
+                f.line_number,
+            ),
         )
-        for rank, f in enumerate(ordered, start=1)
-    ]
+    )
 
 
-def _as_release_list(train: ReleaseDataset | list[ReleaseDataset]) -> list[ReleaseDataset]:
+def as_release_list(train: ReleaseDataset | list[ReleaseDataset]) -> list[ReleaseDataset]:
     return [train] if isinstance(train, ReleaseDataset) else list(train)
 
 
@@ -143,7 +136,7 @@ def train_file_model(
     train: ReleaseDataset | list[ReleaseDataset], config: RunConfig
 ) -> tuple[LogisticModel, Vocabulary]:
     """Vocabulary + file-level logistic model from the training releases only."""
-    files = [f for ds in _as_release_list(train) for f in ds.files]
+    files = [f for ds in as_release_list(train) for f in ds.files]
     vocab = build_vocabulary(files)
     X = [vectorize(f, vocab) for f in files]
     y = [f.file_label for f in files]
@@ -156,52 +149,61 @@ def file_seed(config_seed: int, release_id: str, path: str) -> int:
     return derive_seed(config_seed, release_id, path)
 
 
-def _explain_file_task(args) -> tuple[str, RiskyTokenSet, list[FlaggedLine]]:
-    model, vocab, file, prob, config = args
-    seed = file_seed(config.seed, file.release_id, file.path)
-    expl = explain(
-        model,
-        vectorize(file, vocab),
-        vocab,
-        n=config.lime_n,
-        k=config.lime_k_features,
-        kernel_width=config.lime_sigma,
-        seed=seed,
-    )
-    risky = select_risky_tokens(expl, config.k_risky)
-    return file.path, risky, flag_lines(file, risky, prob)
-
-
 def predict_files(
     model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset
 ) -> dict[str, float]:
     return {f.path: predict_proba(model, vectorize(f, vocab)) for f in test.files}
 
 
-def identify_lines(
-    model: LogisticModel,
-    vocab: Vocabulary,
-    test: ReleaseDataset,
-    config: RunConfig,
-    file_probs: dict[str, float] | None = None,
-) -> MethodResult:
-    """Steps 3-4 on an already trained model: explain, flag, and rank."""
-    if file_probs is None:
-        file_probs = predict_files(model, vocab, test)
-    defect_prone = [f for f in sorted(test.files, key=lambda f: f.path) if file_probs[f.path] > 0.5]
-    tasks = [(model, vocab, f, file_probs[f.path], config) for f in defect_prone]
+def defect_prone_files(test: ReleaseDataset, file_probs: dict[str, float]) -> list[SourceFile]:
+    """Files predicted defective (probability > 0.5), in path order."""
+    return [f for f in sorted(test.files, key=lambda f: f.path) if file_probs[f.path] > 0.5]
+
+
+def _explain_file_task(args) -> Explanation:
+    model, vocab, file, config = args
+    x = vectorize(file, vocab)
+    if not x.entries:
+        # nothing to perturb: no token of the file is in the vocabulary
+        return Explanation(scores={}, fidelity_r2=0.0)
+    return explain(
+        model,
+        x,
+        vocab,
+        n=config.lime_n,
+        k=config.lime_k_features,
+        kernel_width=config.lime_sigma,
+        seed=file_seed(config.seed, file.release_id, file.path),
+    )
+
+
+def explain_files(
+    model: LogisticModel, vocab: Vocabulary, files: list[SourceFile], config: RunConfig
+) -> list[Explanation]:
+    """Explain each file with its own seed; results follow the order of ``files``.
+
+    A file without in-vocabulary tokens gets an empty explanation, so it
+    has no risky tokens and flags nothing. Files are spread over
+    ``config.parallelism`` worker processes when there are at least 4.
+    """
+    tasks = [(model, vocab, f, config) for f in files]
     if config.parallelism > 1 and len(tasks) >= 4:
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            outputs = list(pool.map(_explain_file_task, tasks, chunksize=4))
-    else:
-        outputs = [_explain_file_task(t) for t in tasks]
-    # merge deterministically by sort keys, never by completion order
-    outputs.sort(key=lambda item: item[0])
-    flagged: list[FlaggedLine] = []
-    risky_sets: dict[str, RiskyTokenSet] = {}
-    for path, risky, lines in outputs:
-        risky_sets[path] = risky
-        flagged.extend(lines)
+            return list(pool.map(_explain_file_task, tasks, chunksize=4))
+    return [_explain_file_task(t) for t in tasks]
+
+
+def identify_lines(
+    model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset, config: RunConfig
+) -> MethodResult:
+    """Steps 2-4 on an already trained model: predict, explain, flag, and rank."""
+    file_probs = predict_files(model, vocab, test)
+    files = defect_prone_files(test, file_probs)
+    explanations = explain_files(model, vocab, files, config)
+    risky_sets = {
+        f.path: select_risky_tokens(expl, config.k_risky) for f, expl in zip(files, explanations)
+    }
+    flagged = [line for f in files for line in flag_lines(f, risky_sets[f.path], file_probs[f.path])]
     return MethodResult(
         method="linedp",
         ranked=rank_lines_global(flagged),
@@ -227,38 +229,23 @@ def sensitivity_k(
     """Recall / FAR / d2h per risky-token budget k.
 
     Explanations do not depend on k, so they are computed once with a
-    feature budget covering the whole grid; each k then reselects, reflags,
-    and reranks. Nested risky sets make recall and FAR non-decreasing in k.
+    feature budget covering the whole grid; each k then reselects and
+    reflags. Nested risky sets make recall and FAR non-decreasing in k.
     """
     if not k_grid or min(k_grid) < 1:
         raise ValueError("k_grid must be nonempty with positive entries")
     wide = replace(config, lime_k_features=max(config.lime_k_features, max(k_grid)))
     model, vocab = train_file_model(train, wide)
     file_probs = predict_files(model, vocab, test)
-    defect_prone = [f for f in sorted(test.files, key=lambda f: f.path) if file_probs[f.path] > 0.5]
-    explanations: list[tuple[SourceFile, Explanation]] = []
-    for f in defect_prone:
-        seed = file_seed(wide.seed, f.release_id, f.path)
-        expl = explain(
-            model,
-            vectorize(f, vocab),
-            vocab,
-            n=wide.lime_n,
-            k=wide.lime_k_features,
-            kernel_width=wide.lime_sigma,
-            seed=seed,
-        )
-        explanations.append((f, expl))
+    files = defect_prone_files(test, file_probs)
+    explanations = explain_files(model, vocab, files, wide)
     truth = line_truth(test)
     rows = []
     for k in k_grid:
-        flagged: list[FlaggedLine] = []
-        for f, expl in explanations:
-            risky = select_risky_tokens(expl, k)
-            flagged.extend(flag_lines(f, risky, file_probs[f.path]))
-        ranked = rank_lines_global(flagged)
-        predicted = {(line.file_path, line.line_number) for line in ranked}
-        c = confusion_counts(predicted, truth)
-        r, fa = recall(c), far(c)
-        rows.append({"k": k, "recall": r, "far": fa, "d2h": d2h(r, fa)})
+        predicted = {
+            (line.file_path, line.line_number)
+            for f, expl in zip(files, explanations)
+            for line in flag_lines(f, select_risky_tokens(expl, k), file_probs[f.path])
+        }
+        rows.append({"k": k, **detection_rates(predicted, truth)})
     return rows

@@ -1,11 +1,14 @@
-"""Small shared helpers: stable seeding and atomic file output."""
+"""Small shared helpers: stable seeding and atomic file and CSV output."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterable, Sequence
 
 
 def derive_seed(*parts) -> int:
@@ -33,3 +36,23 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def format_cell(value) -> str:
+    """CSV cell text: empty for None, lowercase booleans, floats to 10 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as an RFC-4180 CSV, atomically; every cell goes through ``format_cell``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([format_cell(value) for value in row] for row in rows)
+    atomic_write_text(path, buf.getvalue())

@@ -32,6 +32,30 @@ def release_of_files(release_id: str, files: dict[str, list[tuple[str, bool]]], 
     )
 
 
+def unseen_token_pair() -> tuple[ReleaseDataset, ReleaseDataset]:
+    """(train, test) where the test file X.java has no in-vocabulary token.
+
+    Three of the four training files are defective, which gives the trained
+    model a positive bias, so X.java is still predicted defective.
+    """
+    train = release_of_files(
+        "t",
+        {
+            "A.java": [("bug spark bug", True), ("calm", False)],
+            "B.java": [("bug spark", True), ("quiet", False)],
+            "C.java": [("spark bug", True)],
+            "D.java": [("calm quiet calm quiet", False)],
+        },
+        release_date=date(2024, 1, 1),
+    )
+    test = release_of_files(
+        "s",
+        {"X.java": [("zzz yyy;", True), ("www", False)], "Y.java": [("bug spark", True), ("calm", False)]},
+        release_date=date(2024, 6, 1),
+    )
+    return train, test
+
+
 @pytest.fixture(scope="session")
 def planted_pair():
     """A (train, test) release pair with planted risky tokens."""

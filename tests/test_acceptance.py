@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from linedefects.baselines import NgramModel, line_entropies, random_baseline
+from linedefects.baselines import NGRAM_ORDER, NgramModel, line_entropies, random_baseline
 from linedefects.config import RunConfig
 from linedefects.corpus import FeatureVector, Vocabulary, load_dataset
 from linedefects.evaluation import (
@@ -269,10 +269,10 @@ def test_criterion_8_runtime_budget():
 def test_criterion_9_ifa_convention():
     truth = {("f", 1): True, ("f", 2): False, ("f", 3): True}
     release = release_of_files("r", {"f": [("a", True), ("b", False), ("c", True)]})
-    from linedefects.pipeline import FlaggedLine, rank_lines_global
+    from linedefects.pipeline import RankedLine, rank_lines_global
 
     ranked = rank_lines_global(
-        [FlaggedLine("r", "f", 1, 2, 1.0, 0.9), FlaggedLine("r", "f", 2, 1, 0.5, 0.9)]
+        [RankedLine("r", "f", 1, 2, 1.0, 0.9), RankedLine("r", "f", 2, 1, 0.5, 0.9)]
     )
     result = ifa(ranked, truth)
     assert result.value == 0 and not result.saturated
@@ -289,7 +289,7 @@ def test_criterion_10_ngram_normalization_and_determinism():
     vocab = sorted(model.vocabulary)
     worst = 0.0
     for _ in range(100):
-        length = int(rng.integers(0, model.order))
+        length = int(rng.integers(0, NGRAM_ORDER))
         ctx = tuple(rng.choice(vocab + ["zzUnseen"], size=length))
         total = sum(model.probability(t, ctx) for t in vocab) + model.probability("zzUnknown", ctx)
         worst = max(worst, abs(total - 1.0))

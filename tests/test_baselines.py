@@ -5,6 +5,8 @@ import pytest
 from scipy import stats
 
 from linedefects.baselines import (
+    JM_ML_WEIGHT,
+    NGRAM_ORDER,
     NgramModel,
     global_risky_tokens,
     line_entropies,
@@ -150,7 +152,7 @@ class TestNgramModel:
         rng = np.random.default_rng(0)
         vocab = sorted(model.vocabulary)
         for _ in range(100):
-            length = int(rng.integers(0, model.order))
+            length = int(rng.integers(0, NGRAM_ORDER))
             ctx = tuple(rng.choice(vocab + ["zzUnseen"], size=length))
             total = sum(model.probability(t, ctx) for t in vocab)
             total += model.probability("zzNeverSeenToken", ctx)
@@ -176,7 +178,7 @@ class TestNgramModel:
         assert result.ranked
         assert result.ranked[0].line_number == 2
         floor_surprisal = -np.log2(
-            (1 - NgramModel().ml_weight) ** 6 / (len(NgramModel().fit(train).vocabulary) + 1)
+            (1 - JM_ML_WEIGHT) ** 6 / (len(NgramModel().fit(train).vocabulary) + 1)
         )
         assert result.ranked[0].score_sum <= floor_surprisal + 1.0
 

@@ -9,7 +9,7 @@ from linedefects.cli import main
 from linedefects.corpus import write_dataset
 from linedefects.synthetic import make_release_series
 
-from conftest import release_of_files
+from conftest import release_of_files, unseen_token_pair
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +154,28 @@ class TestSensitivity:
         assert len(rows) - 1 == 20
 
 
+class TestUnexplainableFile:
+    def test_file_without_vocabulary_tokens_is_unflagged(self, tmp_path):
+        train, test = unseen_token_pair()
+        data, meta = tmp_path / "data.csv", tmp_path / "releases.csv"
+        write_dataset([train, test], data, meta)
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--dataset", str(data), "--releases", "t", "--out", str(model_path)] + FAST_FLAGS) == 0
+        out = tmp_path / "ranked.csv"
+        rc = main(["predict", "--model", str(model_path), "--dataset", str(data), "--release", "s",
+                   "--out", str(out)] + FAST_FLAGS)
+        assert rc == 0
+        assert {r[2] for r in read_csv(out)[1:]} == {"Y.java"}
+        rc = main(["sensitivity", "--dataset", str(data), "--target", "k_risky", "--train-release", "t",
+                   "--test-release", "s", "--out", str(tmp_path / "sens.csv")] + FAST_FLAGS)
+        assert rc == 0
+        out_dir = tmp_path / "cross"
+        rc = main(["evaluate", "--dataset", str(data), "--metadata", str(meta), "--setting", "cross",
+                   "--methods", "linedp", "--out-dir", str(out_dir)] + FAST_FLAGS)
+        assert rc == 0
+        assert read_csv(out_dir / "metrics.csv")[1][3] == "0.5"  # recall counts X.java's missed line
+
+
 class TestMineAndDensity:
     def test_mine_end_to_end(self, tmp_path):
         snapshot = release_of_files(
@@ -231,6 +253,22 @@ class TestExitCodes:
              "--out", str(out), "--config", str(cfg), "--lime-n", "200"]
         )
         assert rc == 0
+
+    def test_single_class_training_release_is_data_error(self, tmp_path, capsys):
+        train, test = unseen_token_pair()
+        single = release_of_files("o", {"A.java": [("bug bug", True)], "B.java": [("spark spark", True)]})
+        data = tmp_path / "data.csv"
+        write_dataset([train, single, test], data)
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--dataset", str(data), "--releases", "t", "--out", str(model_path)] + FAST_FLAGS) == 0
+        capsys.readouterr()
+        for argv in (
+            ["predict", "--model", str(model_path), "--method", "tmi_lr", "--release", "s", "--train-release", "o"],
+            ["sensitivity", "--target", "k_risky", "--train-release", "o", "--test-release", "s"],
+        ):
+            rc = main(argv + ["--dataset", str(data), "--out", str(tmp_path / "o.csv")] + FAST_FLAGS)
+            assert rc == 2, argv[0]
+            assert capsys.readouterr().err.startswith("error: training labels contain a single class")
 
     def test_bad_config_key_is_data_error(self, dataset_paths, tmp_path, capsys):
         root, data, meta = dataset_paths

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from linedefects.corpus import FeatureVector, Vocabulary
-from linedefects.explain import (
+from linedefects.explain import explain
+from linedefects.model import LogisticModel, TrainMeta
+
+from reference_explainer import (
     NeighborSample,
-    explain,
     generate_neighbors,
     k_lasso,
     kernel_weight,
     predict_neighbors,
 )
-from linedefects.model import LogisticModel, TrainMeta
 
 
 def linear_model(weights, bias=0.0):

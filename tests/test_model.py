@@ -177,6 +177,8 @@ class TestStandardizedCoefficients:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
+        import json
+
         release = make_planted_release("r", seed=2, n_files=10, n_defective=4)
         vocab = build_vocabulary(list(release.files))
         X = [vectorize(f, vocab) for f in release.files]
@@ -189,6 +191,14 @@ class TestPersistence:
         assert loaded.bias == model.bias
         assert loaded_vocab.token_to_index == vocab.token_to_index
         assert predict_proba(loaded, X[0]) == predict_proba(model, X[0])
+        doc = json.loads(path.read_text())
+        assert "scaler" not in doc
+        # format-1 documents may still carry a null "scaler" entry
+        doc["scaler"] = None
+        path.write_text(json.dumps(doc))
+        reloaded, _ = load_model(path)
+        assert np.array_equal(reloaded.weights, model.weights)
+        assert reloaded.bias == model.bias
 
     def test_fingerprint_mismatch_detected(self, tmp_path):
         import json

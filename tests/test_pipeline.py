@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from linedefects.corpus import tokenize
+from linedefects.evaluation import evaluate_ranking
 from linedefects.explain import Explanation
 from linedefects.pipeline import (
-    FlaggedLine,
+    RankedLine,
     RiskyTokenSet,
     flag_lines,
     rank_lines_global,
@@ -16,11 +17,11 @@ from linedefects.pipeline import (
 )
 from linedefects.synthetic import PLANTED_TOKENS
 
-from conftest import release_of_files
+from conftest import release_of_files, unseen_token_pair
 
 
 def explanation_of(scores: dict[str, float]) -> Explanation:
-    return Explanation(scores=scores, sample_count=1, k_features=len(scores), seed=0, fidelity_r2=0.0)
+    return Explanation(scores=scores, fidelity_r2=0.0)
 
 
 class TestSelectRiskyTokens:
@@ -76,7 +77,7 @@ class TestFlagLines:
 
 
 def flagged(path, line, hit, score=0.0, prob=0.5, release="r"):
-    return FlaggedLine(
+    return RankedLine(
         release_id=release,
         file_path=path,
         line_number=line,
@@ -164,9 +165,25 @@ class TestRunPipeline:
         from dataclasses import replace
 
         train, test = small_planted_pair
+        parallel_config = replace(fast_config, parallelism=2)
         serial = run_linedp(train, test, fast_config)
-        parallel = run_linedp(train, test, replace(fast_config, parallelism=2))
+        parallel = run_linedp(train, test, parallel_config)
+        assert sum(p > 0.5 for p in serial.file_probabilities.values()) >= 4  # enough files for the pool
         assert serial.ranked == parallel.ranked
+        grid = (5, 10, 40)
+        assert sensitivity_k(train, test, grid, fast_config) == sensitivity_k(train, test, grid, parallel_config)
+
+    def test_file_without_vocabulary_tokens_flags_nothing(self, fast_config):
+        train, test = unseen_token_pair()
+        result = run_linedp(train, test, fast_config)
+        assert result.file_probabilities["X.java"] > 0.5
+        assert result.risky_tokens["X.java"].tokens == ()
+        assert {r.file_path for r in result.ranked} == {"Y.java"}
+        # X.java's defective line stays in the universe as a missed line
+        report = evaluate_ranking("linedp", "u", result.ranked, test, result.file_probabilities)
+        assert report.recall == pytest.approx(0.5)
+        rows = sensitivity_k(train, test, k_grid=(5, 10), config=fast_config)
+        assert [row["recall"] for row in rows] == [pytest.approx(0.5)] * 2
 
 
 class TestSensitivityK:
