@@ -26,6 +26,8 @@ class RunConfig:
         for name in ("lime_sigma", "entropy_threshold_within", "entropy_threshold_cross"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.lime_n < 2:
+            raise ValueError("lime_n must be >= 2: the surrogate needs at least two neighbor samples")
         if self.lime_k_features < self.k_risky:
             raise ValueError("lime_k_features must be >= k_risky")
 

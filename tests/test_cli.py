@@ -270,6 +270,24 @@ class TestExitCodes:
             assert rc == 2, argv[0]
             assert capsys.readouterr().err.startswith("error: training labels contain a single class")
 
+    def test_single_neighbor_surrogate_rejected_before_training(self, dataset_paths, tmp_path, capsys, monkeypatch):
+        root, data, meta = dataset_paths
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained despite an invalid configuration")
+
+        for where in ("linedefects.pipeline.train_file_model", "linedefects.experiments.train_file_model"):
+            monkeypatch.setattr(where, no_training)
+        model_path = tmp_path / "m.json"
+        for argv in (
+            ["train", "--releases", "cli-1.0", "--out", str(model_path)],
+            ["evaluate", "--setting", "within", "--methods", "linedp", "--out-dir", str(tmp_path / "ev")],
+        ):
+            rc = main(argv + ["--dataset", str(data), "--lime-n", "1"])
+            assert rc == 2, argv[0]
+            assert "lime_n must be >= 2" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_bad_config_key_is_data_error(self, dataset_paths, tmp_path, capsys):
         root, data, meta = dataset_paths
         cfg = tmp_path / "run.cfg"

@@ -26,6 +26,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(lime_sigma=0.0)
 
+    def test_surrogate_needs_two_neighbors(self):
+        with pytest.raises(ValueError, match="lime_n must be >= 2"):
+            RunConfig(lime_n=1)
+        assert RunConfig(lime_n=2).lime_n == 2
+
 
 class TestConfigFile:
     def test_parse_with_comments(self, tmp_path):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linedefects.corpus import (
     DatasetError,
@@ -155,6 +155,23 @@ class TestDatasetIO:
         write_dataset([release], tmp_path / "d.csv")
         (loaded,) = load_dataset(tmp_path / "d.csv")
         assert [l.content for l in loaded.files[0].lines] == ['s = "a,b\'c";', "tab\tand spaces"]
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.text(st.one_of(st.sampled_from(',"\n\r\t \'\\'), st.characters(codec="utf-8")), max_size=20),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_line_content_survives_round_trip(self, tmp_path, contents):
+        # commas, double quotes, embedded CR/LF and non-ASCII text
+        rows = [(content, i == 0) for i, content in enumerate(contents)]
+        release = release_of_files("r", {"A.java": rows, "B.java": [("é, \"ü\"\r\n€", False)]})
+        path = tmp_path / "round.csv"
+        write_dataset([release], path)
+        (loaded,) = load_dataset(path)
+        assert loaded.files == release.files
 
     def test_label_inconsistency_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
