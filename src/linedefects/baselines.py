@@ -7,8 +7,6 @@ evaluation harness covers every method.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from .corpus import ReleaseDataset, SourceFile, Vocabulary, tokenize, vectorize
@@ -128,41 +126,38 @@ def _file_stream(file: SourceFile) -> tuple[list[str], list[int]]:
     return stream, owners
 
 
-class _NgramCounts:
-    """Continuation counts of the orders ``lowest_order..NGRAM_ORDER``.
+def _tuple_ids(ids: np.ndarray, base: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Dense ids of every k-tuple of ``ids``, k = 1..NGRAM_ORDER.
 
-    ``interpolate`` runs the Jelinek-Mercer chain over them: starting from
-    a lower-order probability, each order whose context has been seen mixes
-    in its maximum-likelihood estimate.
+    ``grams[k-1][j]`` identifies the k-tuple ``ids[j : j+k]`` as its rank
+    among the sorted distinct keys ``keys[k-1]``. For k = 1 the key is the
+    token id itself (ids are dense in 0..base-1); for k >= 2 it is
+    ``grams[k-2][j] * base + ids[j+k-1]``: prefix id, then last token.
     """
+    keys, grams = [np.arange(base)], [ids]
+    for k in range(2, NGRAM_ORDER + 1):
+        distinct, rank = np.unique(grams[-1][:-1] * base + ids[k - 1 :], return_inverse=True)
+        keys.append(distinct)
+        grams.append(rank)
+    return keys, grams
 
-    def __init__(self, lowest_order: int):
-        self.orders = range(lowest_order, NGRAM_ORDER + 1)
-        # counts[o-1]: context tuple of length o-1 -> Counter of continuations
-        self.counts: list[dict[tuple[str, ...], Counter]] = [dict() for _ in range(NGRAM_ORDER)]
-        self.totals: list[dict[tuple[str, ...], int]] = [dict() for _ in range(NGRAM_ORDER)]
 
-    def add(self, stream: list[str], i: int) -> None:
-        """Count ``stream[i]`` as the continuation of each of its preceding contexts."""
-        token = stream[i]
-        for o in self.orders:
-            if i - (o - 1) < 0:
-                continue
-            ctx = tuple(stream[i - o + 1 : i])
-            bucket = self.counts[o - 1].setdefault(ctx, Counter())
-            bucket[token] += 1
-            self.totals[o - 1][ctx] = self.totals[o - 1].get(ctx, 0) + 1
+def _jm_step(p: np.ndarray, count: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """One Jelinek-Mercer order, elementwise: where the context was seen, mix in count/total."""
+    seen = total > 0
+    ml = count / np.where(seen, total, 1)
+    return np.where(seen, JM_ML_WEIGHT * ml + (1.0 - JM_ML_WEIGHT) * p, p)
 
-    def interpolate(self, token: str, context: tuple[str, ...], p: float) -> float:
-        for o in self.orders:
-            if o - 1 > len(context):
-                break
-            ctx = tuple(context[len(context) - (o - 1) :])
-            total = self.totals[o - 1].get(ctx, 0)
-            if total > 0:
-                ml = self.counts[o - 1][ctx][token] / total
-                p = JM_ML_WEIGHT * ml + (1.0 - JM_ML_WEIGHT) * p
-        return p
+
+def _prior_occurrences(keys: np.ndarray) -> np.ndarray:
+    """For each position, how many earlier positions hold the same key."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    index = np.arange(len(keys))
+    group_start = np.maximum.accumulate(np.where(np.r_[True, ranked[1:] != ranked[:-1]], index, 0))
+    out = np.empty_like(index)
+    out[order] = index - group_start
+    return out
 
 
 class NgramModel:
@@ -173,36 +168,104 @@ class NgramModel:
     and the chain bottoms out at a uniform floor over the vocabulary plus an
     unknown-token symbol, so every next-token distribution sums to exactly 1
     and unseen tokens keep a small positive probability.
+
+    The counts live in integer arrays. Every stream token, the padding and
+    line sentinels included, has an int id; every k-tuple seen in training
+    has a dense id (see ``_tuple_ids``), ``_counts[k-1]`` counts it as a
+    continuation and ``_totals[k]`` counts it as the context of a
+    continuation. Padding positions provide context only, never a
+    continuation event. File streams are padded with NGRAM_ORDER-1 start
+    symbols, so no n-gram crosses a file boundary.
     """
 
     def __init__(self):
-        self.table = _NgramCounts(lowest_order=1)
         self.vocabulary: set[str] = set()
 
     def fit(self, train: ReleaseDataset | list[ReleaseDataset]) -> "NgramModel":
-        for ds in as_release_list(train):
-            for f in ds.files:
-                stream, _ = _file_stream(f)
-                for i, token in enumerate(stream):
-                    if token == _STREAM_START:
-                        continue  # padding provides context only, never a continuation event
-                    self.vocabulary.add(token)
-                    self.table.add(stream, i)
+        """Count every training stream; refitting starts from empty tables."""
+        self._ids: dict[str, int] = {}
+        stream = [
+            self._ids.setdefault(token, len(self._ids))
+            for ds in as_release_list(train)
+            for f in ds.files
+            for token in _file_stream(f)[0]
+        ]
+        self.vocabulary = set(self._ids) - {_STREAM_START}
         if not self.vocabulary:
             raise ValueError("cannot fit an n-gram model on an empty training corpus")
+        ids = np.array(stream, dtype=np.int64)
+        body = np.flatnonzero(ids != self._ids[_STREAM_START])
+        self._keys, grams = _tuple_ids(ids, len(self._ids))
+        # the gram of order o and its context of order o-1 both start at body - (o-1)
+        starts = [body - (o - 1) for o in range(1, NGRAM_ORDER + 1)]
+        self._counts = [
+            np.bincount(grams[k][starts[k]], minlength=len(self._keys[k])) for k in range(NGRAM_ORDER)
+        ]
+        # the empty context (id 0) precedes every continuation
+        self._totals = [np.array([len(body)])] + [
+            np.bincount(grams[k - 1][starts[k]], minlength=len(self._keys[k - 1])) for k in range(1, NGRAM_ORDER)
+        ]
         return self
 
     @property
     def floor(self) -> float:
         return 1.0 / (len(self.vocabulary) + 1)
 
+    def _lookup(self, ids: np.ndarray) -> list[np.ndarray]:
+        """Fitted tuple ids of every k-tuple of ``ids`` as ``_tuple_ids`` lays them out; -1 if unseen."""
+        grams = [ids]
+        for k in range(2, NGRAM_ORDER + 1):
+            prefix, last = grams[-1][:-1], ids[k - 1 :]
+            key = prefix * len(self._ids) + last
+            keys = self._keys[k - 1]
+            at = np.searchsorted(keys, key)
+            found = (prefix >= 0) & (last >= 0) & (keys[np.minimum(at, len(keys) - 1)] == key)
+            grams.append(np.where(found, at, -1))
+        return grams
+
+    def _static_probabilities(self, ids: np.ndarray) -> np.ndarray:
+        """P(ids[i] | up to NGRAM_ORDER-1 ids before it) at every position i; unknown tokens have id -1."""
+        grams = self._lookup(ids)
+        p = np.full(len(ids), self.floor)
+        for o in range(1, min(NGRAM_ORDER, len(ids)) + 1):
+            gram = grams[o - 1]
+            count = np.where(gram >= 0, self._counts[o - 1][gram], 0)
+            # order 1 conditions on the empty context, id 0
+            context = grams[o - 2][: len(gram)] if o > 1 else np.zeros(len(gram), dtype=np.int64)
+            total = np.where(context >= 0, self._totals[o - 1][context], 0)
+            p[o - 1 :] = _jm_step(p[o - 1 :], count, total)
+        return p
+
+    def _encode(self, tokens) -> np.ndarray:
+        """Model ids of ``tokens``; -1 for a token the model never saw."""
+        return np.array([self._ids.get(t, -1) for t in tokens], dtype=np.int64)
+
     def probability(self, token: str, context: tuple[str, ...]) -> float:
         """Interpolated P(token | up to NGRAM_ORDER-1 preceding tokens)."""
-        return self.table.interpolate(token, context, self.floor)
+        stream = list(context)[-(NGRAM_ORDER - 1) :] + [token]
+        return float(self._static_probabilities(self._encode(stream))[-1])
 
     def surprisal(self, token: str, context: tuple[str, ...]) -> float:
         """Negative log2 probability in bits."""
         return -float(np.log2(self.probability(token, context)))
+
+
+def _cache_probabilities(local_ids: np.ndarray, base: int, static_p: np.ndarray) -> np.ndarray:
+    """The per-file cache chain (orders 2..NGRAM_ORDER) at every position after the padding.
+
+    The cache counts of position i are the earlier non-padding positions of
+    the same file that share its gram (or context); ``static_p`` holds the
+    static model's probabilities at those positions and starts the chain.
+    """
+    _, grams = _tuple_ids(local_ids, base)
+    scored = len(static_p)
+    p = static_p
+    for o in range(2, NGRAM_ORDER + 1):
+        start = NGRAM_ORDER - o  # the gram ending at the first scored position starts here
+        gram = grams[o - 1][start : start + scored]
+        context = grams[o - 2][start : start + scored]
+        p = _jm_step(p, _prior_occurrences(gram), _prior_occurrences(context))
+    return p
 
 
 def line_entropies(model: NgramModel, file: SourceFile) -> dict[int, float]:
@@ -214,21 +277,22 @@ def line_entropies(model: NgramModel, file: SourceFile) -> dict[int, float]:
     static model instead of punishing it.
     """
     stream, owners = _file_stream(file)
-    cache = _NgramCounts(lowest_order=2)
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for i in range(NGRAM_ORDER - 1, len(stream)):  # skip the start padding
-        token = stream[i]
-        context = tuple(stream[i - NGRAM_ORDER + 1 : i])
-        static_p = model.probability(token, context)
-        cache_p = cache.interpolate(token, context, static_p)
-        p = (1.0 - CACHE_WEIGHT) * static_p + CACHE_WEIGHT * cache_p
-        owner = owners[i]
-        if owner > 0:
-            sums[owner] = sums.get(owner, 0.0) + (-float(np.log2(p)))
-            counts[owner] = counts.get(owner, 0) + 1
-        cache.add(stream, i)
-    return {line: sums[line] / counts[line] for line in sums}
+    if len(stream) < NGRAM_ORDER:
+        return {}
+    # file-local ids keep tokens the model never saw distinct for the cache
+    local: dict[str, int] = {}
+    local_ids = np.array([local.setdefault(t, len(local)) for t in stream], dtype=np.int64)
+    static_p = model._static_probabilities(model._encode(local)[local_ids])[NGRAM_ORDER - 1 :]
+    cache_p = _cache_probabilities(local_ids, len(local), static_p)
+    p = (1.0 - CACHE_WEIGHT) * static_p + CACHE_WEIGHT * cache_p
+    surprisal = -np.log2(p)
+    owner = np.array(owners[NGRAM_ORDER - 1 :])
+    in_line = owner > 0
+    lines, slot = np.unique(owner[in_line], return_inverse=True)
+    # bincount adds in position order, as a running sum per line would
+    sums = np.bincount(slot, weights=surprisal[in_line], minlength=len(lines))
+    means = sums / np.bincount(slot, minlength=len(lines))
+    return dict(zip(lines.tolist(), means.tolist()))
 
 
 def _scored_lines(train: ReleaseDataset | list[ReleaseDataset], test: ReleaseDataset) -> list[RankedLine]:

@@ -187,14 +187,17 @@ def _k_lasso_arrays(
     if k < 1:
         raise ValueError("feature budget must be >= 1")
     w_total = float(weights.sum())
+    ybar = float(weights @ y) / w_total
+    y_centered = y - ybar
+    sst = float(weights @ (y_centered**2))
+    if sst <= 1e-18:
+        # a (near-)constant response carries no signal; c would be rounding noise
+        return {}, 0.0
     X = masks.astype(np.float64)
     xbar = (weights @ X) / w_total
-    ybar = float(weights @ y) / w_total
     # unnormalized weighted Gram/moment terms of the centered design
     G = (X * weights[:, None]).T @ X - w_total * np.outer(xbar, xbar)
     c = X.T @ (weights * y) - w_total * xbar * ybar
-    y_centered = y - ybar
-    sst = float(weights @ (y_centered**2))
 
     lam_max = float(np.max(np.abs(c))) if d else 0.0
     if lam_max <= 1e-15:
@@ -214,7 +217,7 @@ def _k_lasso_arrays(
 
     fitted = (X[:, support] - xbar[support]) @ coef
     sse = float(weights @ ((y_centered - fitted) ** 2))
-    r2 = 0.0 if sst <= 1e-18 else max(0.0, 1.0 - sse / sst)
+    r2 = max(0.0, 1.0 - sse / sst)
     return {int(j): float(v) for j, v in zip(support, coef)}, r2
 
 

@@ -196,6 +196,15 @@ class TestNgramModel:
         entropies = line_entropies(model, test.files[0])
         assert entropies[3] < entropies[1]
 
+    @pytest.mark.parametrize(
+        "train",
+        [[], release_of_files("t", {}), release_of_files("t", {"src/A.java": []})],
+        ids=["no-releases", "no-files", "no-lines"],
+    )
+    def test_empty_corpus_rejected(self, train):
+        with pytest.raises(ValueError, match="cannot fit an n-gram model on an empty training corpus"):
+            NgramModel().fit(train)
+
     def test_flagged_set_anti_monotone_in_threshold(self):
         train = single_file_release("t", ["alpha beta gamma delta;", "beta gamma epsilon;"] * 10)
         test = single_file_release(

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from linedefects.config import RunConfig
 from linedefects.corpus import FeatureVector, Vocabulary, vectorize
 from linedefects.explain import (
+    DEFAULT_KERNEL_WIDTH,
     _LASSO_GRID_DECAY,
     _LASSO_GRID_POINTS,
     _MIN_DIAG,
@@ -242,6 +243,17 @@ class TestExplain:
         model = linear_model(np.zeros(3))
         with pytest.raises(ValueError, match="empty"):
             explain(model, FeatureVector({}, 3), vocab_of(3), n=10, k=2, seed=0)
+
+    def test_saturated_predictions_give_empty_explanation(self):
+        # every neighbor's probability clips at 1 - 1e-12: c is rounding noise of ~1e-14,
+        # which the lasso would otherwise turn into tiny risky (positive) scores
+        model = linear_model(np.full(50, 2.0), bias=40.0)
+        x = FeatureVector({i: 1 for i in range(50)}, 50)
+        masks, probs, weights = _surrogate_data(model, x, list(range(50)), 5000, DEFAULT_KERNEL_WIDTH, 0)
+        assert np.all(probs == 1.0 - 1e-12)
+        assert _k_lasso_arrays(masks, probs, weights, 100) == ({}, 0.0)
+        expl = explain(model, x, vocab_of(50), n=5000, k=100, seed=0)
+        assert expl.scores == {} and expl.fidelity_r2 == 0.0
 
 
 class TestComposition:
