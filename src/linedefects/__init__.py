@@ -25,7 +25,6 @@ from .corpus import (
 from .explain import Explanation, explain
 from .model import (
     LogisticModel,
-    TrainConfig,
     load_model,
     predict_proba,
     save_model,
@@ -57,7 +56,6 @@ __all__ = [
     "RiskyTokenSet",
     "RunConfig",
     "SourceFile",
-    "TrainConfig",
     "Vocabulary",
     "build_vocabulary",
     "defect_density",

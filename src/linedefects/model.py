@@ -1,19 +1,27 @@
 """File-level logistic defect model and its standardized-coefficient variant.
 
-The trainer minimizes the L2-regularized negative log-likelihood with
-full-batch gradient descent (Barzilai-Borwein initial steps, Armijo
-backtracking). Starting from zero weights the procedure is fully
+The trainer minimizes the L2-regularized logistic loss
+
+    f(w, b) = sum_i [log(1 + exp(z_i)) - y_i z_i] + L2_LAMBDA / 2 * ||w||^2,  z = X w + b,
+
+with the intercept ``b`` not penalized, starting from zero weights. The
+solver is the truncated-Newton trust-region method of Lin, Weng & Keerthi,
+"Trust region Newton method for large-scale logistic regression" (JMLR
+2008), as scipy's ``minimize(method="trust-ncg")``: conjugate-gradient
+steps that only need Hessian-vector products, which are two sparse
+matrix-vector products, so the design is never densified. The procedure is
 deterministic: identical inputs give bitwise-identical weights.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from .corpus import FeatureVector, Vocabulary
@@ -21,23 +29,18 @@ from .util import atomic_write_text
 
 MODEL_FORMAT_VERSION = 1
 
+L2_LAMBDA = 1.0
+MAX_ITERS = 1000
+TOLERANCE = 1e-6
+
 _PROB_EPS = 1e-12
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    l2_lambda: float = 1.0
-    max_iters: int = 1000
-    tolerance: float = 1e-6
-    seed: int = 0
+# train_meta keys of format-1 documents that recorded the old trainer's settings
+_LEGACY_META_KEYS = frozenset({"l2_lambda", "max_iters", "tolerance", "seed"})
 
 
 @dataclass(frozen=True)
 class TrainMeta:
-    l2_lambda: float
-    max_iters: int
-    tolerance: float
-    seed: int
     iterations: int
     converged: bool
     final_grad_norm: float
@@ -80,103 +83,46 @@ def features_to_csr(features: list[FeatureVector]) -> sp.csr_matrix:
     )
 
 
-class _RawDesign:
-    """Plain design matrix wrapper exposing matvec/rmatvec."""
-
-    def __init__(self, X: sp.csr_matrix):
-        self.X = X
-        self.n_samples, self.n_features = X.shape
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.X @ v
-
-    def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        return self.X.T @ r
-
-
-class _StandardizedDesign:
-    """Z-scored design (X - mean) / std applied lazily, so sparse X is never densified.
-
-    Constant columns have zero std and are divided by 1 instead.
-    """
-
-    def __init__(self, X: sp.csr_matrix):
-        self.X = X
-        self.mean = np.asarray(X.mean(axis=0)).ravel()
-        mean_sq = np.asarray(X.multiply(X).mean(axis=0)).ravel()
-        std = np.sqrt(np.maximum(mean_sq - self.mean**2, 0.0))
-        std[std == 0.0] = 1.0
-        self.inv_std = 1.0 / std
-        self.n_samples, self.n_features = X.shape
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        scaled = v * self.inv_std
-        return self.X @ scaled - float(self.mean @ scaled)
-
-    def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        return (self.X.T @ r - self.mean * r.sum()) * self.inv_std
-
-
-def _objective(theta: np.ndarray, design, y: np.ndarray, lam: float) -> float:
+def _loss_and_gradient(theta: np.ndarray, X: sp.csr_matrix, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """The objective and its gradient at ``theta = (w, b)``."""
     w, b = theta[:-1], theta[-1]
-    z = design.matvec(w) + b
+    z = X @ w + b
     # log(1 + e^z) - y*z, computed stably
     loss = np.logaddexp(0.0, z) - y * z
-    return float(loss.sum() + 0.5 * lam * (w @ w))
-
-
-def _gradient(theta: np.ndarray, design, y: np.ndarray, lam: float) -> np.ndarray:
-    w, b = theta[:-1], theta[-1]
-    z = design.matvec(w) + b
     r = expit(z) - y
     grad = np.empty_like(theta)
-    grad[:-1] = design.rmatvec(r) + lam * w
+    grad[:-1] = X.T @ r + L2_LAMBDA * w
     grad[-1] = r.sum()
-    return grad
+    return float(loss.sum() + 0.5 * L2_LAMBDA * (w @ w)), grad
 
 
-def _minimize(design, y: np.ndarray, config: TrainConfig) -> tuple[np.ndarray, TrainMeta]:
-    theta = np.zeros(design.n_features + 1)
-    f = _objective(theta, design, y, config.l2_lambda)
-    g = _gradient(theta, design, y, config.l2_lambda)
-    step = 1.0 / max(1.0, float(np.linalg.norm(g)))
-    iterations = 0
-    converged = False
-    for iterations in range(1, config.max_iters + 1):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= config.tolerance:
-            converged = True
-            iterations -= 1
-            break
-        gsq = gnorm * gnorm
-        alpha = step
-        while True:
-            candidate = theta - alpha * g
-            f_new = _objective(candidate, design, y, config.l2_lambda)
-            if f_new <= f - 1e-4 * alpha * gsq or alpha < 1e-18:
-                break
-            alpha *= 0.5
-        g_new = _gradient(candidate, design, y, config.l2_lambda)
-        s = candidate - theta
-        diff = g_new - g
-        sty = float(s @ diff)
-        # Barzilai-Borwein step for the next iteration, clamped for safety
-        step = float(s @ s) / sty if sty > 1e-18 else alpha * 2.0
-        step = min(max(step, 1e-12), 1e12)
-        theta, f, g = candidate, f_new, g_new
-    final_norm = float(np.linalg.norm(g))
-    if final_norm <= config.tolerance:
-        converged = True
-    meta = TrainMeta(
-        l2_lambda=config.l2_lambda,
-        max_iters=config.max_iters,
-        tolerance=config.tolerance,
-        seed=config.seed,
-        iterations=iterations,
-        converged=converged,
-        final_grad_norm=final_norm,
+def _hessian_product(theta: np.ndarray, v: np.ndarray, X: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+    """The objective's Hessian at ``theta`` times ``v``.
+
+    ``[X 1]' D [X 1] v + L2_LAMBDA * (v_w, 0)`` with ``D = diag(mu (1 - mu))``.
+    The labels do not enter the Hessian; scipy passes the loss's ``args`` here too.
+    """
+    mu = expit(X @ theta[:-1] + theta[-1])
+    u = mu * (1.0 - mu) * (X @ v[:-1] + v[-1])
+    hv = np.empty_like(v)
+    hv[:-1] = X.T @ u + L2_LAMBDA * v[:-1]
+    hv[-1] = u.sum()
+    return hv
+
+
+def _minimize(X: sp.csr_matrix, y: np.ndarray) -> tuple[np.ndarray, TrainMeta]:
+    result = minimize(
+        _loss_and_gradient,
+        np.zeros(X.shape[1] + 1),
+        args=(X, y),
+        method="trust-ncg",
+        jac=True,
+        hessp=_hessian_product,
+        options={"gtol": TOLERANCE, "maxiter": MAX_ITERS},
     )
-    return theta, meta
+    grad_norm = float(np.linalg.norm(result.jac))
+    meta = TrainMeta(iterations=int(result.nit), converged=grad_norm <= TOLERANCE, final_grad_norm=grad_norm)
+    return result.x, meta
 
 
 def _validate_labels(n_samples: int, y: np.ndarray) -> None:
@@ -191,14 +137,13 @@ def _validate_labels(n_samples: int, y: np.ndarray) -> None:
 def train_logistic(
     X: list[FeatureVector],
     y: list[bool],
-    config: TrainConfig = TrainConfig(),
     vocab: Vocabulary | None = None,
 ) -> LogisticModel:
     """Fit the L2-regularized logistic model on raw token counts."""
-    design = _RawDesign(features_to_csr(X))
+    Xm = features_to_csr(X)
     labels = np.asarray(y, dtype=np.float64)
-    _validate_labels(design.n_samples, labels)
-    theta, meta = _minimize(design, labels, config)
+    _validate_labels(Xm.shape[0], labels)
+    theta, meta = _minimize(Xm, labels)
     return LogisticModel(
         weights=theta[:-1],
         bias=float(theta[-1]),
@@ -226,12 +171,21 @@ def standardized_coefficients(X: list[FeatureVector], y: list[bool]) -> np.ndarr
 
     Standardized coefficients are unit-free, so their magnitudes are
     comparable across token features; the positive ones mark globally risky
-    tokens.
+    tokens. Only the scaling is applied: the intercept is not penalized, so
+    centring a column would only shift the intercept and leaves the optimal
+    weights unchanged. Constant columns have zero std and are divided by 1.
     """
     Xm = features_to_csr(X)
     labels = np.asarray(y, dtype=np.float64)
-    _validate_labels(Xm.shape[0], labels)
-    theta, _ = _minimize(_StandardizedDesign(Xm), labels, TrainConfig())
+    n = Xm.shape[0]
+    _validate_labels(n, labels)
+    # Integer counts keep n * sum(x^2) - sum(x)^2 exact, so a constant column gets
+    # std 0, not a round-off residue that would turn it into a huge second intercept.
+    sums = np.asarray(Xm.sum(axis=0)).ravel()
+    square_sums = np.asarray(Xm.multiply(Xm).sum(axis=0)).ravel()
+    std = np.sqrt(np.maximum(n * square_sums - sums**2, 0.0)) / n
+    std[std == 0.0] = 1.0
+    theta, _ = _minimize(Xm @ sp.diags(1.0 / std), labels)
     return theta[:-1]
 
 
@@ -251,22 +205,41 @@ def save_model(model: LogisticModel, vocab: Vocabulary, path: str | Path) -> Non
 
 
 def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
-    """Load a persisted model, validating the format version and vocabulary hash."""
+    """Load a persisted model, validating its structure, format version and vocabulary hash.
+
+    Any malformed document raises ``ValueError`` naming ``path``. Format-1
+    documents written by the earlier gradient-loop trainer carry its four
+    settings in ``train_meta`` as well; they are ignored.
+    """
     with open(path, encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: model document is not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {version!r}")
-    vocab = Vocabulary.from_tokens(doc["tokens"])
-    if vocab.fingerprint() != doc.get("vocab_fingerprint"):
+    missing = [key for key in ("tokens", "weights", "bias", "train_meta", "vocab_fingerprint") if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: model document lacks {', '.join(missing)}")
+    meta = doc["train_meta"]
+    meta_keys = {f.name for f in fields(TrainMeta)}
+    if not isinstance(meta, dict) or not meta_keys <= meta.keys() <= meta_keys | _LEGACY_META_KEYS:
+        raise ValueError(f"{path}: train_meta must hold the keys {sorted(meta_keys)}")
+    try:
+        vocab = Vocabulary.from_tokens(doc["tokens"])
+        fingerprint = vocab.fingerprint()
+        weights = np.asarray(doc["weights"], dtype=np.float64)
+        bias = float(doc["bias"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed model document: {exc}") from exc
+    if fingerprint != doc["vocab_fingerprint"]:
         raise ValueError(f"{path}: vocabulary hash does not match the stored token list")
-    weights = np.asarray(doc["weights"], dtype=np.float64)
-    if weights.shape[0] != len(vocab):
+    if weights.shape != (len(vocab),):
         raise ValueError(f"{path}: weight vector length does not match vocabulary size")
     model = LogisticModel(
         weights=weights,
-        bias=float(doc["bias"]),
-        vocab_fingerprint=doc["vocab_fingerprint"],
-        train_meta=TrainMeta(**doc["train_meta"]),
+        bias=bias,
+        vocab_fingerprint=fingerprint,
+        train_meta=TrainMeta(**{key: meta[key] for key in meta_keys}),
     )
     return model, vocab

@@ -16,7 +16,7 @@ from .config import RunConfig
 from .corpus import ReleaseDataset, SourceFile, Vocabulary, build_vocabulary, tokenize, vectorize
 from .evaluation import detection_rates, line_truth
 from .explain import Explanation, explain
-from .model import LogisticModel, TrainConfig, predict_proba, train_logistic
+from .model import LogisticModel, predict_proba, train_logistic
 from .util import derive_seed
 
 DEFAULT_K_GRID = (10, 20, 30, 40, 50, 100, 150, 200)
@@ -140,7 +140,7 @@ def train_file_model(
     vocab = build_vocabulary(files)
     X = [vectorize(f, vocab) for f in files]
     y = [f.file_label for f in files]
-    model = train_logistic(X, y, TrainConfig(seed=config.seed), vocab=vocab)
+    model = train_logistic(X, y, vocab=vocab)
     return model, vocab
 
 

@@ -128,7 +128,7 @@ def test_criterion_4_lime_sign_recovery():
         weights=weights,
         bias=-float(weights.sum()) / 2.0,
         vocab_fingerprint="",
-        train_meta=TrainMeta(1.0, 1000, 1e-6, 0, 0, True, 0.0),
+        train_meta=TrainMeta(0, True, 0.0),
     )
     vocab = Vocabulary.from_tokens([f"tok{i:02d}" for i in range(d)])
     x = FeatureVector({i: 1 for i in range(d)}, d)

@@ -57,7 +57,7 @@ class TestRandomBaseline:
             weights=np.zeros(1),
             bias=5.0,
             vocab_fingerprint="",
-            train_meta=TrainMeta(1.0, 1000, 1e-6, 0, 0, True, 0.0),
+            train_meta=TrainMeta(0, True, 0.0),
         )
         vocab = Vocabulary.from_tokens(["known"])
         test = release_of_files("r", {"Empty.java": [(";;;", False), ("###", False)]})
@@ -70,7 +70,7 @@ class TestRandomBaseline:
             weights=np.zeros(100),
             bias=5.0,
             vocab_fingerprint="",
-            train_meta=TrainMeta(1.0, 1000, 1e-6, 0, 0, True, 0.0),
+            train_meta=TrainMeta(0, True, 0.0),
         )
         for d in (10, 60):
             tokens = [f"tk{i:03d}" for i in range(d)]

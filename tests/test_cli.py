@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -10,6 +11,7 @@ from linedefects.corpus import write_dataset
 from linedefects.synthetic import make_release_series
 
 from conftest import release_of_files, unseen_token_pair
+import reference_trainer
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,70 @@ class TestTrainPredict:
         )
         assert rc == 2
         assert "train-release" in capsys.readouterr().err
+
+    def test_unconverged_training_is_reported(self, dataset_paths, tmp_path, capsys, monkeypatch):
+        root, data, meta = dataset_paths
+        train = ["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(tmp_path / "m.json")] + FAST_FLAGS
+        assert main(train) == 0
+        assert ", converged;" in capsys.readouterr().out
+        monkeypatch.setattr("linedefects.model.MAX_ITERS", 1)
+        assert main(train) == 0
+        assert "NOT converged (warning)" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def trained_model(dataset_paths, tmp_path_factory):
+    root, data, meta = dataset_paths
+    path = tmp_path_factory.mktemp("cli-model") / "model.json"
+    assert main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(path)] + FAST_FLAGS) == 0
+    return path, json.loads(path.read_text())
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _train_meta(edit):
+    return lambda doc: {**doc, "train_meta": edit(doc["train_meta"])}
+
+
+def _parent_format_1(doc):
+    """The train_meta the gradient-loop trainer wrote: its four settings besides the three kept fields."""
+    legacy = reference_trainer.TrainMeta(l2_lambda=1.0, max_iters=1000, tolerance=1e-6, seed=5, **doc["train_meta"])
+    return {**doc, "train_meta": asdict(legacy)}
+
+
+class TestModelDocument:
+    @pytest.mark.parametrize(
+        "edit, expected_rc",
+        [
+            pytest.param(_without("weights"), 2, id="no-weights"),
+            pytest.param(_without("train_meta"), 2, id="no-train-meta"),
+            pytest.param(_train_meta(lambda meta: {**meta, "momentum": 0.9}), 2, id="extra-train-meta-key"),
+            pytest.param(_train_meta(lambda meta: {k: v for k, v in meta.items() if k != "converged"}), 2,
+                         id="missing-train-meta-key"),
+            pytest.param(lambda doc: [doc], 2, id="top-level-list"),
+            pytest.param(_parent_format_1, 0, id="parent-format-1"),
+        ],
+    )
+    def test_model_document_is_loaded_or_rejected_as_data_error(
+        self, dataset_paths, trained_model, tmp_path, capsys, edit, expected_rc
+    ):
+        root, data, meta = dataset_paths
+        original, doc = trained_model
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(edit(doc)))
+        predict = ["predict", "--dataset", str(data), "--release", "cli-2.0"] + FAST_FLAGS
+        out = tmp_path / "ranked.csv"
+        assert main(predict + ["--model", str(edited), "--out", str(out)]) == expected_rc
+        if expected_rc == 0:
+            reference = tmp_path / "reference.csv"
+            assert main(predict + ["--model", str(original), "--out", str(reference)]) == 0
+            assert out.read_bytes() == reference.read_bytes()
+        else:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(edited) in err
+            assert not out.exists()
 
 
 class TestEvaluate:

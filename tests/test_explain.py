@@ -35,7 +35,7 @@ from reference_explainer import (
 
 
 def linear_model(weights, bias=0.0):
-    meta = TrainMeta(1.0, 1000, 1e-6, 0, 0, True, 0.0)
+    meta = TrainMeta(0, True, 0.0)
     return LogisticModel(
         weights=np.asarray(weights, dtype=float),
         bias=bias,

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from linedefects.corpus import FeatureVector, Vocabulary, build_vocabulary, vectorize
 from linedefects.model import (
-    TrainConfig,
-    _gradient,
-    _objective,
-    _RawDesign,
+    TOLERANCE,
+    _hessian_product,
+    _loss_and_gradient,
     features_to_csr,
     load_model,
     predict_proba,
@@ -17,6 +18,8 @@ from linedefects.model import (
     train_logistic,
 )
 from linedefects.synthetic import make_planted_release
+
+import reference_trainer
 
 
 def random_instances(rng, n=12, dim=5):
@@ -49,21 +52,53 @@ class TestTraining:
         worst = 0.0
         for _ in range(10):
             X, y = random_instances(rng)
-            design = _RawDesign(features_to_csr(X))
+            Xm = features_to_csr(X)
             labels = np.asarray(y, dtype=float)
-            theta = rng.normal(scale=0.5, size=design.n_features + 1)
-            analytic = _gradient(theta, design, labels, 1.0)
+            theta = rng.normal(scale=0.5, size=Xm.shape[1] + 1)
+            analytic = _loss_and_gradient(theta, Xm, labels)[1]
             h = 1e-6
             for j in range(theta.shape[0]):
                 step = np.zeros_like(theta)
                 step[j] = h
                 numeric = (
-                    _objective(theta + step, design, labels, 1.0)
-                    - _objective(theta - step, design, labels, 1.0)
+                    _loss_and_gradient(theta + step, Xm, labels)[0]
+                    - _loss_and_gradient(theta - step, Xm, labels)[0]
                 ) / (2 * h)
                 scale = max(1.0, abs(numeric))
                 worst = max(worst, abs(analytic[j] - numeric) / scale)
         assert worst < 1e-5
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "column-scaled"])
+    def test_hessian_product_matches_finite_differences(self, scaled):
+        # central differences of the gradient along every unit vector and one random direction
+        rng = np.random.default_rng(42)
+        worst = 0.0
+        for _ in range(10):
+            X, y = random_instances(rng)
+            Xm = features_to_csr(X)
+            if scaled:
+                Xm = Xm @ sp.diags(rng.uniform(0.1, 3.0, size=Xm.shape[1]))
+            labels = np.asarray(y, dtype=float)
+            theta = rng.normal(scale=0.5, size=Xm.shape[1] + 1)
+            h = 1e-5
+            for v in [*np.eye(theta.shape[0]), rng.normal(size=theta.shape[0])]:
+                analytic = _hessian_product(theta, v, Xm, labels)
+                numeric = (
+                    _loss_and_gradient(theta + h * v, Xm, labels)[1]
+                    - _loss_and_gradient(theta - h * v, Xm, labels)[1]
+                ) / (2 * h)
+                worst = max(worst, float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric)))))
+        assert worst < 1e-5
+
+    def test_iteration_cap_reports_unconverged_fit(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X, y = random_instances(rng, n=20, dim=8)
+        assert train_logistic(X, y).train_meta.converged
+        monkeypatch.setattr("linedefects.model.MAX_ITERS", 1)
+        meta = train_logistic(X, y).train_meta
+        assert meta.iterations == 1
+        assert not meta.converged
+        assert meta.final_grad_norm > TOLERANCE
 
     def test_single_class_rejected(self):
         X = [FeatureVector({0: 1}, 1), FeatureVector({0: 2}, 1)]
@@ -73,10 +108,73 @@ class TestTraining:
     def test_training_is_bitwise_deterministic(self):
         rng = np.random.default_rng(9)
         X, y = random_instances(rng, n=20, dim=8)
-        m1 = train_logistic(X, y, TrainConfig(seed=1))
-        m2 = train_logistic(X, y, TrainConfig(seed=1))
+        m1 = train_logistic(X, y)
+        m2 = train_logistic(X, y)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
+
+
+@st.composite
+def small_designs(draw):
+    """Small count designs: constant and duplicate columns, often n < p, and labels that
+    are random or near-separable (a threshold on one column, at most one label flipped)."""
+    n = draw(st.integers(2, 10))
+    p = draw(st.integers(1, 14))
+    counts = np.array(draw(st.lists(st.integers(0, 4), min_size=n * p, max_size=n * p))).reshape(n, p)
+    for j in range(p):
+        kind = draw(st.sampled_from(["free", "free", "constant", "duplicate"]))
+        if kind == "constant":
+            counts[:, j] = draw(st.integers(0, 4))
+        elif kind == "duplicate" and j:
+            counts[:, j] = counts[:, draw(st.integers(0, j - 1))]
+    if draw(st.booleans()):
+        column = counts[:, draw(st.integers(0, p - 1))]
+        y = column > np.median(column)
+        if draw(st.booleans()):
+            flip = draw(st.integers(0, n - 1))
+            y[flip] = not y[flip]
+    else:
+        y = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if y.all() or not y.any():
+        y[0] = not y[0]
+    X = [FeatureVector({j: int(c) for j, c in enumerate(row) if c > 0}, p) for row in counts]
+    return X, [bool(v) for v in y]
+
+
+class TestAgainstReferenceTrainer:
+    """The gradient loop the trust-region solver replaced is the oracle."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_designs())
+    def test_objective_no_worse_than_reference_loop(self, design):
+        X, y = design
+        Xm = features_to_csr(X)
+        labels = np.asarray(y, dtype=float)
+        model = train_logistic(X, y)
+        f, g = _loss_and_gradient(np.append(model.weights, model.bias), Xm, labels)
+        reference = reference_trainer._RawDesign(Xm)
+        theta, _ = reference_trainer._minimize(reference, labels, reference_trainer.TrainConfig())
+        f_reference = reference_trainer._objective(theta, reference, labels, 1.0)
+        assert f <= f_reference + 1e-9 * abs(f_reference)
+        assert float(np.linalg.norm(g)) <= TOLERANCE
+        assert model.train_meta.converged
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_designs())
+    # a constant column of ten 1s: mean(x^2) - mean(x)^2 in floats is 1e-16, not 0
+    @example(([FeatureVector({0: 1}, 2)] * 9 + [FeatureVector({0: 1, 1: 1}, 2)], [True] + [False] * 9))
+    def test_standardized_coefficients_match_tight_reference_loop(self, design):
+        # The reference z-scores lazily, centring included; the trainer only scales.
+        # Run tight, the loop either converges or stalls at its round-off floor
+        # (|g| of 1e-9 to 2e-7 on these designs) within a few hundred iterations.
+        X, y = design
+        labels = np.asarray(y, dtype=float)
+        tight = reference_trainer.TrainConfig(max_iters=500, tolerance=1e-10)
+        theta, meta = reference_trainer._minimize(
+            reference_trainer._StandardizedDesign(features_to_csr(X)), labels, tight
+        )
+        assert meta.final_grad_norm <= TOLERANCE
+        np.testing.assert_allclose(standardized_coefficients(X, y), theta[:-1], rtol=0, atol=1e-5)
 
 
 class TestPredictProba:
