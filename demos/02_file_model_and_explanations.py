@@ -13,7 +13,7 @@ from linedefects.synthetic import make_release_series
 train, test = make_release_series(system="demo", n_releases=2, seed=3, n_files=30, n_defective=10)
 config = RunConfig(seed=0, lime_n=2000)
 
-model, vocab = train_file_model(train, config)
+model, vocab = train_file_model(train)
 meta = model.train_meta
 print(f"trained on {len(train.files)} files, |V| = {len(vocab)}")
 print(f"optimizer: {meta.iterations} iterations, converged={meta.converged}, |grad|={meta.final_grad_norm:.2e}")

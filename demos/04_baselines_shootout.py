@@ -16,7 +16,7 @@ from linedefects.synthetic import make_release_series
 train, test = make_release_series(system="demo", n_releases=2, seed=9)
 config = RunConfig(seed=1, lime_n=1000)
 
-model, vocab = train_file_model(train, config)
+model, vocab = train_file_model(train)
 results = [
     identify_lines(model, vocab, test, config),
     random_baseline(test, model, vocab, k_risky=config.k_risky, seed=config.seed),

@@ -141,9 +141,9 @@ def cmd_train(args) -> int:
     if args.releases:
         wanted = args.releases.split(",")
         releases = [_pick_release(releases, r) for r in wanted]
-    config = _config_from_args(args)
+    _config_from_args(args)  # training reads no setting, but a bad --config is still a data error
     try:
-        model, vocab = pipeline.train_file_model(releases, config)
+        model, vocab = pipeline.train_file_model(releases)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     save_model(model, vocab, args.out)

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 from .util import write_csv
 
@@ -28,8 +31,7 @@ class DatasetError(ValueError):
     """A dataset file violates the canonical schema or its invariants."""
 
 
-@dataclass(frozen=True)
-class LineRecord:
+class LineRecord(NamedTuple):
     """One physical source line with its 1-based number and defect label."""
 
     number: int
@@ -171,18 +173,107 @@ def _parse_bool(value: str, where: str) -> bool:
     raise DatasetError(f"{where}: expected 'true' or 'false', got {value!r}")
 
 
+_BOOLS = {"true": True, "false": False}
+
+
+def _numbered_rows(reader, path) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(row number, fields)`` the way ``enumerate(csv.DictReader(...), start=2)`` numbers rows.
+
+    The first row is the header, row 1, even when blank. Blank rows after it
+    are skipped and not counted. A row the csv module cannot read, such as
+    one with a field longer than its 131,072-character limit, raises
+    :class:`DatasetError` naming that row.
+    """
+    number = 0
+    try:
+        for row in reader:
+            if row or not number:
+                number += 1
+                yield number, row
+    except csv.Error as exc:
+        raise DatasetError(f"{path}:{number + 1}: {exc}") from exc
+
+
+def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The numbered rows of a UTF-8 CSV file, header first (see :func:`_numbered_rows`)."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            yield from _numbered_rows(csv.reader(handle), path)
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
+
+
+def _undecodable(path: str | Path) -> DatasetError:
+    """The error for a file that is not UTF-8, naming the row that holds its first bad byte."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the placeholder stands for the bad byte, so the row holding it is the last one read
+        prefix = raw[: exc.start].decode("utf-8") + "?"
+        number = 0
+        for number, _ in _numbered_rows(csv.reader(io.StringIO(prefix, newline="")), path):
+            pass
+        return DatasetError(f"{path}:{number}: not UTF-8 text: byte {raw[exc.start]:#04x} ({exc.reason})")
+    return DatasetError(f"{path}: not UTF-8 text")
+
+
+def _column_indices(header: list[str], columns: tuple[str, ...]) -> list[int]:
+    """Index of each column's last occurrence in the header, as ``csv.DictReader`` resolves repeats."""
+    last = {name: i for i, name in enumerate(header)}
+    return [last[name] for name in columns]
+
+
+def _missing_values(row: list[str], columns: tuple[str, ...], indices: list[int], where: str) -> DatasetError:
+    missing = [name for name, i in zip(columns, indices) if i >= len(row)]
+    fields = f"{len(row)} field" + ("" if len(row) == 1 else "s")
+    return DatasetError(f"{where}: no value for {', '.join(missing)}: the row has {fields}")
+
+
+def _checked_row(
+    row: list[str], indices: list[int], where: str
+) -> tuple[tuple[str, str], tuple[int, str, bool, bool]]:
+    """A row's ``(release, path)`` and ``(number, content, file label, line label)``.
+
+    The slow path of :func:`load_dataset`, taken for any row the fast path
+    cannot parse. It checks in the order the errors are reported: a bad or
+    short row raises, and a boolean spelt other than ``true``/``false``
+    (``" True "``, say) is parsed.
+    """
+    values = [row[i] if i < len(row) else None for i in indices]
+    release, file_path, number_text, content = values[:4]
+    try:
+        number = int(number_text)
+    except (TypeError, ValueError):
+        raise DatasetError(f"{where}: line_number is not an integer: {number_text!r}")
+    if number < 1:
+        raise DatasetError(f"{where}: line_number must be >= 1, got {number}")
+    labels = []
+    for name, text in zip(DATASET_COLUMNS[4:], values[4:]):
+        if text is None:
+            break
+        labels.append(_parse_bool(text, f"{where} {name}"))
+    if None in values:
+        raise _missing_values(row, DATASET_COLUMNS, indices, where)
+    return (release, file_path), (number, content, labels[0], labels[1])
+
+
 def load_metadata(path: str | Path) -> dict[str, date]:
     """Read the release-date sidecar CSV (``release,release_date``)."""
     dates: dict[str, date] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(METADATA_COLUMNS) - set(reader.fieldnames):
-            raise DatasetError(f"{path}: metadata header must contain {','.join(METADATA_COLUMNS)}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                dates[row["release"]] = date.fromisoformat(row["release_date"])
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{i}: bad release_date: {exc}") from exc
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header is None or set(METADATA_COLUMNS) - set(header):
+        raise DatasetError(f"{path}: metadata header must contain {','.join(METADATA_COLUMNS)}")
+    indices = _column_indices(header, METADATA_COLUMNS)
+    release_i, date_i = indices
+    for i, row in rows:
+        if max(indices) >= len(row):
+            raise _missing_values(row, METADATA_COLUMNS, indices, f"{path}:{i}")
+        try:
+            dates[row[release_i]] = date.fromisoformat(row[date_i])
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{i}: bad release_date: {exc}") from exc
     return dates
 
 
@@ -196,58 +287,57 @@ def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> l
     and files by path.
     """
     path = Path(path)
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise DatasetError(f"{path}: empty file")
+    missing = set(DATASET_COLUMNS) - set(header)
+    if missing:
+        raise DatasetError(f"{path}: missing required columns: {sorted(missing)}")
+    indices = _column_indices(header, DATASET_COLUMNS)
+    release_i, path_i, number_i, content_i, file_label_i, line_label_i = indices
     rows_by_file: dict[tuple[str, str], list[tuple[int, str, bool, bool]]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DatasetError(f"{path}: empty file")
-        missing = set(DATASET_COLUMNS) - set(reader.fieldnames)
-        if missing:
-            raise DatasetError(f"{path}: missing required columns: {sorted(missing)}")
-        for i, row in enumerate(reader, start=2):
-            where = f"{path}:{i}"
-            try:
-                number = int(row["line_number"])
-            except (TypeError, ValueError):
-                raise DatasetError(f"{where}: line_number is not an integer: {row['line_number']!r}")
-            if number < 1:
-                raise DatasetError(f"{where}: line_number must be >= 1, got {number}")
-            key = (row["release"], row["file_path"])
-            rows_by_file.setdefault(key, []).append(
-                (
-                    number,
-                    row["line_content"],
-                    _parse_bool(row["file_label"], where + " file_label"),
-                    _parse_bool(row["line_label"], where + " line_label"),
-                )
+    for i, row in rows:
+        try:
+            key = (row[release_i], row[path_i])
+            parsed = (
+                int(row[number_i]),
+                row[content_i],
+                _BOOLS[row[file_label_i]],
+                _BOOLS[row[line_label_i]],
             )
+        except (IndexError, KeyError, ValueError):
+            key, parsed = _checked_row(row, indices, f"{path}:{i}")
+        if parsed[0] < 1:
+            raise DatasetError(f"{path}:{i}: line_number must be >= 1, got {parsed[0]}")
+        rows_by_file.setdefault(key, []).append(parsed)
     if not rows_by_file:
         raise DatasetError(f"{path}: no data rows")
 
     dates = load_metadata(metadata_path) if metadata_path is not None else {}
 
     files_by_release: dict[str, list[SourceFile]] = {}
-    for (release_id, file_path), rows in sorted(rows_by_file.items()):
+    for (release_id, file_path), file_rows in sorted(rows_by_file.items()):
         if not release_id:
             raise DatasetError(f"{path}: empty release id for file {file_path!r}")
-        rows.sort(key=lambda r: r[0])
-        numbers = [r[0] for r in rows]
-        if numbers != list(range(1, len(rows) + 1)):
+        file_rows.sort(key=itemgetter(0))
+        numbers, contents, file_labels, line_labels = zip(*file_rows)
+        if numbers != tuple(range(1, len(numbers) + 1)):
             raise DatasetError(
                 f"{path}: {release_id}/{file_path}: line numbers are not contiguous from 1 "
-                f"(got {numbers[:5]}{'...' if len(numbers) > 5 else ''})"
+                f"(got {list(numbers[:5])}{'...' if len(numbers) > 5 else ''})"
             )
-        file_labels = {r[2] for r in rows}
-        if len(file_labels) != 1:
+        file_label_set = set(file_labels)
+        if len(file_label_set) != 1:
             raise DatasetError(f"{path}: {release_id}/{file_path}: inconsistent file_label across rows")
-        file_label = file_labels.pop()
-        any_defective = any(r[3] for r in rows)
+        file_label = file_label_set.pop()
+        any_defective = any(line_labels)
         if file_label != any_defective:
             raise DatasetError(
                 f"{path}: {release_id}/{file_path}: file_label={file_label} but "
                 f"defective-line presence={any_defective}"
             )
-        lines = tuple(LineRecord(number=r[0], content=r[1], is_defective=r[3]) for r in rows)
+        lines = tuple(map(LineRecord, numbers, contents, line_labels))
         files_by_release.setdefault(release_id, []).append(
             SourceFile(release_id=release_id, path=file_path, lines=lines, file_label=file_label)
         )

@@ -44,7 +44,7 @@ def _run_methods(
     results: dict[str, MethodResult] = {}
     model = vocab = None
     if any(m in methods for m in ("linedp", "random", "tmi_lr")):
-        model, vocab = train_file_model(train, config)
+        model, vocab = train_file_model(train)
     if "linedp" in methods:
         results["linedp"] = identify_lines(model, vocab, test, config)
     if "random" in methods:

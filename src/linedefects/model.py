@@ -96,18 +96,29 @@ def _loss_and_gradient(theta: np.ndarray, X: sp.csr_matrix, y: np.ndarray) -> tu
     return float(loss.sum() + 0.5 * L2_LAMBDA * (w @ w)), grad
 
 
-def _hessian_product(theta: np.ndarray, v: np.ndarray, X: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
-    """The objective's Hessian at ``theta`` times ``v``.
+class _HessianProduct:
+    """``hessp`` for trust-ncg: the objective's Hessian at ``theta`` times ``v``.
 
     ``[X 1]' D [X 1] v + L2_LAMBDA * (v_w, 0)`` with ``D = diag(mu (1 - mu))``.
-    The labels do not enter the Hessian; scipy passes the loss's ``args`` here too.
+    trust-ncg takes many conjugate-gradient steps per iterate, all at the same
+    ``theta``, so ``D`` is computed once per distinct ``theta`` and reused. One
+    instance serves one design. The labels do not enter the Hessian; scipy
+    passes the loss's ``args`` here too.
     """
-    mu = expit(X @ theta[:-1] + theta[-1])
-    u = mu * (1.0 - mu) * (X @ v[:-1] + v[-1])
-    hv = np.empty_like(v)
-    hv[:-1] = X.T @ u + L2_LAMBDA * v[:-1]
-    hv[-1] = u.sum()
-    return hv
+
+    def __init__(self) -> None:
+        self._theta: np.ndarray | None = None
+        self._curvature: np.ndarray | None = None
+
+    def __call__(self, theta: np.ndarray, v: np.ndarray, X: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+        if self._theta is None or not np.array_equal(theta, self._theta):
+            mu = expit(X @ theta[:-1] + theta[-1])
+            self._theta, self._curvature = theta.copy(), mu * (1.0 - mu)
+        u = self._curvature * (X @ v[:-1] + v[-1])
+        hv = np.empty_like(v)
+        hv[:-1] = X.T @ u + L2_LAMBDA * v[:-1]
+        hv[-1] = u.sum()
+        return hv
 
 
 def _minimize(X: sp.csr_matrix, y: np.ndarray) -> tuple[np.ndarray, TrainMeta]:
@@ -117,7 +128,7 @@ def _minimize(X: sp.csr_matrix, y: np.ndarray) -> tuple[np.ndarray, TrainMeta]:
         args=(X, y),
         method="trust-ncg",
         jac=True,
-        hessp=_hessian_product,
+        hessp=_HessianProduct(),
         options={"gtol": TOLERANCE, "maxiter": MAX_ITERS},
     )
     grad_norm = float(np.linalg.norm(result.jac))

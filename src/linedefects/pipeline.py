@@ -132,9 +132,7 @@ def as_release_list(train: ReleaseDataset | list[ReleaseDataset]) -> list[Releas
     return [train] if isinstance(train, ReleaseDataset) else list(train)
 
 
-def train_file_model(
-    train: ReleaseDataset | list[ReleaseDataset], config: RunConfig
-) -> tuple[LogisticModel, Vocabulary]:
+def train_file_model(train: ReleaseDataset | list[ReleaseDataset]) -> tuple[LogisticModel, Vocabulary]:
     """Vocabulary + file-level logistic model from the training releases only."""
     files = [f for ds in as_release_list(train) for f in ds.files]
     vocab = build_vocabulary(files)
@@ -216,7 +214,7 @@ def run_linedp(
     train: ReleaseDataset | list[ReleaseDataset], test: ReleaseDataset, config: RunConfig = RunConfig()
 ) -> MethodResult:
     """The whole framework end to end; deterministic given config.seed."""
-    model, vocab = train_file_model(train, config)
+    model, vocab = train_file_model(train)
     return identify_lines(model, vocab, test, config)
 
 
@@ -235,7 +233,7 @@ def sensitivity_k(
     if not k_grid or min(k_grid) < 1:
         raise ValueError("k_grid must be nonempty with positive entries")
     wide = replace(config, lime_k_features=max(config.lime_k_features, max(k_grid)))
-    model, vocab = train_file_model(train, wide)
+    model, vocab = train_file_model(train)
     file_probs = predict_files(model, vocab, test)
     files = defect_prone_files(test, file_probs)
     explanations = explain_files(model, vocab, files, wide)

@@ -6,6 +6,8 @@ backtracking, over a design wrapper exposing ``matvec``/``rmatvec``.
 ``_StandardizedDesign`` z-scores the columns lazily. ``TrainMeta`` is the
 record this loop returns; it is also the ``train_meta`` shape of format-1
 model documents written before the trainer moved to scipy's ``trust-ncg``.
+``_hessian_product`` is the Hessian-vector product that recomputes the
+curvature on every call; the solver's cached ``hessp`` must equal it bitwise.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
+
+from linedefects.model import L2_LAMBDA
 
 
 @dataclass(frozen=True)
@@ -133,3 +137,17 @@ def _minimize(design, y: np.ndarray, config: TrainConfig) -> tuple[np.ndarray, T
         final_grad_norm=final_norm,
     )
     return theta, meta
+
+
+def _hessian_product(theta: np.ndarray, v: np.ndarray, X: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+    """The objective's Hessian at ``theta`` times ``v``.
+
+    ``[X 1]' D [X 1] v + L2_LAMBDA * (v_w, 0)`` with ``D = diag(mu (1 - mu))``.
+    The labels do not enter the Hessian; scipy passes the loss's ``args`` here too.
+    """
+    mu = expit(X @ theta[:-1] + theta[-1])
+    u = mu * (1.0 - mu) * (X @ v[:-1] + v[-1])
+    hv = np.empty_like(v)
+    hv[:-1] = X.T @ u + L2_LAMBDA * v[:-1]
+    hv[-1] = u.sum()
+    return hv

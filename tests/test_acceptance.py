@@ -178,7 +178,7 @@ def test_criterion_6_planted_corpus_end_to_end():
     linedp_recall = len(defective & flagged) / len(defective)
     assert linedp_recall >= 0.8, f"pipeline line recall {linedp_recall:.3f}"
 
-    model, vocab = train_file_model(train, config)
+    model, vocab = train_file_model(train)
     random_recalls = []
     for seed in range(50):
         rand = random_baseline(test, model, vocab, k_risky=config.k_risky, seed=seed)

@@ -27,7 +27,7 @@ from conftest import release_of_files
 @pytest.fixture(scope="module")
 def trained(small_planted_pair_module):
     train, test = small_planted_pair_module
-    model, vocab = train_file_model(train, RunConfig(seed=1))
+    model, vocab = train_file_model(train)
     return train, test, model, vocab
 
 
@@ -132,7 +132,7 @@ class TestTmiLrBaseline:
             },
         )
         test = release_of_files("s", {"X.java": [("tok tok", False)]})
-        model, vocab = train_file_model(train, RunConfig(seed=0))
+        model, vocab = train_file_model(train)
         result = tmi_lr_baseline(train, test, model, vocab)
         assert result.ranked == []
 

@@ -26,6 +26,8 @@ def dataset_paths(tmp_path_factory):
     return root, data, meta
 
 
+HEADER = b"release,file_path,line_number,line_content,file_label,line_label\n"
+
 FAST_FLAGS = ["--lime-n", "200", "--lime-k-features", "20", "--workers", "1", "--seed", "5"]
 
 
@@ -302,6 +304,35 @@ class TestExitCodes:
         rc = main(["density", "--dataset", str(bad), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dataset, metadata, where",
+        [
+            pytest.param(HEADER + b'r,A.java,1,"x,false,false\n', None, "data.csv:2: no value for", id="unterminated-quote"),
+            pytest.param(
+                b"release,file_path,line_number,file_label,line_label,line_content\nr,A.java,1,false,false\n",
+                None,
+                "data.csv:2: no value for line_content",
+                id="short-row-content-last",
+            ),
+            pytest.param(HEADER + b"r,A.java,1,x,false,false\n\xe9r,A.java,2,x,false,false\n", None, "data.csv:3:", id="not-utf8"),
+            pytest.param(HEADER + b"r,A.java,1," + b"x" * 131_073 + b",false,false\n", None, "data.csv:2:", id="field-over-limit"),
+            pytest.param(HEADER + b"r,A.java,1,x,false,false\n", b"release,release_date\nr\n", "meta.csv:2:", id="metadata-no-date"),
+        ],
+    )
+    def test_malformed_dataset_is_data_error(self, tmp_path, capsys, dataset, metadata, where):
+        data = tmp_path / "data.csv"
+        data.write_bytes(dataset)
+        argv = ["--dataset", str(data), "--out", str(tmp_path / "out.csv")]
+        if metadata is None:
+            argv = ["density"] + argv
+        else:
+            (tmp_path / "meta.csv").write_bytes(metadata)
+            argv = ["train", "--metadata", str(tmp_path / "meta.csv")] + argv
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert where in err
 
     def test_missing_file_is_two(self, tmp_path, capsys):
         rc = main(["density", "--dataset", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")])

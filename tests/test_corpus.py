@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -202,6 +204,25 @@ class TestDatasetIO:
             "r,A.java,3,y,false,false\n"
         )
         with pytest.raises(DatasetError, match="contiguous"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "before, row",
+        [(b"release", 1), (b'b",false', 2), (b"r,A.java,2", 3), (b"x,", 3)],
+        ids=["header", "second-line-of-quoted-field", "row-start", "mid-row"],
+    )
+    def test_undecodable_byte_names_its_row(self, tmp_path, before, row):
+        # a blank line and a field spanning two lines: rows are counted as DictReader counts them
+        text = (
+            b"release,file_path,line_number,line_content,file_label,line_label\n"
+            b"\n"
+            b'r,A.java,1,"a\nb",false,false\n'
+            b"r,A.java,2,x,false,false\n"
+        )
+        at = text.index(before)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text[:at] + b"\xff" + text[at:])
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}:{row}: not UTF-8 text: byte 0xff"):
             load_dataset(path)
 
     def test_duplicate_line_rejected(self, tmp_path):

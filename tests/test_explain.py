@@ -353,7 +353,7 @@ class TestLassoPathMatchesCoordinateDescent:
         # d (~50 distinct tokens) < k = 100, as in within-release CV
         train, test = planted_pair
         config = RunConfig(seed=1)
-        model, vocab = train_file_model(train, config)
+        model, vocab = train_file_model(train)
         files = defect_prone_files(test, predict_files(model, vocab, test))
         assert len(files) >= 3
         for f in files[:3]:

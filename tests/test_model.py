@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from linedefects.corpus import FeatureVector, Vocabulary, build_vocabulary, vectorize
 from linedefects.model import (
     TOLERANCE,
-    _hessian_product,
+    _HessianProduct,
     _loss_and_gradient,
     features_to_csr,
     load_model,
@@ -81,14 +81,51 @@ class TestTraining:
             labels = np.asarray(y, dtype=float)
             theta = rng.normal(scale=0.5, size=Xm.shape[1] + 1)
             h = 1e-5
+            hessp = _HessianProduct()
             for v in [*np.eye(theta.shape[0]), rng.normal(size=theta.shape[0])]:
-                analytic = _hessian_product(theta, v, Xm, labels)
+                analytic = hessp(theta, v, Xm, labels)
                 numeric = (
                     _loss_and_gradient(theta + h * v, Xm, labels)[1]
                     - _loss_and_gradient(theta - h * v, Xm, labels)[1]
                 ) / (2 * h)
                 worst = max(worst, float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric)))))
         assert worst < 1e-5
+
+    def test_cached_hessian_product_is_bitwise_the_uncached_one(self):
+        rng = np.random.default_rng(3)
+        X, y = random_instances(rng, n=30, dim=12)
+        Xm = features_to_csr(X)
+        labels = np.asarray(y, dtype=float)
+        theta = rng.normal(size=Xm.shape[1] + 1)
+        other = rng.normal(size=theta.shape[0])
+        hessp = _HessianProduct()
+        # repeated, changed, restored and equal-but-new thetas, then the last one mutated in place
+        sequence = [theta, theta, other, other.copy(), theta, theta.copy()]
+        for step, at in enumerate([*sequence, sequence[-1]]):
+            if step == len(sequence):
+                at[0] += 0.5
+            for _ in range(3):
+                v = rng.normal(size=theta.shape[0])
+                expected = reference_trainer._hessian_product(at, v, Xm, labels)
+                assert hessp(at, v, Xm, labels).tobytes() == expected.tobytes()
+
+    def test_solver_hessian_products_are_bitwise_the_uncached_ones(self, monkeypatch):
+        # every product trust-ncg asks for on a real fit, against the recomputed product
+        calls = []
+
+        class Checked(_HessianProduct):
+            def __call__(self, theta, v, X, y):
+                hv = super().__call__(theta, v, X, y)
+                assert hv.tobytes() == reference_trainer._hessian_product(theta, v, X, y).tobytes()
+                calls.append(theta.tobytes())
+                return hv
+
+        monkeypatch.setattr("linedefects.model._HessianProduct", Checked)
+        release = make_planted_release("r", seed=4, n_files=20, n_defective=6)
+        vocab = build_vocabulary(list(release.files))
+        model = train_logistic([vectorize(f, vocab) for f in release.files], [f.file_label for f in release.files])
+        assert model.train_meta.converged
+        assert len(set(calls)) > 1 and len(calls) > len(set(calls))
 
     def test_iteration_cap_reports_unconverged_fit(self, monkeypatch):
         rng = np.random.default_rng(9)
