@@ -7,6 +7,8 @@ evaluation harness covers every method.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .corpus import ReleaseDataset, SourceFile, Vocabulary, tokenize, vectorize
@@ -72,11 +74,22 @@ def random_baseline(
 def global_risky_tokens(
     train: ReleaseDataset | list[ReleaseDataset], vocab: Vocabulary, k_risky: int = 20
 ) -> RiskyTokenSet:
-    """One release-wide risky set: top tokens by positive standardized coefficient."""
+    """One release-wide risky set: top tokens by positive standardized coefficient.
+
+    An unconverged standardized fit emits a ``RuntimeWarning``; its
+    coefficients are still used.
+    """
     files = [f for ds in as_release_list(train) for f in ds.files]
     X = [vectorize(f, vocab) for f in files]
     y = [f.file_label for f in files]
-    coefs = standardized_coefficients(X, y)
+    coefs, meta = standardized_coefficients(X, y)
+    if not meta.converged:
+        warnings.warn(
+            f"TMI-LR standardized fit NOT converged after {meta.iterations} iterations "
+            f"(||g|| = {meta.final_grad_norm:.3g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return RiskyTokenSet.top_positive(zip(vocab.tokens, coefs.tolist()), k_risky)
 
 

@@ -110,7 +110,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         dest="parallelism",
         type=int,
         default=None,
-        help="worker processes for per-file explanations (default: all cores)",
+        help="worker processes: evaluate spreads CV splits or release pairs, predict and sensitivity "
+        "spread per-file explanations (default: all cores)",
     )
 
 

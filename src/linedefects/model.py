@@ -177,8 +177,8 @@ def predict_proba(model: LogisticModel, x: FeatureVector) -> float:
     return min(max(p, _PROB_EPS), 1.0 - _PROB_EPS)
 
 
-def standardized_coefficients(X: list[FeatureVector], y: list[bool]) -> np.ndarray:
-    """Coefficients of the same logistic trainer fitted on z-scored features.
+def standardized_coefficients(X: list[FeatureVector], y: list[bool]) -> tuple[np.ndarray, TrainMeta]:
+    """Coefficients of the same logistic trainer fitted on z-scored features, and the fit's meta.
 
     Standardized coefficients are unit-free, so their magnitudes are
     comparable across token features; the positive ones mark globally risky
@@ -196,8 +196,8 @@ def standardized_coefficients(X: list[FeatureVector], y: list[bool]) -> np.ndarr
     square_sums = np.asarray(Xm.multiply(Xm).sum(axis=0)).ravel()
     std = np.sqrt(np.maximum(n * square_sums - sums**2, 0.0)) / n
     std[std == 0.0] = 1.0
-    theta, _ = _minimize(Xm @ sp.diags(1.0 / std), labels)
-    return theta[:-1]
+    theta, meta = _minimize(Xm @ sp.diags(1.0 / std), labels)
+    return theta[:-1], meta
 
 
 def save_model(model: LogisticModel, vocab: Vocabulary, path: str | Path) -> None:

@@ -8,7 +8,6 @@ contains a risky token, and rank all flagged lines globally.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -17,7 +16,7 @@ from .corpus import ReleaseDataset, SourceFile, Vocabulary, build_vocabulary, to
 from .evaluation import detection_rates, line_truth
 from .explain import Explanation, explain
 from .model import LogisticModel, predict_proba, train_logistic
-from .util import derive_seed
+from .util import derive_seed, pool_map, pool_workers
 
 DEFAULT_K_GRID = (10, 20, 30, 40, 50, 100, 150, 200)
 
@@ -158,8 +157,7 @@ def defect_prone_files(test: ReleaseDataset, file_probs: dict[str, float]) -> li
     return [f for f in sorted(test.files, key=lambda f: f.path) if file_probs[f.path] > 0.5]
 
 
-def _explain_file_task(args) -> Explanation:
-    model, vocab, file, config = args
+def _explain_file(model: LogisticModel, vocab: Vocabulary, config: RunConfig, file: SourceFile) -> Explanation:
     x = vectorize(file, vocab)
     if not x.entries:
         # nothing to perturb: no token of the file is in the vocabulary
@@ -182,13 +180,11 @@ def explain_files(
 
     A file without in-vocabulary tokens gets an empty explanation, so it
     has no risky tokens and flags nothing. Files are spread over
-    ``config.parallelism`` worker processes when there are at least 4.
+    ``config.parallelism`` worker processes when there are at least 4; the
+    model and vocabulary reach each worker once.
     """
-    tasks = [(model, vocab, f, config) for f in files]
-    if config.parallelism > 1 and len(tasks) >= 4:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            return list(pool.map(_explain_file_task, tasks, chunksize=4))
-    return [_explain_file_task(t) for t in tasks]
+    workers = pool_workers(config.parallelism, len(files), min_tasks=4)
+    return pool_map(_explain_file, files, (model, vocab, config), workers, chunksize=4)
 
 
 def identify_lines(

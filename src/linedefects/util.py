@@ -1,14 +1,16 @@
-"""Small shared helpers: stable seeding and atomic file and CSV output."""
+"""Small shared helpers: stable seeding, the process pool, and atomic file and CSV output."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import io
+import multiprocessing
 import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def derive_seed(*parts) -> int:
@@ -21,6 +23,49 @@ def derive_seed(*parts) -> int:
     payload = "\x1f".join(repr(p) for p in parts).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+# Workers are forked where the platform can fork: they start without
+# re-importing numpy and scipy, and they see this process's module state, so
+# a wrapper installed on a module attribute before the pool opens (a test's
+# patch, a profiler's probe) also runs in them. Elsewhere the platform default.
+_POOL_CONTEXT = (
+    multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+)
+
+# set in each pool worker by its initializer: (function, shared arguments)
+_worker_job: tuple[Callable, tuple] | None = None
+
+
+def _start_worker(fn: Callable, shared: tuple) -> None:
+    global _worker_job
+    _worker_job = (fn, shared)
+
+
+def _run_task(task):
+    fn, shared = _worker_job
+    return fn(*shared, task)
+
+
+def pool_workers(parallelism: int, tasks: int, min_tasks: int = 2) -> int:
+    """Worker processes for ``tasks`` independent tasks: 1 below ``min_tasks``, else at most ``tasks``."""
+    return min(parallelism, tasks) if tasks >= min_tasks else 1
+
+
+def pool_map(fn: Callable, tasks: Sequence, shared: tuple, workers: int, chunksize: int = 1) -> list:
+    """``[fn(*shared, task) for task in tasks]``, on ``workers`` processes.
+
+    Runs in this process when ``workers`` is below 2. Otherwise ``fn`` and
+    ``shared`` reach each worker once, through the pool's initializer, and
+    only the tasks are sent per call. Results come back in task order, and
+    an exception raised by ``fn`` is raised here.
+    """
+    if workers < 2:
+        return [fn(*shared, task) for task in tasks]
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=_POOL_CONTEXT, initializer=_start_worker, initargs=(fn, shared)
+    ) as pool:
+        return list(pool.map(_run_task, tasks, chunksize=chunksize))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -135,6 +137,18 @@ class TestTmiLrBaseline:
         model, vocab = train_file_model(train)
         result = tmi_lr_baseline(train, test, model, vocab)
         assert result.ranked == []
+
+    def test_converged_fit_does_not_warn(self, trained):
+        train, test, model, vocab = trained
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tmi_lr_baseline(train, test, model, vocab)
+
+    def test_unconverged_fit_warns_with_iterations_and_gradient(self, trained, monkeypatch):
+        train, test, model, vocab = trained
+        monkeypatch.setattr("linedefects.model.MAX_ITERS", 1)
+        with pytest.warns(RuntimeWarning, match=r"NOT converged after 1 iterations \(\|\|g\|\| = "):
+            tmi_lr_baseline(train, test, model, vocab)
 
 
 def single_file_release(release_id, line_contents, defective=None):

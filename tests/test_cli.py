@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 from dataclasses import asdict
 
 import pytest
@@ -191,6 +192,48 @@ class TestEvaluate:
         assert rc == 0
         rows = read_csv(out_dir / "metrics.csv")
         assert len(rows[1:]) == 2  # one pair, two methods
+
+
+@pytest.fixture(scope="module")
+def three_release_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-three")
+    data, meta = root / "dataset.csv", root / "releases.csv"
+    write_dataset(make_release_series(seed=0, n_releases=3), data, meta)
+    return data, meta
+
+
+class TestParallelEvaluate:
+    QUICK = ["--lime-n", "200", "--lime-k-features", "20", "--seed", "5", "--folds", "2", "--repeats", "1"]
+
+    def _evaluate(self, paths, setting, workers, out_dir):
+        data, meta = paths
+        return main(
+            ["evaluate", "--dataset", str(data), "--metadata", str(meta), "--setting", setting,
+             "--out-dir", str(out_dir), "--workers", str(workers)] + self.QUICK
+        )
+
+    @pytest.mark.parametrize("setting", ["within", "cross"])
+    def test_outputs_do_not_depend_on_worker_count(self, three_release_paths, tmp_path, setting):
+        for workers in (1, 2):
+            assert self._evaluate(three_release_paths, setting, workers, tmp_path / str(workers)) == 0
+        for name in ("metrics.csv", "stats.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="workers see the patch only when forked"
+    )
+    @pytest.mark.parametrize("setting", ["within", "cross"])
+    def test_error_in_a_split_is_a_data_error(self, three_release_paths, tmp_path, capsys, monkeypatch, setting):
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("linedefects.experiments.ngram_entropy_baseline", boom)
+        errors = []
+        for workers in (1, 2):
+            assert self._evaluate(three_release_paths, setting, workers, tmp_path / str(workers)) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "error: boom\n"
+        assert not (tmp_path / "2" / "metrics.csv").exists()
 
 
 class TestSensitivity:

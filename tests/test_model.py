@@ -211,7 +211,7 @@ class TestAgainstReferenceTrainer:
             reference_trainer._StandardizedDesign(features_to_csr(X)), labels, tight
         )
         assert meta.final_grad_norm <= TOLERANCE
-        np.testing.assert_allclose(standardized_coefficients(X, y), theta[:-1], rtol=0, atol=1e-5)
+        np.testing.assert_allclose(standardized_coefficients(X, y)[0], theta[:-1], rtol=0, atol=1e-5)
 
 
 class TestPredictProba:
@@ -267,7 +267,7 @@ class TestStandardizedCoefficients:
                 counts.pop(target, None)
             X.append(FeatureVector(counts, dim))
             y.append(has)
-        coefs = standardized_coefficients(X, y)
+        coefs, _ = standardized_coefficients(X, y)
         assert int(np.argmax(coefs)) == target
         # the noise-label test below checks that pure noise stays under this bar
         assert coefs[target] > 1.0
@@ -280,14 +280,14 @@ class TestStandardizedCoefficients:
             counts = {j: int(c) for j, c in enumerate(rng.integers(0, 4, size=dim)) if c > 0}
             X.append(FeatureVector(counts, dim))
         y = [bool(v) for v in rng.random(n) < 0.5]
-        coefs = standardized_coefficients(X, y)
+        coefs, _ = standardized_coefficients(X, y)
         # planted-signal magnitude from the previous fixture is > 1
         assert float(np.max(np.abs(coefs))) < 1.0
 
     def test_constant_column_coefficient_zero(self):
         X = [FeatureVector({0: 2, 1: (i % 3) + 1}, 2) for i in range(12)]
         y = [bool(i % 2) for i in range(12)]
-        coefs = standardized_coefficients(X, y)
+        coefs, _ = standardized_coefficients(X, y)
         assert abs(coefs[0]) < 1e-6
 
     def test_scaling_one_feature_preserves_signs_and_ranking(self):
@@ -300,12 +300,12 @@ class TestStandardizedCoefficients:
             y.append(bool(rng.random() < 0.4))
         if all(y) or not any(y):
             y[0] = not y[0]
-        base = standardized_coefficients(X, y)
+        base, _ = standardized_coefficients(X, y)
         scaled_X = [
             FeatureVector({j: c * 3 if j == 4 else c for j, c in fv.entries.items()}, dim)
             for fv in X
         ]
-        scaled = standardized_coefficients(scaled_X, y)
+        scaled, _ = standardized_coefficients(scaled_X, y)
         assert np.array_equal(np.sign(base), np.sign(scaled))
         assert list(np.argsort(base)) == list(np.argsort(scaled))
 
