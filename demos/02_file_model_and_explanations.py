@@ -5,7 +5,7 @@ explains a predicted-defective file: perturbed neighbors, kernel weights,
 and the sparse surrogate whose positive coefficients mark risky tokens.
 """
 
-from linedefects import explain, predict_proba, select_risky_tokens, vectorize
+from linedefects import FeatureVector, explain, predict_proba, select_risky_tokens, vectorize
 from linedefects.config import RunConfig
 from linedefects.pipeline import train_file_model
 from linedefects.synthetic import make_release_series
@@ -19,19 +19,19 @@ print(f"trained on {len(train.files)} files, |V| = {len(vocab)}")
 print(f"optimizer: {meta.iterations} iterations, converged={meta.converged}, |grad|={meta.final_grad_norm:.2e}")
 
 print("\n== file-level predictions on the next release ==")
-scored = sorted(
-    ((predict_proba(model, vectorize(f, vocab)), f) for f in test.files),
-    key=lambda pair: -pair[0],
-)
-for p, f in scored[:5]:
+X = vectorize(test, vocab)
+scored = sorted(zip(predict_proba(model, X).tolist(), range(len(test.files))), key=lambda pair: -pair[0])
+for p, i in scored[:5]:
+    f = test.files[i]
     marker = "defective" if f.file_label else "clean"
     print(f"  p={p:.3f}  {f.path}  (actually {marker})")
 
 print("\n== explaining the most defect-prone file ==")
-prob, target = scored[0]
+prob, target_index = scored[0]
+target = test.files[target_index]
 expl = explain(
     model,
-    vectorize(target, vocab),
+    FeatureVector.from_row(X, target_index),
     vocab,
     n=config.lime_n,
     k=config.lime_k_features,

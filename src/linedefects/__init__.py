@@ -14,6 +14,7 @@ from .corpus import (
     LineRecord,
     ReleaseDataset,
     SourceFile,
+    TokenTable,
     Vocabulary,
     build_vocabulary,
     defect_density,
@@ -56,6 +57,7 @@ __all__ = [
     "RiskyTokenSet",
     "RunConfig",
     "SourceFile",
+    "TokenTable",
     "Vocabulary",
     "build_vocabulary",
     "defect_density",

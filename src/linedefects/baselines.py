@@ -11,7 +11,13 @@ import warnings
 
 import numpy as np
 
-from .corpus import ReleaseDataset, SourceFile, Vocabulary, tokenize, vectorize
+from .corpus import (
+    ReleaseDataset,
+    TokenTable,
+    Vocabulary,
+    tokenize,  # noqa: F401  (the benchmark's traced run counts calls through this name)
+    vectorize,
+)
 from .evaluation import detection_rates, line_truth
 from .model import LogisticModel, standardized_coefficients
 from .pipeline import (
@@ -35,6 +41,7 @@ JM_ML_WEIGHT = 5.0 / 6.0
 CACHE_WEIGHT = 0.5
 ENTROPY_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
 
+# the texts the padding and line-sentinel ids stand for in string queries; no token contains either
 _STREAM_START = "\x02"
 _LINE_SENTINEL = "\n"
 
@@ -55,14 +62,15 @@ def random_baseline(
     """
     file_probs = predict_files(model, vocab, test)
     flagged: list[RankedLine] = []
-    for f in defect_prone_files(test, file_probs):
-        distinct = sorted({t for t in f.token_stream() if t in vocab.token_to_index})
+    for i in defect_prone_files(test, file_probs):
+        f = test.files[i]
+        distinct = [t for t in test.token_table.distinct_tokens(i) if t in vocab.token_to_index]
         if not distinct:
             continue
         rng = np.random.default_rng(derive_seed(seed, "random", f.release_id, f.path))
         scores = rng.uniform(-1.0, 1.0, size=len(distinct))
         risky = RiskyTokenSet.top_positive(zip(distinct, scores.tolist()), k_risky)
-        flagged.extend(flag_lines(f, risky, file_probs[f.path]))
+        flagged.extend(flag_lines(test, i, risky, file_probs[f.path]))
     flagged.sort(key=lambda f: (f.release_id, f.file_path, f.line_number))
     rng = np.random.default_rng(derive_seed(seed, "random-rank", test.release_id))
     order = rng.permutation(len(flagged))
@@ -79,10 +87,9 @@ def global_risky_tokens(
     An unconverged standardized fit emits a ``RuntimeWarning``; its
     coefficients are still used.
     """
-    files = [f for ds in as_release_list(train) for f in ds.files]
-    X = [vectorize(f, vocab) for f in files]
-    y = [f.file_label for f in files]
-    coefs, meta = standardized_coefficients(X, y)
+    releases = as_release_list(train)
+    y = [f.file_label for ds in releases for f in ds.files]
+    coefs, meta = standardized_coefficients(vectorize(releases, vocab), y)
     if not meta.converged:
         warnings.warn(
             f"TMI-LR standardized fit NOT converged after {meta.iterations} iterations "
@@ -110,8 +117,8 @@ def tmi_lr_baseline(
     file_probs = predict_files(model, vocab, test)
     flagged = [
         line
-        for f in defect_prone_files(test, file_probs)
-        for line in flag_lines(f, risky, file_probs[f.path])
+        for i in defect_prone_files(test, file_probs)
+        for line in flag_lines(test, i, risky, file_probs[test.files[i].path])
     ]
     return MethodResult(
         method="tmi_lr",
@@ -121,21 +128,27 @@ def tmi_lr_baseline(
     )
 
 
-def _file_stream(file: SourceFile) -> tuple[list[str], list[int]]:
-    """Token stream with start padding and line sentinels.
+def _stream(table: TokenTable, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """Token stream of the table's files ``first..last-1``, each with start padding, and line sentinels.
 
-    Returns the stream and, per position, the owning line number (0 for
-    padding and sentinel positions, which provide context but are not
-    scored).
+    Tokens keep their table ids; the padding is id ``len(table.tokens)`` and
+    the line sentinel the id after it. Returns the stream and, per
+    position, the owning line number (0 for padding and sentinel positions,
+    which provide context but are not scored).
     """
-    stream = [_STREAM_START] * (NGRAM_ORDER - 1)
-    owners = [0] * (NGRAM_ORDER - 1)
-    for line in file.lines:
-        for token in tokenize(line.content):
-            stream.append(token)
-            owners.append(line.number)
-        stream.append(_LINE_SENTINEL)
-        owners.append(0)
+    pad, sentinel = len(table.tokens), len(table.tokens) + 1
+    lines = table.lines(first, last)
+    n_lines = len(lines.numbers)
+    # line r follows the padding of its own and earlier files, the earlier lines' sentinels and their tokens
+    shift = (lines.file_of + 1) * (NGRAM_ORDER - 1) + np.arange(n_lines)
+    tokens_through = np.cumsum(np.bincount(lines.line_of, minlength=n_lines))
+    size = (last - first) * (NGRAM_ORDER - 1) + len(lines.ids) + n_lines
+    stream = np.full(size, pad, dtype=np.int64)
+    owners = np.zeros(size, dtype=np.int64)
+    token_at = shift[lines.line_of] + np.arange(len(lines.ids))
+    stream[token_at] = lines.ids
+    owners[token_at] = lines.numbers[lines.line_of]
+    stream[shift + tokens_through] = sentinel
     return stream, owners
 
 
@@ -192,23 +205,30 @@ class NgramModel:
     """
 
     def __init__(self):
-        self.vocabulary: set[str] = set()
+        self._tokens: tuple[str, ...] = ()
+        self._index: dict[str, int] = {}
+        self._seen = np.zeros(0, dtype=np.int64)
+        self._mapped: tuple[tuple[str, ...], np.ndarray] | None = None
 
     def fit(self, train: ReleaseDataset | list[ReleaseDataset]) -> "NgramModel":
-        """Count every training stream; refitting starts from empty tables."""
-        self._ids: dict[str, int] = {}
-        stream = [
-            self._ids.setdefault(token, len(self._ids))
-            for ds in as_release_list(train)
-            for f in ds.files
-            for token in _file_stream(f)[0]
+        """Count every training stream; refitting starts from empty tables.
+
+        Model ids number the sorted union of the training tables' tokens,
+        then the padding and the line sentinel.
+        """
+        releases = as_release_list(train)
+        self._tokens = tuple(sorted(set().union(*(ds.token_table.tokens for ds in releases))))
+        self._index = {token: i for i, token in enumerate(self._tokens + (_STREAM_START, _LINE_SENTINEL))}
+        self._mapped = None
+        streams = [
+            self._id_map(ds.token_table.tokens)[_stream(ds.token_table, 0, len(ds.files))[0]] for ds in releases
         ]
-        self.vocabulary = set(self._ids) - {_STREAM_START}
-        if not self.vocabulary:
+        ids = np.concatenate(streams) if streams else np.zeros(0, dtype=np.int64)
+        body = np.flatnonzero(ids != len(self._tokens))
+        self._seen = np.unique(ids[body])
+        if not self._seen.size:
             raise ValueError("cannot fit an n-gram model on an empty training corpus")
-        ids = np.array(stream, dtype=np.int64)
-        body = np.flatnonzero(ids != self._ids[_STREAM_START])
-        self._keys, grams = _tuple_ids(ids, len(self._ids))
+        self._keys, grams = _tuple_ids(ids, len(self._tokens) + 2)
         # the gram of order o and its context of order o-1 both start at body - (o-1)
         starts = [body - (o - 1) for o in range(1, NGRAM_ORDER + 1)]
         self._counts = [
@@ -221,15 +241,20 @@ class NgramModel:
         return self
 
     @property
+    def vocabulary(self) -> set[str]:
+        """The tokens seen in training, the line sentinel included."""
+        return {self._tokens[i] if i < len(self._tokens) else _LINE_SENTINEL for i in self._seen.tolist()}
+
+    @property
     def floor(self) -> float:
-        return 1.0 / (len(self.vocabulary) + 1)
+        return 1.0 / (len(self._seen) + 1)
 
     def _lookup(self, ids: np.ndarray) -> list[np.ndarray]:
         """Fitted tuple ids of every k-tuple of ``ids`` as ``_tuple_ids`` lays them out; -1 if unseen."""
         grams = [ids]
         for k in range(2, NGRAM_ORDER + 1):
             prefix, last = grams[-1][:-1], ids[k - 1 :]
-            key = prefix * len(self._ids) + last
+            key = prefix * (len(self._tokens) + 2) + last
             keys = self._keys[k - 1]
             at = np.searchsorted(keys, key)
             found = (prefix >= 0) & (last >= 0) & (keys[np.minimum(at, len(keys) - 1)] == key)
@@ -250,8 +275,19 @@ class NgramModel:
         return p
 
     def _encode(self, tokens) -> np.ndarray:
-        """Model ids of ``tokens``; -1 for a token the model never saw."""
-        return np.array([self._ids.get(t, -1) for t in tokens], dtype=np.int64)
+        """Model ids of token texts, the padding and sentinel texts included; -1 for a token not in the model.
+
+        A token of a training table that no training line holds (a CV subset
+        keeps its parent's tokens) has an id but zero counts, so it scores as
+        an unknown token does.
+        """
+        return np.array([self._index.get(token, -1) for token in tokens], dtype=np.int64)
+
+    def _id_map(self, tokens: tuple[str, ...]) -> np.ndarray:
+        """Model id of each id of a table over ``tokens``, then of its padding and sentinel."""
+        if self._mapped is None or self._mapped[0] is not tokens:
+            self._mapped = (tokens, self._encode(tokens + (_STREAM_START, _LINE_SENTINEL)))
+        return self._mapped[1]
 
     def probability(self, token: str, context: tuple[str, ...]) -> float:
         """Interpolated P(token | up to NGRAM_ORDER-1 preceding tokens)."""
@@ -281,25 +317,24 @@ def _cache_probabilities(local_ids: np.ndarray, base: int, static_p: np.ndarray)
     return p
 
 
-def line_entropies(model: NgramModel, file: SourceFile) -> dict[int, float]:
-    """Mean token surprisal per line; lines without tokens are absent.
+def line_entropies(model: NgramModel, release: ReleaseDataset, index: int) -> dict[int, float]:
+    """Mean token surprisal per line of ``release.files[index]``; lines without tokens are absent.
 
     A per-file cache of orders >= 2, reset for each file, is mixed with the
     static model. Its chain backs off to the static model's prediction, so
     a cache that has never seen the current context defers entirely to the
     static model instead of punishing it.
     """
-    stream, owners = _file_stream(file)
-    if len(stream) < NGRAM_ORDER:
+    table = release.token_table
+    # table ids keep tokens the model never saw distinct for the cache
+    local_ids, owners = _stream(table, index, index + 1)
+    if len(local_ids) < NGRAM_ORDER:
         return {}
-    # file-local ids keep tokens the model never saw distinct for the cache
-    local: dict[str, int] = {}
-    local_ids = np.array([local.setdefault(t, len(local)) for t in stream], dtype=np.int64)
-    static_p = model._static_probabilities(model._encode(local)[local_ids])[NGRAM_ORDER - 1 :]
-    cache_p = _cache_probabilities(local_ids, len(local), static_p)
+    static_p = model._static_probabilities(model._id_map(table.tokens)[local_ids])[NGRAM_ORDER - 1 :]
+    cache_p = _cache_probabilities(local_ids, len(table.tokens) + 2, static_p)
     p = (1.0 - CACHE_WEIGHT) * static_p + CACHE_WEIGHT * cache_p
     surprisal = -np.log2(p)
-    owner = np.array(owners[NGRAM_ORDER - 1 :])
+    owner = owners[NGRAM_ORDER - 1 :]
     in_line = owner > 0
     lines, slot = np.unique(owner[in_line], return_inverse=True)
     # bincount adds in position order, as a running sum per line would
@@ -313,8 +348,8 @@ def _scored_lines(train: ReleaseDataset | list[ReleaseDataset], test: ReleaseDat
     model = NgramModel().fit(train)
     return [
         RankedLine(f.release_id, f.path, line_number, hit_count=0, score_sum=score, file_probability=0.0)
-        for f in sorted(test.files, key=lambda f: f.path)
-        for line_number, score in line_entropies(model, f).items()
+        for i, f in sorted(enumerate(test.files), key=lambda item: item[1].path)
+        for line_number, score in line_entropies(model, test, i).items()
     ]
 
 

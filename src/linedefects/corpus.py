@@ -12,12 +12,18 @@ import csv
 import hashlib
 import io
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
+import scipy.sparse as sp
 
 from .util import write_csv
 
@@ -49,12 +55,109 @@ class SourceFile:
     def defective_line_numbers(self) -> set[int]:
         return {line.number for line in self.lines if line.is_defective}
 
-    def token_stream(self) -> list[str]:
-        """All tokens of the file in line order (no separators)."""
-        out: list[str] = []
-        for line in self.lines:
-            out.extend(tokenize(line.content))
-        return out
+
+def _row_positions(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR row selection: the selected rows' new row pointer and the positions of their entries."""
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    new_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=new_ptr[1:])
+    return new_ptr, np.arange(new_ptr[-1]) + np.repeat(starts - new_ptr[:-1], lengths)
+
+
+class TableLines(NamedTuple):
+    """Some files of a token table, line by line: the lines in file order, each line's tokens in source order."""
+
+    ids: np.ndarray  # token ids, line after line
+    line_of: np.ndarray  # each token's line, an index into ``numbers``
+    numbers: np.ndarray  # each line's number in its file
+    file_of: np.ndarray  # each line's file, counted from the first file asked for
+
+
+@dataclass(frozen=True, eq=False)
+class TokenTable:
+    """Every line of a release's files tokenised once, its tokens interned to int ids.
+
+    ``tokens[i]`` is the text of id i. Ids follow ascending token text, so an
+    id is also its token's lexicographic rank. Table line r is line
+    ``numbers[r]`` of its file and holds the ids
+    ``ids[line_ptr[r]:line_ptr[r + 1]]`` in source order; file j owns the
+    lines ``file_ptr[j]:file_ptr[j + 1]``.
+    """
+
+    tokens: tuple[str, ...]
+    ids: np.ndarray
+    line_ptr: np.ndarray
+    numbers: np.ndarray
+    file_ptr: np.ndarray
+
+    @classmethod
+    def build(cls, files: Sequence[SourceFile]) -> "TokenTable":
+        """Tokenise every line of ``files`` once, in file and line order."""
+        per_line = [tokenize(line.content) for f in files for line in f.lines]
+        flat = list(chain.from_iterable(per_line))
+        tokens = tuple(sorted(set(flat)))
+        index = {token: i for i, token in enumerate(tokens)}
+        ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+        line_ptr = np.zeros(len(per_line) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, per_line), dtype=np.int64, count=len(per_line)), out=line_ptr[1:])
+        file_ptr = np.zeros(len(files) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter((len(f.lines) for f in files), dtype=np.int64, count=len(files)), out=file_ptr[1:])
+        numbers = np.fromiter((line.number for f in files for line in f.lines), dtype=np.int64, count=len(per_line))
+        return cls(tokens, ids, line_ptr, numbers, file_ptr)
+
+    def select(self, indices: Sequence[int]) -> "TokenTable":
+        """The table of files ``indices``, in that order: their rows of this table, under the same ids."""
+        indices = np.asarray(indices, dtype=np.int64)
+        file_ptr, lines = _row_positions(self.file_ptr, indices)
+        line_ptr, positions = _row_positions(self.line_ptr, lines)
+        return TokenTable(self.tokens, self.ids[positions], line_ptr, self.numbers[lines], file_ptr)
+
+    @cached_property
+    def file_counts(self) -> sp.csr_matrix:
+        """Files x ids matrix of occurrence counts, column indices ascending in each row; built on first use."""
+        n_files, n_tokens = len(self.file_ptr) - 1, len(self.tokens)
+        token_ptr = self.line_ptr[self.file_ptr]
+        file_of = np.repeat(np.arange(n_files), np.diff(token_ptr))
+        keys, counts = np.unique(file_of * n_tokens + self.ids, return_counts=True)
+        rows = keys // max(n_tokens, 1)
+        indptr = np.searchsorted(rows, np.arange(n_files + 1))
+        return sp.csr_matrix((counts, keys - rows * n_tokens, indptr), shape=(n_files, n_tokens))
+
+    def lines(self, first: int, last: int) -> TableLines:
+        """The lines of files ``first..last-1``."""
+        line_first, line_last = self.file_ptr[first], self.file_ptr[last]
+        lengths = np.diff(self.line_ptr[line_first : line_last + 1])
+        return TableLines(
+            ids=self.ids[self.line_ptr[line_first] : self.line_ptr[line_last]],
+            line_of=np.repeat(np.arange(line_last - line_first), lengths),
+            numbers=self.numbers[line_first:line_last],
+            file_of=np.repeat(np.arange(last - first), np.diff(self.file_ptr[first : last + 1])),
+        )
+
+    def distinct_tokens(self, index: int) -> list[str]:
+        """The distinct tokens of file ``index``, in text order."""
+        start, end = self.line_ptr[self.file_ptr[index]], self.line_ptr[self.file_ptr[index + 1]]
+        return [self.tokens[i] for i in np.unique(self.ids[start:end]).tolist()]
+
+    def occurrences(self, index: int, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Where the distinct ``words`` occur in file ``index``: one entry per line and word in it.
+
+        Returns each entry's line number and the index into ``words`` of its
+        word. Entries follow the file's lines, and within a line the words'
+        text order.
+        """
+        word_of_id = np.full(len(self.tokens), -1, dtype=np.int64)
+        for j, word in enumerate(words):
+            i = bisect_left(self.tokens, word)
+            if i < len(self.tokens) and self.tokens[i] == word:
+                word_of_id[i] = j
+        lines = self.lines(index, index + 1)
+        hit = word_of_id[lines.ids] >= 0
+        # ids ascend with token text, so this key orders each line's words by text
+        keys = np.unique(lines.line_of[hit] * len(self.tokens) + lines.ids[hit])
+        rows, ids = np.divmod(keys, len(self.tokens))
+        return lines.numbers[rows], word_of_id[ids]
 
 
 @dataclass(frozen=True)
@@ -62,6 +165,18 @@ class ReleaseDataset:
     release_id: str
     release_date: date | None
     files: tuple[SourceFile, ...]
+
+    @cached_property
+    def token_table(self) -> TokenTable:
+        """The release's token table, built the first time it is used."""
+        return TokenTable.build(self.files)
+
+    def subset(self, indices: Sequence[int]) -> "ReleaseDataset":
+        """The release restricted to ``files[i]`` for i in ``indices``; it selects this release's table rows."""
+        subset = ReleaseDataset(self.release_id, self.release_date, tuple(self.files[i] for i in indices))
+        # cached_property keeps its value in the instance dict: seeding it there means the subset never tokenises
+        subset.__dict__["token_table"] = self.token_table.select(indices)
+        return subset
 
     def total_loc(self) -> int:
         return sum(len(f.lines) for f in self.files)
@@ -113,8 +228,12 @@ class FeatureVector:
     entries: dict[int, int]
     dimension: int
 
-    def total(self) -> int:
-        return sum(self.entries.values())
+    @classmethod
+    def from_row(cls, X: sp.csr_matrix, row: int) -> "FeatureVector":
+        """Row ``row`` of a count matrix such as :func:`vectorize` returns."""
+        start, end = X.indptr[row], X.indptr[row + 1]
+        counts = X.data[start:end].astype(np.int64)
+        return cls(entries=dict(zip(X.indices[start:end].tolist(), counts.tolist())), dimension=X.shape[1])
 
 
 def tokenize(text: str) -> list[str]:
@@ -127,33 +246,66 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def build_vocabulary(training_files: list[SourceFile]) -> Vocabulary:
-    """Count token occurrences over the training files and retain tokens seen at least twice."""
-    if not training_files:
+def as_release_list(train: ReleaseDataset | list[ReleaseDataset]) -> list[ReleaseDataset]:
+    return [train] if isinstance(train, ReleaseDataset) else list(train)
+
+
+def _token_counts(tables: list[TokenTable]) -> tuple[Sequence[str], np.ndarray]:
+    """The tables' distinct tokens in text order and their occurrence counts."""
+    merged: Counter[str] = Counter()
+    for table in tables:
+        merged.update(dict(zip(table.tokens, np.bincount(table.ids, minlength=len(table.tokens)).tolist())))
+    tokens = sorted(merged)
+    return tokens, np.array([merged[t] for t in tokens], dtype=np.int64)
+
+
+def build_vocabulary(train: ReleaseDataset | list[ReleaseDataset]) -> Vocabulary:
+    """Count token occurrences over the training releases and retain tokens seen at least twice."""
+    releases = as_release_list(train)
+    if not any(ds.files for ds in releases):
         raise ValueError("cannot build a vocabulary from an empty training set")
-    counts: Counter[str] = Counter()
-    for f in training_files:
-        counts.update(f.token_stream())
-    kept = sorted(token for token, c in counts.items() if c >= 2)
-    if not kept:
+    tokens, counts = _token_counts([ds.token_table for ds in releases])
+    kept = np.flatnonzero(counts >= 2)
+    if not kept.size:
         raise ValueError(
             "degenerate corpus: every token occurs exactly once, vocabulary would be empty"
         )
+    kept_tokens = [tokens[i] for i in kept]
     return Vocabulary(
-        token_to_index={t: i for i, t in enumerate(kept)},
-        total_counts={t: counts[t] for t in kept},
+        token_to_index={t: i for i, t in enumerate(kept_tokens)},
+        total_counts=dict(zip(kept_tokens, counts[kept].tolist())),
     )
 
 
-def vectorize(file: SourceFile, vocab: Vocabulary) -> FeatureVector:
-    """Bag-of-tokens counts for one file; out-of-vocabulary tokens are ignored."""
-    entries: dict[int, int] = {}
+def _vocabulary_remap(table: TokenTable, vocab: Vocabulary) -> np.ndarray:
+    """The vocabulary index of each table id, -1 for an out-of-vocabulary token."""
     lookup = vocab.token_to_index
-    for token in file.token_stream():
-        idx = lookup.get(token)
-        if idx is not None:
-            entries[idx] = entries.get(idx, 0) + 1
-    return FeatureVector(entries=dict(sorted(entries.items())), dimension=len(vocab))
+    return np.array([lookup.get(t, -1) for t in table.tokens], dtype=np.int64)
+
+
+def vectorize(train: ReleaseDataset | list[ReleaseDataset], vocab: Vocabulary) -> sp.csr_matrix:
+    """Bag-of-tokens counts, one row per file of the releases; out-of-vocabulary tokens are ignored.
+
+    Each release's per-file token counts pass through one table-id to
+    vocabulary-index remap. Column indices ascend within every row.
+    """
+    blocks = []
+    for ds in as_release_list(train):
+        counts = ds.token_table.file_counts
+        columns = _vocabulary_remap(ds.token_table, vocab)[counts.indices]
+        keep = columns >= 0
+        kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        X = sp.csr_matrix(
+            (counts.data[keep].astype(np.float64), columns[keep], kept_before[counts.indptr]),
+            shape=(counts.shape[0], len(vocab)),
+        )
+        # the remap keeps the column order when the vocabulary is in token-text order, as built ones are
+        X.sort_indices()
+        blocks.append(X)
+    if not blocks:
+        raise ValueError("no releases to vectorize")
+    return blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
 
 
 def defect_density(file: SourceFile) -> float:

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import rankdata
 
 from .corpus import ReleaseDataset
 from .util import write_csv
@@ -296,6 +295,21 @@ def _effect_magnitude(r: float) -> str:
     return "negligible"
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``, ties sharing the mean of the ranks they span.
+
+    The mean of ranks i+1..j is (i + 1 + j) / 2, a whole number or an exact
+    half, so these equal ``scipy.stats.rankdata(values)`` bit for bit.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _exact_one_sided_p(ranks: np.ndarray, w_plus: float, direction: str) -> float:
     """Exact tail probability of W+ over all 2^n sign patterns of the observed ranks."""
     n = ranks.shape[0]
@@ -330,7 +344,7 @@ def wilcoxon_one_sided(
     n = diffs.shape[0]
     if n < 5:
         return None
-    ranks = rankdata(np.abs(diffs))
+    ranks = average_ranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     mu = n * (n + 1) / 4.0
     _, tie_counts = np.unique(ranks, return_counts=True)

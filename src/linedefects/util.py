@@ -52,7 +52,7 @@ def pool_workers(parallelism: int, tasks: int, min_tasks: int = 2) -> int:
     return min(parallelism, tasks) if tasks >= min_tasks else 1
 
 
-def pool_map(fn: Callable, tasks: Sequence, shared: tuple, workers: int, chunksize: int = 1) -> list:
+def pool_map(fn: Callable, tasks: Sequence, shared: tuple, workers: int) -> list:
     """``[fn(*shared, task) for task in tasks]``, on ``workers`` processes.
 
     Runs in this process when ``workers`` is below 2. Otherwise ``fn`` and
@@ -65,7 +65,7 @@ def pool_map(fn: Callable, tasks: Sequence, shared: tuple, workers: int, chunksi
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=_POOL_CONTEXT, initializer=_start_worker, initargs=(fn, shared)
     ) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=chunksize))
+        return list(pool.map(_run_task, tasks))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

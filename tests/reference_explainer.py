@@ -29,6 +29,8 @@ from linedefects.explain import (
 )
 from linedefects.model import LogisticModel, predict_proba
 
+from reference_corpus import features_to_csr
+
 
 @dataclass
 class NeighborSample:
@@ -108,7 +110,7 @@ def predict_neighbors(
         return samples
     original = samples[0].active_mask
     for s in samples:
-        s.predicted = predict_proba(model, s.perturbed_vector)
+        s.predicted = float(predict_proba(model, features_to_csr([s.perturbed_vector]))[0])
         s.weight = kernel_weight(original, s.active_mask, kernel_width)
     return samples
 

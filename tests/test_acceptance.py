@@ -297,7 +297,7 @@ def test_criterion_10_ngram_normalization_and_determinism():
     deterministic = model.surprisal("zeta", ("alpha", "beta", "gamma", "delta", "epsilon"))
     assert deterministic < 0.01, f"deterministic continuation scored {deterministic:.4f} bits"
     test = release_of_files("s", {"src/A.java": [(contents[0], False)]})
-    entropies = line_entropies(model, test.files[0])
+    entropies = line_entropies(model, test, 0)
     assert entropies[1] < 0.01
     print(_PASS.format(
         n=10, text=f"normalization within {worst:.1e}; deterministic continuation {deterministic:.5f} bits"

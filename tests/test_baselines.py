@@ -176,7 +176,7 @@ class TestNgramModel:
         train = single_file_release("t", ["alpha beta gamma delta epsilon zeta;"] * 50)
         test = single_file_release("s", ["alpha beta gamma delta epsilon zeta;"])
         model = NgramModel().fit(train)
-        entropies = line_entropies(model, test.files[0])
+        entropies = line_entropies(model, test, 0)
         assert entropies[1] < 0.01
         # not flagged at any positive threshold
         for threshold in (0.01, 0.1, 0.7, 2.0):
@@ -200,14 +200,14 @@ class TestNgramModel:
         train = single_file_release("t", ["alpha beta;"] * 10)
         test = single_file_release("s", ["alpha beta;", "   ", "alpha beta;"])
         model = NgramModel().fit(train)
-        entropies = line_entropies(model, test.files[0])
+        entropies = line_entropies(model, test, 0)
         assert 2 not in entropies
 
     def test_cache_lowers_surprisal_of_repeated_novel_line(self):
         train = single_file_release("t", ["alpha beta gamma delta;"] * 20)
         test = single_file_release("s", ["qq ww ee rr;"] * 3)
         model = NgramModel().fit(train)
-        entropies = line_entropies(model, test.files[0])
+        entropies = line_entropies(model, test, 0)
         assert entropies[3] < entropies[1]
 
     @pytest.mark.parametrize(

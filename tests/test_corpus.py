@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linedefects.corpus import (
     DatasetError,
+    FeatureVector,
     Vocabulary,
     build_vocabulary,
     defect_density,
@@ -18,6 +19,7 @@ from linedefects.corpus import (
 )
 from linedefects.synthetic import make_planted_release
 
+import reference_corpus
 from conftest import release_of_files
 
 
@@ -47,23 +49,23 @@ class TestTokenize:
 class TestVocabulary:
     def test_filters_singletons(self):
         release = release_of_files("r", {"A.java": [("a a a b", False), ("c c", False)]})
-        vocab = build_vocabulary(list(release.files))
+        vocab = build_vocabulary(release)
         assert set(vocab.token_to_index) == {"a", "c"}
         assert vocab.total_counts == {"a": 3, "c": 2}
 
     def test_single_file_pair(self):
         release = release_of_files("r", {"A.java": [("x x", False)]})
-        vocab = build_vocabulary(list(release.files))
+        vocab = build_vocabulary(release)
         assert set(vocab.token_to_index) == {"x"}
 
     def test_all_singletons_is_error(self):
         release = release_of_files("r", {"A.java": [("a b c", False)]})
         with pytest.raises(ValueError, match="degenerate"):
-            build_vocabulary(list(release.files))
+            build_vocabulary(release)
 
     def test_indices_dense_lexicographic(self):
         release = release_of_files("r", {"A.java": [("zz zz mm mm aa aa", False)]})
-        vocab = build_vocabulary(list(release.files))
+        vocab = build_vocabulary(release)
         assert vocab.token_to_index == {"aa": 0, "mm": 1, "zz": 2}
         assert vocab.tokens == ["aa", "mm", "zz"]
 
@@ -80,12 +82,12 @@ class TestVocabulary:
             r1 = random_release("a", rng.integers(0, 10_000))
             r2 = random_release("b", rng.integers(0, 10_000))
             kept = set()
-            for files in (list(r1.files), list(r2.files)):
+            for release in (r1, r2):
                 try:
-                    kept |= set(build_vocabulary(files).token_to_index)
+                    kept |= set(build_vocabulary(release).token_to_index)
                 except ValueError:
                     pass
-            merged = build_vocabulary(list(r1.files) + list(r2.files))
+            merged = build_vocabulary([r1, r2])
             assert kept <= set(merged.token_to_index)
 
 
@@ -93,27 +95,27 @@ class TestVectorize:
     def test_counts(self):
         release = release_of_files("r", {"A.java": [("a c a", False)]})
         vocab = Vocabulary.from_tokens(["a", "c"])
-        fv = vectorize(release.files[0], vocab)
+        fv = FeatureVector.from_row(vectorize(release, vocab), 0)
         assert fv.entries == {0: 2, 1: 1}
         assert fv.dimension == 2
 
     def test_out_of_vocab_ignored(self):
         release = release_of_files("r", {"A.java": [("zz yy", False)]})
         vocab = Vocabulary.from_tokens(["a"])
-        assert vectorize(release.files[0], vocab).entries == {}
+        assert vectorize(release, vocab).nnz == 0
 
     def test_empty_file(self):
         release = release_of_files("r", {"A.java": [("", False)]})
         vocab = Vocabulary.from_tokens(["a"])
-        assert vectorize(release.files[0], vocab).entries == {}
+        assert vectorize(release, vocab).nnz == 0
 
     def test_total_equals_in_vocab_occurrences(self):
         release = make_planted_release("r", seed=11, n_files=6, n_defective=2)
-        vocab = build_vocabulary(list(release.files))
-        for f in release.files:
-            fv = vectorize(f, vocab)
-            expected = sum(1 for t in f.token_stream() if t in vocab.token_to_index)
-            assert fv.total() == expected
+        vocab = build_vocabulary(release)
+        totals = np.asarray(vectorize(release, vocab).sum(axis=1)).ravel()
+        for f, total in zip(release.files, totals):
+            expected = sum(1 for t in reference_corpus.token_stream(f) if t in vocab.token_to_index)
+            assert total == expected
 
 
 class TestDefectDensity:

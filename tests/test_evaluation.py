@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import linedefects
 from linedefects.evaluation import (
     ConfusionCounts,
+    average_ranks,
     confusion_counts,
     cross_release_pairs,
     d2h,
@@ -315,3 +321,24 @@ class TestWilcoxon:
         b = [0.0] * len(diffs)
         result = wilcoxon_one_sided(a, b, "greater")
         assert result.p_value == pytest.approx(brute_force_one_sided_p(diffs, "greater"))
+
+
+class TestAverageRanks:
+    @given(
+        st.lists(
+            st.one_of(st.integers(-4, 4).map(float), st.floats(-1e6, 1e6, allow_nan=False), st.just(0.5)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equal_to_scipy_rankdata_bit_for_bit(self, values):
+        from scipy.stats import rankdata
+
+        values = np.abs(np.array(values))
+        assert average_ranks(values).tobytes() == rankdata(values).astype(np.float64).tobytes()
+
+    def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
+        code = "import sys, linedefects.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(linedefects.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False"

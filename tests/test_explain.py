@@ -356,8 +356,9 @@ class TestLassoPathMatchesCoordinateDescent:
         model, vocab = train_file_model(train)
         files = defect_prone_files(test, predict_files(model, vocab, test))
         assert len(files) >= 3
-        for f in files[:3]:
-            x = vectorize(f, vocab)
+        X = vectorize(test, vocab)
+        for i in files[:3]:
+            f, x = test.files[i], FeatureVector.from_row(X, i)
             indices = active_token_indices(x)
             seed = file_seed(config.seed, f.release_id, f.path)
             masks, probs, weights = _surrogate_data(model, x, indices, config.lime_n, config.lime_sigma, seed)

@@ -10,7 +10,6 @@ from linedefects.model import (
     TOLERANCE,
     _HessianProduct,
     _loss_and_gradient,
-    features_to_csr,
     load_model,
     predict_proba,
     save_model,
@@ -20,6 +19,12 @@ from linedefects.model import (
 from linedefects.synthetic import make_planted_release
 
 import reference_trainer
+from reference_corpus import features_to_csr
+
+
+def proba(model, x: FeatureVector) -> float:
+    """``predict_proba`` of a single file."""
+    return float(predict_proba(model, features_to_csr([x]))[0])
 
 
 def random_instances(rng, n=12, dim=5):
@@ -36,15 +41,15 @@ def random_instances(rng, n=12, dim=5):
 class TestTraining:
     def test_separable_toy(self):
         X = [FeatureVector({0: 1}, 1), FeatureVector({}, 1)]
-        model = train_logistic(X, [True, False])
-        assert predict_proba(model, X[0]) > predict_proba(model, X[1])
+        model = train_logistic(features_to_csr(X), [True, False])
+        assert proba(model, X[0]) > proba(model, X[1])
 
     def test_identical_features_give_class_prior(self):
         # intercept-only optimum: constant prediction equal to the base rate
         X = [FeatureVector({0: 3, 1: 1}, 2) for _ in range(10)]
         y = [True] * 3 + [False] * 7
-        model = train_logistic(X, y)
-        assert predict_proba(model, X[0]) == pytest.approx(0.3, abs=0.01)
+        model = train_logistic(features_to_csr(X), y)
+        assert proba(model, X[0]) == pytest.approx(0.3, abs=0.01)
 
     def test_gradient_matches_finite_differences(self):
         # central finite-difference oracle on random small instances
@@ -55,14 +60,14 @@ class TestTraining:
             Xm = features_to_csr(X)
             labels = np.asarray(y, dtype=float)
             theta = rng.normal(scale=0.5, size=Xm.shape[1] + 1)
-            analytic = _loss_and_gradient(theta, Xm, labels)[1]
+            analytic = _loss_and_gradient(theta, Xm, Xm.T, labels)[1]
             h = 1e-6
             for j in range(theta.shape[0]):
                 step = np.zeros_like(theta)
                 step[j] = h
                 numeric = (
-                    _loss_and_gradient(theta + step, Xm, labels)[0]
-                    - _loss_and_gradient(theta - step, Xm, labels)[0]
+                    _loss_and_gradient(theta + step, Xm, Xm.T, labels)[0]
+                    - _loss_and_gradient(theta - step, Xm, Xm.T, labels)[0]
                 ) / (2 * h)
                 scale = max(1.0, abs(numeric))
                 worst = max(worst, abs(analytic[j] - numeric) / scale)
@@ -83,10 +88,10 @@ class TestTraining:
             h = 1e-5
             hessp = _HessianProduct()
             for v in [*np.eye(theta.shape[0]), rng.normal(size=theta.shape[0])]:
-                analytic = hessp(theta, v, Xm, labels)
+                analytic = hessp(theta, v, Xm, Xm.T, labels)
                 numeric = (
-                    _loss_and_gradient(theta + h * v, Xm, labels)[1]
-                    - _loss_and_gradient(theta - h * v, Xm, labels)[1]
+                    _loss_and_gradient(theta + h * v, Xm, Xm.T, labels)[1]
+                    - _loss_and_gradient(theta - h * v, Xm, Xm.T, labels)[1]
                 ) / (2 * h)
                 worst = max(worst, float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric)))))
         assert worst < 1e-5
@@ -107,32 +112,32 @@ class TestTraining:
             for _ in range(3):
                 v = rng.normal(size=theta.shape[0])
                 expected = reference_trainer._hessian_product(at, v, Xm, labels)
-                assert hessp(at, v, Xm, labels).tobytes() == expected.tobytes()
+                assert hessp(at, v, Xm, Xm.T, labels).tobytes() == expected.tobytes()
 
     def test_solver_hessian_products_are_bitwise_the_uncached_ones(self, monkeypatch):
         # every product trust-ncg asks for on a real fit, against the recomputed product
         calls = []
 
         class Checked(_HessianProduct):
-            def __call__(self, theta, v, X, y):
-                hv = super().__call__(theta, v, X, y)
+            def __call__(self, theta, v, X, XT, y):
+                hv = super().__call__(theta, v, X, XT, y)
                 assert hv.tobytes() == reference_trainer._hessian_product(theta, v, X, y).tobytes()
                 calls.append(theta.tobytes())
                 return hv
 
         monkeypatch.setattr("linedefects.model._HessianProduct", Checked)
         release = make_planted_release("r", seed=4, n_files=20, n_defective=6)
-        vocab = build_vocabulary(list(release.files))
-        model = train_logistic([vectorize(f, vocab) for f in release.files], [f.file_label for f in release.files])
+        vocab = build_vocabulary(release)
+        model = train_logistic(vectorize(release, vocab), [f.file_label for f in release.files])
         assert model.train_meta.converged
         assert len(set(calls)) > 1 and len(calls) > len(set(calls))
 
     def test_iteration_cap_reports_unconverged_fit(self, monkeypatch):
         rng = np.random.default_rng(9)
         X, y = random_instances(rng, n=20, dim=8)
-        assert train_logistic(X, y).train_meta.converged
+        assert train_logistic(features_to_csr(X), y).train_meta.converged
         monkeypatch.setattr("linedefects.model.MAX_ITERS", 1)
-        meta = train_logistic(X, y).train_meta
+        meta = train_logistic(features_to_csr(X), y).train_meta
         assert meta.iterations == 1
         assert not meta.converged
         assert meta.final_grad_norm > TOLERANCE
@@ -140,13 +145,13 @@ class TestTraining:
     def test_single_class_rejected(self):
         X = [FeatureVector({0: 1}, 1), FeatureVector({0: 2}, 1)]
         with pytest.raises(ValueError, match="single class"):
-            train_logistic(X, [True, True])
+            train_logistic(features_to_csr(X), [True, True])
 
     def test_training_is_bitwise_deterministic(self):
         rng = np.random.default_rng(9)
         X, y = random_instances(rng, n=20, dim=8)
-        m1 = train_logistic(X, y)
-        m2 = train_logistic(X, y)
+        m1 = train_logistic(features_to_csr(X), y)
+        m2 = train_logistic(features_to_csr(X), y)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 
@@ -187,8 +192,8 @@ class TestAgainstReferenceTrainer:
         X, y = design
         Xm = features_to_csr(X)
         labels = np.asarray(y, dtype=float)
-        model = train_logistic(X, y)
-        f, g = _loss_and_gradient(np.append(model.weights, model.bias), Xm, labels)
+        model = train_logistic(features_to_csr(X), y)
+        f, g = _loss_and_gradient(np.append(model.weights, model.bias), Xm, Xm.T, labels)
         reference = reference_trainer._RawDesign(Xm)
         theta, _ = reference_trainer._minimize(reference, labels, reference_trainer.TrainConfig())
         f_reference = reference_trainer._objective(theta, reference, labels, 1.0)
@@ -211,13 +216,13 @@ class TestAgainstReferenceTrainer:
             reference_trainer._StandardizedDesign(features_to_csr(X)), labels, tight
         )
         assert meta.final_grad_norm <= TOLERANCE
-        np.testing.assert_allclose(standardized_coefficients(X, y)[0], theta[:-1], rtol=0, atol=1e-5)
+        np.testing.assert_allclose(standardized_coefficients(features_to_csr(X), y)[0], theta[:-1], rtol=0, atol=1e-5)
 
 
 class TestPredictProba:
     def test_zero_model_gives_half(self):
         model = train_logistic(
-            [FeatureVector({0: 1}, 1), FeatureVector({}, 1)], [True, False]
+            features_to_csr([FeatureVector({0: 1}, 1), FeatureVector({}, 1)]), [True, False]
         )
         zero = model.__class__(
             weights=np.zeros(1),
@@ -225,12 +230,12 @@ class TestPredictProba:
             vocab_fingerprint="",
             train_meta=model.train_meta,
         )
-        assert predict_proba(zero, FeatureVector({0: 5}, 1)) == 0.5
-        assert predict_proba(zero, FeatureVector({}, 1)) == 0.5
+        assert proba(zero, FeatureVector({0: 5}, 1)) == 0.5
+        assert proba(zero, FeatureVector({}, 1)) == 0.5
 
     def test_strictly_inside_unit_interval_and_monotone(self):
         model = train_logistic(
-            [FeatureVector({0: 1}, 1), FeatureVector({}, 1)], [True, False]
+            features_to_csr([FeatureVector({0: 1}, 1), FeatureVector({}, 1)]), [True, False]
         )
         big = model.__class__(
             weights=np.array([100.0]),
@@ -240,17 +245,17 @@ class TestPredictProba:
         )
         previous = 0.0
         for count in (0, 1, 2, 5):
-            p = predict_proba(big, FeatureVector({0: count} if count else {}, 1))
+            p = proba(big, FeatureVector({0: count} if count else {}, 1))
             assert 0.0 < p < 1.0
             assert p >= previous
             previous = p
 
     def test_dimension_mismatch_rejected(self):
         model = train_logistic(
-            [FeatureVector({0: 1}, 1), FeatureVector({}, 1)], [True, False]
+            features_to_csr([FeatureVector({0: 1}, 1), FeatureVector({}, 1)]), [True, False]
         )
         with pytest.raises(ValueError, match="dimension"):
-            predict_proba(model, FeatureVector({0: 1}, 3))
+            proba(model, FeatureVector({0: 1}, 3))
 
 
 class TestStandardizedCoefficients:
@@ -267,7 +272,7 @@ class TestStandardizedCoefficients:
                 counts.pop(target, None)
             X.append(FeatureVector(counts, dim))
             y.append(has)
-        coefs, _ = standardized_coefficients(X, y)
+        coefs, _ = standardized_coefficients(features_to_csr(X), y)
         assert int(np.argmax(coefs)) == target
         # the noise-label test below checks that pure noise stays under this bar
         assert coefs[target] > 1.0
@@ -280,14 +285,14 @@ class TestStandardizedCoefficients:
             counts = {j: int(c) for j, c in enumerate(rng.integers(0, 4, size=dim)) if c > 0}
             X.append(FeatureVector(counts, dim))
         y = [bool(v) for v in rng.random(n) < 0.5]
-        coefs, _ = standardized_coefficients(X, y)
+        coefs, _ = standardized_coefficients(features_to_csr(X), y)
         # planted-signal magnitude from the previous fixture is > 1
         assert float(np.max(np.abs(coefs))) < 1.0
 
     def test_constant_column_coefficient_zero(self):
         X = [FeatureVector({0: 2, 1: (i % 3) + 1}, 2) for i in range(12)]
         y = [bool(i % 2) for i in range(12)]
-        coefs, _ = standardized_coefficients(X, y)
+        coefs, _ = standardized_coefficients(features_to_csr(X), y)
         assert abs(coefs[0]) < 1e-6
 
     def test_scaling_one_feature_preserves_signs_and_ranking(self):
@@ -300,12 +305,12 @@ class TestStandardizedCoefficients:
             y.append(bool(rng.random() < 0.4))
         if all(y) or not any(y):
             y[0] = not y[0]
-        base, _ = standardized_coefficients(X, y)
+        base, _ = standardized_coefficients(features_to_csr(X), y)
         scaled_X = [
             FeatureVector({j: c * 3 if j == 4 else c for j, c in fv.entries.items()}, dim)
             for fv in X
         ]
-        scaled, _ = standardized_coefficients(scaled_X, y)
+        scaled, _ = standardized_coefficients(features_to_csr(scaled_X), y)
         assert np.array_equal(np.sign(base), np.sign(scaled))
         assert list(np.argsort(base)) == list(np.argsort(scaled))
 
@@ -315,8 +320,8 @@ class TestPersistence:
         import json
 
         release = make_planted_release("r", seed=2, n_files=10, n_defective=4)
-        vocab = build_vocabulary(list(release.files))
-        X = [vectorize(f, vocab) for f in release.files]
+        vocab = build_vocabulary(release)
+        X = vectorize(release, vocab)
         y = [f.file_label for f in release.files]
         model = train_logistic(X, y, vocab=vocab)
         path = tmp_path / "model.json"
@@ -325,7 +330,7 @@ class TestPersistence:
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
         assert loaded_vocab.token_to_index == vocab.token_to_index
-        assert predict_proba(loaded, X[0]) == predict_proba(model, X[0])
+        assert predict_proba(loaded, X).tobytes() == predict_proba(model, X).tobytes()
         doc = json.loads(path.read_text())
         assert "scaler" not in doc
         # format-1 documents may still carry a null "scaler" entry
@@ -339,8 +344,8 @@ class TestPersistence:
         import json
 
         release = make_planted_release("r", seed=2, n_files=10, n_defective=4)
-        vocab = build_vocabulary(list(release.files))
-        X = [vectorize(f, vocab) for f in release.files]
+        vocab = build_vocabulary(release)
+        X = vectorize(release, vocab)
         model = train_logistic(X, [f.file_label for f in release.files], vocab=vocab)
         path = tmp_path / "model.json"
         save_model(model, vocab, path)
@@ -360,8 +365,8 @@ class TestPersistence:
 
     def test_wrong_vocab_rejected_at_predict_time(self):
         release = make_planted_release("r", seed=2, n_files=10, n_defective=4)
-        vocab = build_vocabulary(list(release.files))
-        X = [vectorize(f, vocab) for f in release.files]
+        vocab = build_vocabulary(release)
+        X = vectorize(release, vocab)
         model = train_logistic(X, [f.file_label for f in release.files], vocab=vocab)
         other = Vocabulary.from_tokens(["alien"])
         with pytest.raises(ValueError, match="fingerprint"):

@@ -20,7 +20,6 @@ from linedefects.baselines import (
 )
 from linedefects.config import RunConfig
 from linedefects.evaluation import stratified_kfold
-from linedefects.experiments import _subset_release
 from linedefects.synthetic import make_release_series
 from linedefects.util import derive_seed
 
@@ -38,8 +37,8 @@ def assert_same_entropies(train, test):
     oracle = reference_ngram.NgramModel().fit(train)
     assert model.vocabulary == oracle.vocabulary
     assert model.floor == oracle.floor
-    for f in test.files:
-        assert line_entropies(model, f) == reference_ngram.line_entropies(oracle, f), f.path
+    for i, f in enumerate(test.files):
+        assert line_entropies(model, test, i) == reference_ngram.line_entropies(oracle, f), f.path
 
 
 def cv_splits(release):
@@ -47,7 +46,7 @@ def cv_splits(release):
     labels = [f.file_label for f in release.files]
     seed = derive_seed(config.seed, "folds", release.release_id)
     for split in stratified_kfold(labels, config.folds, 1, seed=seed):
-        yield _subset_release(release, split.train_indices), _subset_release(release, split.test_indices)
+        yield release.subset(split.train_indices), release.subset(split.test_indices)
 
 
 class TestLineEntropies:
@@ -144,8 +143,9 @@ class TestSmallCorpora:
             return
         model = NgramModel().fit(train)
         assert model.vocabulary == oracle.vocabulary
-        for f in test.files + train.files:
-            assert line_entropies(model, f) == reference_ngram.line_entropies(oracle, f)
+        for release in (test, train):
+            for i, f in enumerate(release.files):
+                assert line_entropies(model, release, i) == reference_ngram.line_entropies(oracle, f)
         for f in test.files:
             stream, _ = reference_ngram._file_stream(f)
             for i in range(NGRAM_ORDER - 1, len(stream)):
@@ -158,7 +158,9 @@ def test_sensitivity_rows_match_oracle(planted_series, monkeypatch):
     train, test = planted_series
     rows = sensitivity_entropy_threshold(train, test)
     monkeypatch.setattr(baselines, "NgramModel", reference_ngram.NgramModel)
-    monkeypatch.setattr(baselines, "line_entropies", reference_ngram.line_entropies)
+    monkeypatch.setattr(
+        baselines, "line_entropies", lambda model, release, i: reference_ngram.line_entropies(model, release.files[i])
+    )
     assert rows == sensitivity_entropy_threshold(train, test)
 
 

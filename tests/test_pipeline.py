@@ -53,7 +53,7 @@ class TestFlagLines:
             {"F.java": [("A B C D", False), ("C D E F G", False)]},
         )
         risky = RiskyTokenSet(tokens=(("A", 0.5), ("B", 0.4), ("E", 0.3)))
-        flagged = flag_lines(release.files[0], risky)
+        flagged = flag_lines(release, 0, risky)
         by_line = {f.line_number: f for f in flagged}
         assert by_line[1].hit_count == 2
         assert by_line[2].hit_count == 1
@@ -61,19 +61,19 @@ class TestFlagLines:
 
     def test_empty_risky_set_flags_nothing(self):
         release = release_of_files("r", {"F.java": [("a b", False)]})
-        assert flag_lines(release.files[0], RiskyTokenSet(tokens=())) == []
+        assert flag_lines(release, 0, RiskyTokenSet(tokens=())) == []
 
     def test_repeated_token_counts_once(self):
         release = release_of_files("r", {"F.java": [("node node", False)]})
         risky = RiskyTokenSet(tokens=(("node", 0.9),))
-        (flagged,) = flag_lines(release.files[0], risky)
+        (flagged,) = flag_lines(release, 0, risky)
         assert flagged.hit_count == 1
         assert flagged.score_sum == pytest.approx(0.9)
 
     def test_matching_is_exact_and_case_sensitive(self):
         release = release_of_files("r", {"F.java": [("Node nodeFactory", False)]})
         risky = RiskyTokenSet(tokens=(("node", 0.9),))
-        assert flag_lines(release.files[0], risky) == []
+        assert flag_lines(release, 0, risky) == []
 
 
 def flagged(path, line, hit, score=0.0, prob=0.5, release="r"):
