@@ -5,6 +5,8 @@ training vocabulary drops singleton tokens, and how files turn into sparse
 count vectors.
 """
 
+import numpy as np
+
 from linedefects import FeatureVector, build_vocabulary, defect_density, tokenize, vectorize
 from linedefects.synthetic import make_planted_release
 
@@ -23,7 +25,8 @@ table = release.token_table
 print(f"token table: {len(table.numbers)} lines tokenised once, {len(table.ids)} tokens, {len(table.tokens)} distinct")
 print(f"{len(release.files)} files, vocabulary size {len(vocab)}")
 print("first tokens by index:", vocab.tokens[:8])
-rare = sorted(vocab.total_counts.items(), key=lambda kv: kv[1])[:3]
+counts = dict(zip(table.tokens, np.bincount(table.ids, minlength=len(table.tokens)).tolist()))
+rare = sorted(((token, counts[token]) for token in vocab.tokens), key=lambda kv: kv[1])[:3]
 print("least frequent retained tokens:", rare)
 
 print("\n== sparse feature vectors ==")

@@ -20,10 +20,10 @@ print(f"{defect_prone} files predicted defect-prone, {len(result.ranked)} lines 
 
 print("\n== top of the global ranking ==")
 truth = {(f.path, l.number): l.is_defective for f in test.files for l in f.lines}
-for line in result.ranked[:10]:
+for rank, line in enumerate(result.ranked[:10], start=1):
     actual = "DEFECTIVE" if truth[(line.file_path, line.line_number)] else "clean"
     print(
-        f"  #{line.global_rank:<3} {line.file_path}:{line.line_number:<4} "
+        f"  #{rank:<3} {line.file_path}:{line.line_number:<4} "
         f"hits={line.hit_count} score={line.score_sum:.3f} [{actual}]"
     )
 

@@ -27,7 +27,6 @@ from .pipeline import (
     as_release_list,
     defect_prone_files,
     flag_lines,
-    number_lines,
     predict_files,
     rank_lines_global,
 )
@@ -75,7 +74,7 @@ def random_baseline(
     rng = np.random.default_rng(derive_seed(seed, "random-rank", test.release_id))
     order = rng.permutation(len(flagged))
     return MethodResult(
-        method="random", ranked=number_lines(flagged[i] for i in order), file_probabilities=file_probs
+        method="random", ranked=[flagged[i] for i in order], file_probabilities=file_probs
     )
 
 
@@ -364,7 +363,7 @@ def ngram_entropy_baseline(
     """
     flagged = [line for line in _scored_lines(train, test) if line.score_sum > threshold]
     flagged.sort(key=lambda line: (-line.score_sum, line.file_path, line.line_number))
-    return MethodResult(method="ngram", ranked=number_lines(flagged), file_probabilities={})
+    return MethodResult(method="ngram", ranked=flagged, file_probabilities={})
 
 
 def sensitivity_entropy_threshold(

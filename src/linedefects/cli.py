@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import baselines, experiments, miner, pipeline
-from .config import RunConfig, make_config
+from .config import FIELD_TYPES, RunConfig, make_config
 from .corpus import DatasetError, defect_density, load_dataset, write_dataset
 from .evaluation import write_metrics_csv, write_stats_csv
 from .model import load_model, save_model
@@ -33,6 +33,15 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
+# settings whose flag is not the field's name: field -> (flag, help)
+_RENAMED_FLAGS = {
+    "parallelism": (
+        "--workers",
+        "worker processes: evaluate spreads CV splits or release pairs, predict and sensitivity "
+        "spread per-file explanations (default: all cores)",
+    ),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse uses exit code 2; the CLI reserves that for data errors
@@ -47,9 +56,9 @@ class DataError(Exception):
 def _write_ranked_csv(path: str, ranked, method: str | None = None) -> None:
     extra = () if method is None else (method,)
     rows = (
-        (line.global_rank, line.release_id, line.file_path, line.line_number, line.hit_count,
+        (rank, line.release_id, line.file_path, line.line_number, line.hit_count,
          line.score_sum, line.file_probability) + extra
-        for line in ranked
+        for rank, line in enumerate(ranked, start=1)
     )
     write_csv(path, RANKED_CSV_COLUMNS + (() if method is None else ("method",)), rows)
 
@@ -69,21 +78,7 @@ def _pick_release(releases, release_id: str):
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {
-        name: getattr(args, name, None)
-        for name in (
-            "seed",
-            "k_risky",
-            "lime_n",
-            "lime_sigma",
-            "lime_k_features",
-            "entropy_threshold_within",
-            "entropy_threshold_cross",
-            "folds",
-            "repeats",
-            "parallelism",
-        )
-    }
+    overrides = {name: getattr(args, name) for name in FIELD_TYPES}
     try:
         return make_config(getattr(args, "config", None), **overrides)
     except (OSError, ValueError) as exc:
@@ -91,28 +86,11 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field, named after it, except ``--workers`` for ``parallelism``."""
     parser.add_argument("--config", help="key=value config file; explicit flags win")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--k-risky", dest="k_risky", type=int, default=None)
-    parser.add_argument("--lime-n", dest="lime_n", type=int, default=None)
-    parser.add_argument("--lime-sigma", dest="lime_sigma", type=float, default=None)
-    parser.add_argument("--lime-k-features", dest="lime_k_features", type=int, default=None)
-    parser.add_argument(
-        "--entropy-threshold-within", dest="entropy_threshold_within", type=float, default=None
-    )
-    parser.add_argument(
-        "--entropy-threshold-cross", dest="entropy_threshold_cross", type=float, default=None
-    )
-    parser.add_argument("--folds", type=int, default=None)
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument(
-        "--workers",
-        dest="parallelism",
-        type=int,
-        default=None,
-        help="worker processes: evaluate spreads CV splits or release pairs, predict and sensitivity "
-        "spread per-file explanations (default: all cores)",
-    )
+    for name, kind in FIELD_TYPES.items():
+        flag, help_text = _RENAMED_FLAGS.get(name, ("--" + name.replace("_", "-"), None))
+        parser.add_argument(flag, dest=name, type=kind, default=None, help=help_text)
 
 
 def cmd_mine(args) -> int:

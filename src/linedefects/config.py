@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,8 @@ class RunConfig:
             raise ValueError("lime_k_features must be >= k_risky")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# each setting's type, in field order; the config file and the CLI flags parse values with it
+FIELD_TYPES: dict[str, type] = get_type_hints(RunConfig)
 
 
 def load_config_file(path: str | Path) -> dict[str, object]:
@@ -45,10 +47,9 @@ def load_config_file(path: str | Path) -> dict[str, object]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        caster = float if "float" in str(_FIELD_TYPES[key]) else int
-        values[key] = caster(value)
+        values[key] = FIELD_TYPES[key](value)
     return values
 
 

@@ -190,35 +190,24 @@ class ReleaseDataset:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token -> dense index map built from training data.
+    """The training tokens; a token's dense index is its position in ``tokens``.
 
-    Indices are assigned in lexicographic token order so that runs are
-    reproducible across platforms. ``total_counts`` holds corpus frequencies
-    of the retained tokens; it is ``None`` for vocabularies reconstructed
-    from a persisted model, which only stores the token list.
+    Built vocabularies list their tokens in lexicographic order so that runs
+    are reproducible across platforms.
     """
 
-    token_to_index: dict[str, int]
-    total_counts: dict[str, int] | None = None
+    tokens: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.token_to_index)
+        return len(self.tokens)
 
-    @property
-    def tokens(self) -> list[str]:
-        """Tokens in index order."""
-        out = [""] * len(self.token_to_index)
-        for token, idx in self.token_to_index.items():
-            out[idx] = token
-        return out
+    @cached_property
+    def token_to_index(self) -> dict[str, int]:
+        return {token: i for i, token in enumerate(self.tokens)}
 
     def fingerprint(self) -> str:
         payload = "\n".join(self.tokens).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
-
-    @classmethod
-    def from_tokens(cls, tokens: list[str], total_counts: dict[str, int] | None = None) -> "Vocabulary":
-        return cls(token_to_index={t: i for i, t in enumerate(tokens)}, total_counts=total_counts)
 
 
 @dataclass(frozen=True)
@@ -265,16 +254,14 @@ def build_vocabulary(train: ReleaseDataset | list[ReleaseDataset]) -> Vocabulary
     if not any(ds.files for ds in releases):
         raise ValueError("cannot build a vocabulary from an empty training set")
     tokens, counts = _token_counts([ds.token_table for ds in releases])
+    if not tokens:
+        raise ValueError("the training releases hold no tokens, vocabulary would be empty")
     kept = np.flatnonzero(counts >= 2)
     if not kept.size:
         raise ValueError(
             "degenerate corpus: every token occurs exactly once, vocabulary would be empty"
         )
-    kept_tokens = [tokens[i] for i in kept]
-    return Vocabulary(
-        token_to_index={t: i for i, t in enumerate(kept_tokens)},
-        total_counts=dict(zip(kept_tokens, counts[kept].tolist())),
-    )
+    return Vocabulary(tuple(tokens[i] for i in kept))
 
 
 def _vocabulary_remap(table: TokenTable, vocab: Vocabulary) -> np.ndarray:

@@ -41,10 +41,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class IfaResult:
@@ -62,7 +58,6 @@ class MetricsReport:
     mcc: float
     recall_at_20pct_loc: float | None
     ifa: int | None
-    ifa_saturated: bool = False
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,6 @@ class StatTestResult:
     z_score: float
     effect_r: float
     magnitude: str
-    n: int
 
 
 def confusion_counts(predicted: set, truth: dict) -> ConfusionCounts:
@@ -215,7 +209,6 @@ def evaluate_ranking(
         mcc=mcc(c),
         recall_at_20pct_loc=recall_at_top_kloc(ranked, truth, file_probs, k_pct),
         ifa=None if ifa_result is None else ifa_result.value,
-        ifa_saturated=False if ifa_result is None else ifa_result.saturated,
     )
 
 
@@ -361,7 +354,7 @@ def wilcoxon_one_sided(
     else:
         p = float(ndtr(z))
     r = z / math.sqrt(n)
-    return StatTestResult(p_value=p, z_score=z, effect_r=r, magnitude=_effect_magnitude(r), n=n)
+    return StatTestResult(p_value=p, z_score=z, effect_r=r, magnitude=_effect_magnitude(r))
 
 
 def write_metrics_csv(path, setting: str, reports: Sequence[MetricsReport]) -> None:

@@ -225,7 +225,7 @@ def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
     if not isinstance(meta, dict) or not meta_keys <= meta.keys() <= meta_keys | _LEGACY_META_KEYS:
         raise ValueError(f"{path}: train_meta must hold the keys {sorted(meta_keys)}")
     try:
-        vocab = Vocabulary.from_tokens(doc["tokens"])
+        vocab = Vocabulary(tuple(doc["tokens"]))
         fingerprint = vocab.fingerprint()
         weights = np.asarray(doc["weights"], dtype=np.float64)
         bias = float(doc["bias"])
@@ -233,6 +233,8 @@ def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
         raise ValueError(f"{path}: malformed model document: {exc}") from exc
     if fingerprint != doc["vocab_fingerprint"]:
         raise ValueError(f"{path}: vocabulary hash does not match the stored token list")
+    if len(vocab.token_to_index) != len(vocab):
+        raise ValueError(f"{path}: the stored token list repeats a token")
     if weights.shape != (len(vocab),):
         raise ValueError(f"{path}: weight vector length does not match vocabulary size")
     model = LogisticModel(

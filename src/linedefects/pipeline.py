@@ -44,19 +44,10 @@ class RiskyTokenSet:
         positive.sort(key=lambda item: (-item[1], item[0]))
         return cls(tokens=tuple(positive[:k]))
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def token_set(self) -> set[str]:
-        return {token for token, _ in self.tokens}
-
-    def scores(self) -> dict[str, float]:
-        return dict(self.tokens)
-
 
 @dataclass(frozen=True)
 class RankedLine:
-    """One flagged line; ``global_rank`` stays 0 until the line is ranked."""
+    """One flagged line; a ranking's list order is its rank."""
 
     release_id: str
     file_path: str
@@ -64,7 +55,6 @@ class RankedLine:
     hit_count: int
     score_sum: float
     file_probability: float
-    global_rank: int = 0
 
 
 @dataclass
@@ -110,29 +100,23 @@ def flag_lines(
     ]
 
 
-def number_lines(ordered: Iterable[RankedLine]) -> list[RankedLine]:
-    """Assign global ranks 1..N in the given order."""
-    return [replace(line, global_rank=rank) for rank, line in enumerate(ordered, start=1)]
-
-
 def rank_lines_global(flagged: list[RankedLine]) -> list[RankedLine]:
     """Total order over all flagged lines of all predicted-defective files.
 
-    Keys: hit count desc, score sum desc, file probability desc, then
-    (path, line number) asc as the final deterministic tie break.
+    A line's rank is its 1-based position in the returned list. Keys: hit
+    count desc, score sum desc, file probability desc, then (path, line
+    number) asc as the final deterministic tie break.
     """
-    return number_lines(
-        sorted(
-            flagged,
-            key=lambda f: (
-                -f.hit_count,
-                -f.score_sum,
-                -f.file_probability,
-                f.release_id,
-                f.file_path,
-                f.line_number,
-            ),
-        )
+    return sorted(
+        flagged,
+        key=lambda f: (
+            -f.hit_count,
+            -f.score_sum,
+            -f.file_probability,
+            f.release_id,
+            f.file_path,
+            f.line_number,
+        ),
     )
 
 

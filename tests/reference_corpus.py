@@ -30,13 +30,12 @@ def build_vocabulary(training_files: list[SourceFile]) -> Vocabulary:
     counts: Counter[str] = Counter()
     for f in training_files:
         counts.update(token_stream(f))
+    if not counts:
+        raise ValueError("the training releases hold no tokens, vocabulary would be empty")
     kept = sorted(token for token, c in counts.items() if c >= 2)
     if not kept:
         raise ValueError("degenerate corpus: every token occurs exactly once, vocabulary would be empty")
-    return Vocabulary(
-        token_to_index={t: i for i, t in enumerate(kept)},
-        total_counts={t: counts[t] for t in kept},
-    )
+    return Vocabulary(tuple(kept))
 
 
 def vectorize(file: SourceFile, vocab: Vocabulary) -> FeatureVector:
@@ -73,10 +72,10 @@ def features_to_csr(features: list[FeatureVector]) -> sp.csr_matrix:
 
 def flag_lines(file: SourceFile, risky: RiskyTokenSet, file_probability: float = 1.0) -> list[RankedLine]:
     """Flag every line containing at least one risky token; score sums add in ascending token order."""
-    token_set = risky.token_set()
+    token_set = {token for token, _ in risky.tokens}
     if not token_set:
         return []
-    scores = risky.scores()
+    scores = dict(risky.tokens)
     flagged = []
     for line in file.lines:
         matched = set(tokenize(line.content)) & token_set

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import multiprocessing
 from dataclasses import asdict
 
 import pytest
 
-from linedefects.cli import main
+from linedefects.cli import _config_from_args, build_parser, main
+from linedefects.config import FIELD_TYPES, RunConfig
 from linedefects.corpus import write_dataset
 from linedefects.synthetic import make_release_series
 
@@ -88,6 +90,8 @@ class TestTrainPredict:
             assert rc == 0
             rows = read_csv(out)
             assert {r[-1] for r in rows[1:]} == {method}, method
+            assert len(rows) > 1, method
+            assert [r[0] for r in rows[1:]] == [str(i) for i in range(1, len(rows))], method
 
     def test_missing_train_release_is_data_error(self, dataset_paths, tmp_path, capsys):
         root, data, meta = dataset_paths
@@ -130,6 +134,13 @@ def _parent_format_1(doc):
     return {**doc, "train_meta": asdict(legacy)}
 
 
+def _repeated_token(doc):
+    """A document whose token list repeats its first token, with a matching hash and weight."""
+    tokens = doc["tokens"] + doc["tokens"][:1]
+    fingerprint = hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
+    return {**doc, "tokens": tokens, "weights": doc["weights"] + [0.0], "vocab_fingerprint": fingerprint}
+
+
 class TestModelDocument:
     @pytest.mark.parametrize(
         "edit, expected_rc",
@@ -140,6 +151,7 @@ class TestModelDocument:
             pytest.param(_train_meta(lambda meta: {k: v for k, v in meta.items() if k != "converged"}), 2,
                          id="missing-train-meta-key"),
             pytest.param(lambda doc: [doc], 2, id="top-level-list"),
+            pytest.param(_repeated_token, 2, id="repeated-token"),
             pytest.param(_parent_format_1, 0, id="parent-format-1"),
         ],
     )
@@ -428,9 +440,54 @@ class TestExitCodes:
             assert "lime_n must be >= 2" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_training_release_without_tokens_is_named_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(HEADER + b"".join(
+            b'r,A.java,%d,"%s",false,false\n' % (i, content)
+            for i, content in enumerate((b"{ }", b";", b"}", b"("), start=1)
+        ))
+        rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: the training releases hold no tokens, vocabulary would be empty\n"
+
     def test_bad_config_key_is_data_error(self, dataset_paths, tmp_path, capsys):
         root, data, meta = dataset_paths
         cfg = tmp_path / "run.cfg"
         cfg.write_text("unknown_key = 3\n")
         rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
         assert rc == 2
+
+
+class TestConfigFlags:
+    # a valid value unlike the default for every RunConfig field
+    VALUES = {
+        "seed": "7", "k_risky": "3", "lime_n": "11", "lime_sigma": "2.5", "lime_k_features": "13",
+        "entropy_threshold_within": "0.3", "entropy_threshold_cross": "0.4", "folds": "4", "repeats": "5",
+        "parallelism": "2",
+    }
+    REQUIRED = {
+        "predict": ["--dataset", "d.csv", "--release", "r", "--out", "o.csv"],
+        "evaluate": ["--dataset", "d.csv", "--setting", "within", "--out-dir", "o"],
+        "sensitivity": ["--dataset", "d.csv", "--target", "k_risky", "--train-release", "a",
+                        "--test-release", "b", "--out", "o.csv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_flags_map_one_to_one_onto_run_config_fields(self, command):
+        assert list(self.VALUES) == list(FIELD_TYPES)
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        flags = {
+            action.option_strings[0]: action.dest
+            for action in subparsers.choices[command]._actions
+            if action.dest in FIELD_TYPES
+        }
+        # one flag per field, named after it, except --workers for parallelism
+        assert flags == {
+            ("--workers" if name == "parallelism" else "--" + name.replace("_", "-")): name for name in FIELD_TYPES
+        }
+        argv = [command] + self.REQUIRED[command]
+        for flag, name in flags.items():
+            argv += [flag, self.VALUES[name]]
+        args = build_parser().parse_args(argv)
+        expected = RunConfig(**{name: kind(self.VALUES[name]) for name, kind in FIELD_TYPES.items()})
+        assert _config_from_args(args) == expected

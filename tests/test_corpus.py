@@ -51,7 +51,7 @@ class TestVocabulary:
         release = release_of_files("r", {"A.java": [("a a a b", False), ("c c", False)]})
         vocab = build_vocabulary(release)
         assert set(vocab.token_to_index) == {"a", "c"}
-        assert vocab.total_counts == {"a": 3, "c": 2}
+        assert vocab.tokens == ("a", "c")
 
     def test_single_file_pair(self):
         release = release_of_files("r", {"A.java": [("x x", False)]})
@@ -67,7 +67,7 @@ class TestVocabulary:
         release = release_of_files("r", {"A.java": [("zz zz mm mm aa aa", False)]})
         vocab = build_vocabulary(release)
         assert vocab.token_to_index == {"aa": 0, "mm": 1, "zz": 2}
-        assert vocab.tokens == ["aa", "mm", "zz"]
+        assert vocab.tokens == ("aa", "mm", "zz")
 
     def test_monotone_under_corpus_concatenation(self):
         # every token retained on either corpus alone stays retained on the union
@@ -94,19 +94,19 @@ class TestVocabulary:
 class TestVectorize:
     def test_counts(self):
         release = release_of_files("r", {"A.java": [("a c a", False)]})
-        vocab = Vocabulary.from_tokens(["a", "c"])
+        vocab = Vocabulary(("a", "c"))
         fv = FeatureVector.from_row(vectorize(release, vocab), 0)
         assert fv.entries == {0: 2, 1: 1}
         assert fv.dimension == 2
 
     def test_out_of_vocab_ignored(self):
         release = release_of_files("r", {"A.java": [("zz yy", False)]})
-        vocab = Vocabulary.from_tokens(["a"])
+        vocab = Vocabulary(("a",))
         assert vectorize(release, vocab).nnz == 0
 
     def test_empty_file(self):
         release = release_of_files("r", {"A.java": [("", False)]})
-        vocab = Vocabulary.from_tokens(["a"])
+        vocab = Vocabulary(("a",))
         assert vectorize(release, vocab).nnz == 0
 
     def test_total_equals_in_vocab_occurrences(self):

@@ -99,9 +99,8 @@ def ranked_of(keys, probs=None):
             hit_count=1,
             score_sum=0.0,
             file_probability=probs.get(path, 0.5),
-            global_rank=i,
         )
-        for i, (path, line) in enumerate(keys, start=1)
+        for path, line in keys
     ]
 
 

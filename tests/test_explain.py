@@ -45,7 +45,7 @@ def linear_model(weights, bias=0.0):
 
 
 def vocab_of(n):
-    return Vocabulary.from_tokens([f"tok{i:02d}" for i in range(n)])
+    return Vocabulary(tuple(f"tok{i:02d}" for i in range(n)))
 
 
 class TestGenerateNeighbors:

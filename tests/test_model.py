@@ -368,6 +368,6 @@ class TestPersistence:
         vocab = build_vocabulary(release)
         X = vectorize(release, vocab)
         model = train_logistic(X, [f.file_label for f in release.files], vocab=vocab)
-        other = Vocabulary.from_tokens(["alien"])
+        other = Vocabulary(("alien",))
         with pytest.raises(ValueError, match="fingerprint"):
             model.check_vocab(other)

@@ -135,7 +135,7 @@ class TestVocabularyAndVectors:
     @settings(max_examples=50, deadline=None)
     @given(releases())
     def test_vocabulary_out_of_token_order(self, release):
-        vocab = Vocabulary.from_tokens(["zz", "a", "node", "b", "missing"])
+        vocab = Vocabulary(("zz", "a", "node", "b", "missing"))
         assert_same_csr(vectorize(release, vocab), oracle_design(release.files, vocab))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -150,7 +150,7 @@ class TestVocabularyAndVectors:
 
     def test_feature_vector_from_row(self):
         release = release_of_files("r", {"A.java": [("b a b", False)], "B.java": [("zz", False)]})
-        X = vectorize(release, Vocabulary.from_tokens(["a", "b"]))
+        X = vectorize(release, Vocabulary(("a", "b")))
         assert FeatureVector.from_row(X, 0) == FeatureVector({0: 1, 1: 2}, 2)
         assert FeatureVector.from_row(X, 1) == FeatureVector({}, 2)
 
