@@ -33,5 +33,5 @@ print(f"  recall            {report.recall:.3f}")
 print(f"  false alarm rate  {report.far:.3f}")
 print(f"  distance to heaven{report.d2h: .3f}")
 print(f"  MCC               {report.mcc:.3f}")
-print(f"  recall@top20%LOC  {report.recall_at_20pct_loc:.3f}")
+print(f"  recall@top20%LOC  {report.recall_top20loc:.3f}")
 print(f"  initial false alarm {report.ifa}")

@@ -30,7 +30,7 @@ for result in results:
     fmt = lambda v: "  --- " if v is None else f"{v:7.3f}"
     print(
         f"{result.method:8}{fmt(rep.recall)}{fmt(rep.far)}{fmt(rep.d2h)}{fmt(rep.mcc)}"
-        f"{fmt(rep.recall_at_20pct_loc)} {rep.ifa if rep.ifa is not None else '---':>5} {len(result.ranked):>6}"
+        f"{fmt(rep.recall_top20loc)} {rep.ifa if rep.ifa is not None else '---':>5} {len(result.ranked):>6}"
     )
 
 print("\nTMI-LR's single global risky set (same for every file):")

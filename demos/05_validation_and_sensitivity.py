@@ -7,10 +7,13 @@ one-sided Wilcoxon signed-rank test and the r = Z/sqrt(n) effect size.
 Small budgets keep this demo quick; defaults are folds=10, repeats=10.
 """
 
-from linedefects.baselines import sensitivity_entropy_threshold
 from linedefects.config import RunConfig
-from linedefects.experiments import cross_release_eval, within_release_eval
-from linedefects.pipeline import sensitivity_k
+from linedefects.experiments import (
+    cross_release_eval,
+    sensitivity_entropy_threshold,
+    sensitivity_k,
+    within_release_eval,
+)
 from linedefects.synthetic import make_release_series
 
 releases = make_release_series(system="demo", n_releases=3, seed=11, n_files=30, n_defective=10)

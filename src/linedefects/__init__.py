@@ -40,7 +40,6 @@ from .pipeline import (
     rank_lines_global,
     run_linedp,
     select_risky_tokens,
-    sensitivity_k,
 )
 
 __version__ = "0.1.0"
@@ -77,3 +76,10 @@ __all__ = [
     "vectorize",
     "write_dataset",
 ]
+
+
+def __getattr__(name: str):
+    if name == "sensitivity_k":  # imported on first use: importing the pipeline or the baselines loads no protocol
+        from .experiments import sensitivity_k
+        return sensitivity_k
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

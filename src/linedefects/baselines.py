@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from .config import RunConfig
 from .corpus import (
     ReleaseDataset,
     TokenTable,
@@ -18,7 +19,6 @@ from .corpus import (
     tokenize,  # noqa: F401  (the benchmark's traced run counts calls through this name)
     vectorize,
 )
-from .evaluation import detection_rates, line_truth
 from .model import LogisticModel, standardized_coefficients
 from .pipeline import (
     MethodResult,
@@ -38,7 +38,6 @@ NGRAM_ORDER = 6
 # 1/(|V|+1) over the vocabulary plus an unknown-token symbol
 JM_ML_WEIGHT = 5.0 / 6.0
 CACHE_WEIGHT = 0.5
-ENTROPY_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
 
 # the texts the padding and line-sentinel ids stand for in string queries; no token contains either
 _STREAM_START = "\x02"
@@ -49,7 +48,7 @@ def random_baseline(
     test: ReleaseDataset,
     model: LogisticModel,
     vocab: Vocabulary,
-    k_risky: int = 20,
+    k_risky: int = RunConfig.k_risky,
     seed: int = 0,
 ) -> MethodResult:
     """Random scores in [-1, 1] instead of explanation scores; random final order.
@@ -79,7 +78,7 @@ def random_baseline(
 
 
 def global_risky_tokens(
-    train: ReleaseDataset | list[ReleaseDataset], vocab: Vocabulary, k_risky: int = 20
+    train: ReleaseDataset | list[ReleaseDataset], vocab: Vocabulary, k_risky: int = RunConfig.k_risky
 ) -> RiskyTokenSet:
     """One release-wide risky set: top tokens by positive standardized coefficient.
 
@@ -104,7 +103,7 @@ def tmi_lr_baseline(
     test: ReleaseDataset,
     model: LogisticModel,
     vocab: Vocabulary,
-    k_risky: int = 20,
+    k_risky: int = RunConfig.k_risky,
 ) -> MethodResult:
     """Apply one global standardized-coefficient risky set to every defect-prone file.
 
@@ -342,16 +341,6 @@ def line_entropies(model: NgramModel, release: ReleaseDataset, index: int) -> di
     return dict(zip(lines.tolist(), means.tolist()))
 
 
-def _scored_lines(train: ReleaseDataset | list[ReleaseDataset], test: ReleaseDataset) -> list[RankedLine]:
-    """Every tokenised test line with its mean entropy in ``score_sum``, unranked, in path order."""
-    model = NgramModel().fit(train)
-    return [
-        RankedLine(f.release_id, f.path, line_number, hit_count=0, score_sum=score, file_probability=0.0)
-        for i, f in sorted(enumerate(test.files), key=lambda item: item[1].path)
-        for line_number, score in line_entropies(model, test, i).items()
-    ]
-
-
 def ngram_entropy_baseline(
     train: ReleaseDataset | list[ReleaseDataset], test: ReleaseDataset, threshold: float
 ) -> MethodResult:
@@ -361,25 +350,12 @@ def ngram_entropy_baseline(
     scored; ranked rows carry the line's mean entropy in score_sum and a
     file probability of 0.
     """
-    flagged = [line for line in _scored_lines(train, test) if line.score_sum > threshold]
+    model = NgramModel().fit(train)
+    flagged = [
+        RankedLine(f.release_id, f.path, line_number, hit_count=0, score_sum=score, file_probability=0.0)
+        for i, f in enumerate(test.files)
+        for line_number, score in line_entropies(model, test, i).items()
+        if score > threshold
+    ]
     flagged.sort(key=lambda line: (-line.score_sum, line.file_path, line.line_number))
     return MethodResult(method="ngram", ranked=flagged, file_probabilities={})
-
-
-def sensitivity_entropy_threshold(
-    train: ReleaseDataset | list[ReleaseDataset],
-    test: ReleaseDataset,
-    thresholds: tuple[float, ...] = ENTROPY_THRESHOLD_GRID,
-) -> list[dict]:
-    """Recall / FAR / d2h of the entropy baseline per flag threshold.
-
-    Lines are scored once; raising the threshold only shrinks the flagged
-    set, so recall and FAR are non-increasing in the threshold.
-    """
-    scored = _scored_lines(train, test)
-    truth = line_truth(test)
-    rows = []
-    for threshold in thresholds:
-        predicted = {(line.file_path, line.line_number) for line in scored if line.score_sum > threshold}
-        rows.append({"threshold": threshold, **detection_rates(predicted, truth)})
-    return rows

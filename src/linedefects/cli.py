@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import baselines, experiments, miner, pipeline
+from . import experiments, miner, pipeline
 from .config import FIELD_TYPES, RunConfig, make_config
 from .corpus import defect_density, load_dataset, write_dataset
 from .evaluation import write_metrics_csv, write_stats_csv
@@ -177,11 +177,11 @@ def cmd_sensitivity(args) -> int:
     test = _pick_release(releases, args.test_release)
     config = _config_from_args(args)
     if args.target == "k_risky":
-        key, rows = "k", pipeline.sensitivity_k(train, test, config=config)
+        rows = experiments.sensitivity_k(train, test, config=config)
     else:
-        key, rows = "threshold", baselines.sensitivity_entropy_threshold(train, test)
-    columns = (key, "recall", "far", "d2h")
-    write_csv(args.out, columns, ([row[c] for c in columns] for row in rows))
+        rows = experiments.sensitivity_entropy_threshold(train, test)
+    # each row is the swept value, then recall, FAR and d2h; the default grids are never empty
+    write_csv(args.out, tuple(rows[0]), (row.values() for row in rows))
     print(f"{len(rows)} sensitivity rows; wrote {args.out}")
     return EXIT_OK
 

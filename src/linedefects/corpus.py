@@ -52,9 +52,6 @@ class SourceFile:
     lines: tuple[LineRecord, ...]
     file_label: bool
 
-    def defective_line_numbers(self) -> set[int]:
-        return {line.number for line in self.lines if line.is_defective}
-
 
 def _row_positions(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR row selection: the selected rows' new row pointer and the positions of their entries."""
@@ -177,15 +174,6 @@ class ReleaseDataset:
         # cached_property keeps its value in the instance dict: seeding it there means the subset never tokenises
         subset.__dict__["token_table"] = self.token_table.select(indices)
         return subset
-
-    def total_loc(self) -> int:
-        return sum(len(f.lines) for f in self.files)
-
-    def file_by_path(self, path: str) -> SourceFile:
-        for f in self.files:
-            if f.path == path:
-                return f
-        raise KeyError(path)
 
 
 @dataclass(frozen=True)

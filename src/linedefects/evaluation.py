@@ -15,13 +15,11 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtr
 
+from .config import RunConfig
 from .corpus import ReleaseDataset
 from .util import write_csv
 
-METRICS_CSV_COLUMNS = ("setting", "method", "unit_id", "recall", "far", "d2h", "mcc", "recall_top20loc", "ifa")
-STATS_CSV_COLUMNS = ("setting", "metric", "baseline", "pct_diff", "p_value", "effect_r", "magnitude")
-
-# metric name -> direction of the one-sided test when "ours" should be better
+# the six measures, in report and CSV order -> direction of the one-sided test when "ours" should be better
 METRIC_DIRECTIONS = {
     "recall": "greater",
     "far": "less",
@@ -30,6 +28,9 @@ METRIC_DIRECTIONS = {
     "recall_top20loc": "greater",
     "ifa": "less",
 }
+
+METRICS_CSV_COLUMNS = ("setting", "method", "unit_id", *METRIC_DIRECTIONS)
+STATS_CSV_COLUMNS = ("setting", "metric", "baseline", "pct_diff", "p_value", "effect_r", "magnitude")
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,15 @@ class ConfusionCounts:
 
 @dataclass
 class MetricsReport:
+    """One method's six measures on one test unit; the measure fields are ``METRIC_DIRECTIONS``, in its order."""
+
     method: str
     unit_id: str
     recall: float | None
     far: float | None
     d2h: float | None
     mcc: float
-    recall_at_20pct_loc: float | None
+    recall_top20loc: float | None
     ifa: int | None
 
 
@@ -101,9 +104,8 @@ def d2h(recall_value: float | None, far_value: float | None) -> float | None:
     return math.sqrt(((1.0 - recall_value) ** 2 + (0.0 - far_value) ** 2) / 2.0)
 
 
-def detection_rates(predicted: set, truth: dict) -> dict[str, float | None]:
-    """Recall, FAR and d2h of a predicted-defective line set over the full line universe."""
-    c = confusion_counts(predicted, truth)
+def detection_rates(c: ConfusionCounts) -> dict[str, float | None]:
+    """Recall, FAR and d2h of one set of confusion counts."""
     r, f = recall(c), far(c)
     return {"recall": r, "far": f, "d2h": d2h(r, f)}
 
@@ -185,22 +187,17 @@ def evaluate_ranking(
     ranked: Sequence,
     test: ReleaseDataset,
     file_probs: dict[str, float] | None = None,
-    k_pct: float = 20.0,
 ) -> MetricsReport:
     """All six measures for one method run on one test release."""
     truth = line_truth(test)
     predicted = set(_ranking_keys(ranked))
     c = confusion_counts(predicted, truth)
-    r = recall(c)
-    f = far(c)
     return MetricsReport(
         method=method,
         unit_id=unit_id,
-        recall=r,
-        far=f,
-        d2h=d2h(r, f),
+        **detection_rates(c),
         mcc=mcc(c),
-        recall_at_20pct_loc=recall_at_top_kloc(ranked, truth, file_probs, k_pct),
+        recall_top20loc=recall_at_top_kloc(ranked, truth, file_probs),
         ifa=ifa(ranked, truth),
     )
 
@@ -214,7 +211,7 @@ class FoldSplit:
 
 
 def stratified_kfold(
-    labels: Sequence[bool], folds: int = 10, repeats: int = 10, seed: int = 0
+    labels: Sequence[bool], folds: int = RunConfig.folds, repeats: int = RunConfig.repeats, seed: int = 0
 ) -> list[FoldSplit]:
     """Repeated stratified k-fold assignments over file indices.
 
@@ -352,8 +349,7 @@ def wilcoxon_one_sided(
 
 def write_metrics_csv(path, setting: str, reports: Sequence[MetricsReport]) -> None:
     rows = (
-        (setting, rep.method, rep.unit_id, rep.recall, rep.far, rep.d2h, rep.mcc, rep.recall_at_20pct_loc,
-         rep.ifa)
+        (setting, rep.method, rep.unit_id, *(getattr(rep, metric) for metric in METRIC_DIRECTIONS))
         for rep in reports
     )
     write_csv(path, METRICS_CSV_COLUMNS, rows)

@@ -1,5 +1,6 @@
 """Experiment protocols: within-release repeated stratified CV, cross-release
-consecutive pairs, and the paired statistical comparison against baselines."""
+consecutive pairs, the paired statistical comparison against baselines, and
+the sensitivity sweeps of the risky-token budget and the entropy threshold."""
 
 from __future__ import annotations
 
@@ -13,14 +14,17 @@ from .evaluation import (
     METRIC_DIRECTIONS,
     FoldSplit,
     MetricsReport,
+    confusion_counts,
     cross_release_pairs,
+    detection_rates,
     evaluate_ranking,
+    line_truth,
     performance_diff,
     stratified_kfold,
     wilcoxon_one_sided,
 )
 from .model import LogisticModel
-from .pipeline import MethodResult, identify_lines, train_file_model
+from .pipeline import MethodResult, RankedLine, RiskyTokenSet, flag_lines, identify_lines, run_linedp, train_file_model
 from .util import derive_seed, pool_map, pool_workers
 
 # method -> the inputs it needs besides the test release: the file-level model, a training release
@@ -31,6 +35,9 @@ METHOD_INPUTS = {
     "ngram": ("train",),
 }
 ALL_METHODS = tuple(METHOD_INPUTS)
+
+DEFAULT_K_GRID = (10, 20, 30, 40, 50, 100, 150, 200)
+ENTROPY_THRESHOLD_GRID = tuple(round(0.1 * i, 1) for i in range(1, 21))
 
 # method -> metric -> group (release or pair index) -> the group's defined values
 _Observed = dict[str, dict[str, dict[int, list[float]]]]
@@ -126,17 +133,6 @@ def _build_token_tables(releases: list[ReleaseDataset]) -> None:
         release.token_table
 
 
-def _metric_values(rep: MetricsReport) -> dict[str, float | None]:
-    return {
-        "recall": rep.recall,
-        "far": rep.far,
-        "d2h": rep.d2h,
-        "mcc": rep.mcc,
-        "recall_top20loc": rep.recall_at_20pct_loc,
-        "ifa": None if rep.ifa is None else float(rep.ifa),
-    }
-
-
 def _evaluate(
     unit_reports: Callable,
     tasks: Sequence,
@@ -163,7 +159,8 @@ def _evaluate(
     for group, unit in zip(groups, pool_map(unit_reports, tasks, (data, methods, inner), workers)):
         for rep in unit:
             reports.append(rep)
-            for metric, value in _metric_values(rep).items():
+            for metric in METRIC_DIRECTIONS:
+                value = getattr(rep, metric)
                 if value is not None:
                     observed[rep.method][metric].setdefault(group, []).append(value)
     return EvaluationOutput(reports=reports, stats=_compare_methods(observed, methods, setting))
@@ -210,6 +207,8 @@ def cross_release_eval(
     tests a whole release, so its explain pool can use workers that the
     pairs would leave idle.
     """
+    if len(releases) < 2:
+        raise ValueError(f"cross-release evaluation needs at least two releases, got {len(releases)}")
     pairs = cross_release_pairs(releases)
     _build_token_tables(releases)
     tasks = range(len(pairs))
@@ -250,3 +249,58 @@ def _compare_methods(observed: _Observed, methods: tuple[str, ...], setting: str
                 }
             )
     return rows
+
+
+def _sweep(key: str, grid: Sequence, flagged_at: Callable, test: ReleaseDataset) -> list[dict]:
+    """One row per grid value: the value under ``key``, then recall, FAR and d2h of the lines ``flagged_at(value)``."""
+    truth = line_truth(test)
+    rows = []
+    for value in grid:
+        predicted = {(line.file_path, line.line_number) for line in flagged_at(value)}
+        rows.append({key: value, **detection_rates(confusion_counts(predicted, truth))})
+    return rows
+
+
+def sensitivity_k(
+    train: ReleaseDataset | list[ReleaseDataset],
+    test: ReleaseDataset,
+    k_grid: tuple[int, ...] = DEFAULT_K_GRID,
+    config: RunConfig = RunConfig(),
+) -> list[dict]:
+    """Recall / FAR / d2h per risky-token budget k.
+
+    The lines are identified once, with the largest k and a feature budget
+    covering the whole grid; each k then flags with the first k of every
+    file's risky tokens, which is the risky set a run at that k selects.
+    Nested risky sets make recall and FAR non-decreasing in k.
+    """
+    if not k_grid or min(k_grid) < 1:
+        raise ValueError("k_grid must be nonempty with positive entries")
+    widest = replace(config, k_risky=max(k_grid), lime_k_features=max(config.lime_k_features, max(k_grid)))
+    risky = run_linedp(train, test, widest).risky_tokens
+
+    def flagged_at(k: int) -> list[RankedLine]:
+        return [
+            line
+            for i, file in enumerate(test.files)
+            if file.path in risky
+            for line in flag_lines(test, i, RiskyTokenSet(risky[file.path].tokens[:k]))
+        ]
+
+    return _sweep("k", k_grid, flagged_at, test)
+
+
+def sensitivity_entropy_threshold(
+    train: ReleaseDataset | list[ReleaseDataset],
+    test: ReleaseDataset,
+    thresholds: tuple[float, ...] = ENTROPY_THRESHOLD_GRID,
+) -> list[dict]:
+    """Recall / FAR / d2h of the entropy baseline per flag threshold.
+
+    The baseline runs once, at the lowest threshold; each threshold then
+    keeps the lines scored above it, which is the set a run at that
+    threshold flags. Raising the threshold only shrinks the flagged set, so
+    recall and FAR are non-increasing in the threshold.
+    """
+    scored = ngram_entropy_baseline(train, test, min(thresholds, default=0.0)).ranked
+    return _sweep("threshold", thresholds, lambda t: (line for line in scored if line.score_sum > t), test)

@@ -16,12 +16,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
+from .config import RunConfig
 from .corpus import FeatureVector, Vocabulary
 from .model import LogisticModel
-
-DEFAULT_NEIGHBORS = 5000
-DEFAULT_KERNEL_WIDTH = 25.0
-DEFAULT_K_FEATURES = 100
 
 _LASSO_GRID_POINTS = 100
 _LASSO_GRID_DECAY = 1e-4
@@ -245,9 +242,9 @@ def explain(
     model: LogisticModel,
     x: FeatureVector,
     vocab: Vocabulary,
-    n: int = DEFAULT_NEIGHBORS,
-    k: int = DEFAULT_K_FEATURES,
-    kernel_width: float = DEFAULT_KERNEL_WIDTH,
+    n: int = RunConfig.lime_n,
+    k: int = RunConfig.lime_k_features,
+    kernel_width: float = RunConfig.lime_sigma,
     seed: int = 0,
 ) -> Explanation:
     """Explain one file's prediction; deterministic given the seed."""

@@ -8,7 +8,7 @@ contains a risky token, and rank all flagged lines globally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -23,12 +23,9 @@ from .corpus import (
     tokenize,  # noqa: F401  (the benchmark's traced run counts calls through this name)
     vectorize,
 )
-from .evaluation import detection_rates, line_truth
 from .explain import Explanation, explain
 from .model import LogisticModel, predict_proba, train_logistic
 from .util import derive_seed, pool_map, pool_workers
-
-DEFAULT_K_GRID = (10, 20, 30, 40, 50, 100, 150, 200)
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,7 @@ class MethodResult:
     risky_tokens: dict[str, RiskyTokenSet] | None = None
 
 
-def select_risky_tokens(expl: Explanation, k_risky: int = 20) -> RiskyTokenSet:
+def select_risky_tokens(expl: Explanation, k_risky: int = RunConfig.k_risky) -> RiskyTokenSet:
     """Keep the k largest strictly positive scores; ties break on token text."""
     return RiskyTokenSet.top_positive(expl.scores.items(), k_risky)
 
@@ -214,34 +211,3 @@ def run_linedp(
     """The whole framework end to end; deterministic given config.seed."""
     model, vocab = train_file_model(train)
     return identify_lines(model, vocab, test, config)
-
-
-def sensitivity_k(
-    train: ReleaseDataset | list[ReleaseDataset],
-    test: ReleaseDataset,
-    k_grid: tuple[int, ...] = DEFAULT_K_GRID,
-    config: RunConfig = RunConfig(),
-) -> list[dict]:
-    """Recall / FAR / d2h per risky-token budget k.
-
-    The lines are identified once, with the largest k and a feature budget
-    covering the whole grid; each k then flags with the first k of every
-    file's risky tokens, which is the risky set a run at that k selects.
-    Nested risky sets make recall and FAR non-decreasing in k.
-    """
-    if not k_grid or min(k_grid) < 1:
-        raise ValueError("k_grid must be nonempty with positive entries")
-    widest = replace(config, k_risky=max(k_grid), lime_k_features=max(config.lime_k_features, max(k_grid)))
-    model, vocab = train_file_model(train)
-    risky = identify_lines(model, vocab, test, widest).risky_tokens
-    truth = line_truth(test)
-    rows = []
-    for k in k_grid:
-        predicted = {
-            (line.file_path, line.line_number)
-            for i, file in enumerate(test.files)
-            if file.path in risky
-            for line in flag_lines(test, i, RiskyTokenSet(risky[file.path].tokens[:k]))
-        }
-        rows.append({"k": k, **detection_rates(predicted, truth)})
-    return rows

@@ -32,6 +32,15 @@ def release_of_files(release_id: str, files: dict[str, list[tuple[str, bool]]], 
     )
 
 
+def file_at(release: ReleaseDataset, path: str) -> SourceFile:
+    """The file of ``release`` at ``path``."""
+    return next(f for f in release.files if f.path == path)
+
+
+def defective_line_numbers(f: SourceFile) -> set[int]:
+    return {line.number for line in f.lines if line.is_defective}
+
+
 def unseen_token_pair() -> tuple[ReleaseDataset, ReleaseDataset]:
     """(train, test) where the test file X.java has no in-vocabulary token.
 

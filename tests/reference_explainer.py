@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from linedefects.config import RunConfig
 from linedefects.corpus import FeatureVector
 from linedefects.explain import (
     _LASSO_GRID_DECAY,
     _LASSO_GRID_POINTS,
     _RIDGE_REFIT,
-    DEFAULT_KERNEL_WIDTH,
     _k_lasso_arrays,
     _neighbor_masks,
     active_token_indices,
@@ -103,7 +103,7 @@ def k_lasso(samples: list[NeighborSample], k: int, feature_names: list[str] | No
 
 
 def predict_neighbors(
-    model: LogisticModel, samples: list[NeighborSample], kernel_width: float = DEFAULT_KERNEL_WIDTH
+    model: LogisticModel, samples: list[NeighborSample], kernel_width: float = RunConfig.lime_sigma
 ) -> list[NeighborSample]:
     """Label neighbor samples with model predictions and kernel weights in place."""
     if not samples:

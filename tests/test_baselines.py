@@ -14,16 +14,16 @@ from linedefects.baselines import (
     line_entropies,
     ngram_entropy_baseline,
     random_baseline,
-    sensitivity_entropy_threshold,
     tmi_lr_baseline,
 )
 from linedefects.config import RunConfig
 from linedefects.corpus import FeatureVector, Vocabulary
+from linedefects.experiments import sensitivity_entropy_threshold
 from linedefects.model import LogisticModel, TrainMeta
 from linedefects.pipeline import train_file_model
 from linedefects.synthetic import PLANTED_TOKENS
 
-from conftest import release_of_files
+from conftest import file_at, release_of_files
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ class TestTmiLrBaseline:
         from linedefects.corpus import tokenize
 
         for r in result.ranked:
-            content = test.file_by_path(r.file_path).lines[r.line_number - 1].content
+            content = file_at(test, r.file_path).lines[r.line_number - 1].content
             assert set(tokenize(content)) & global_set
 
     def test_all_negative_coefficients_flag_nothing(self):

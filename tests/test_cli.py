@@ -215,6 +215,15 @@ class TestEvaluate:
         assert not out_dir.exists()
 
 
+    def test_cross_setting_with_one_release_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        write_dataset([release_of_files("r1", {"A.java": [("bug", True)], "B.java": [("calm", False)]})], data)
+        out_dir = tmp_path / "cross"
+        rc = main(["evaluate", "--dataset", str(data), "--setting", "cross", "--out-dir", str(out_dir)] + FAST_FLAGS)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: cross-release evaluation needs at least two releases, got 1\n"
+        assert not out_dir.exists()
+
 @pytest.fixture(scope="module")
 def three_release_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-three")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,10 @@ from hypothesis import given, strategies as st
 
 import linedefects
 from linedefects.evaluation import (
+    METRIC_DIRECTIONS,
+    METRICS_CSV_COLUMNS,
     ConfusionCounts,
+    MetricsReport,
     average_ranks,
     confusion_counts,
     cross_release_pairs,
@@ -102,6 +106,13 @@ def ranked_of(keys, probs=None):
         )
         for path, line in keys
     ]
+
+
+class TestMeasureNames:
+    def test_report_fields_and_csv_columns_are_the_metric_list(self):
+        measures = tuple(field.name for field in fields(MetricsReport))[2:]
+        assert measures == tuple(METRIC_DIRECTIONS)
+        assert METRICS_CSV_COLUMNS[3:] == tuple(METRIC_DIRECTIONS)
 
 
 class TestEffortMeasures:
@@ -339,3 +350,10 @@ class TestAverageRanks:
         env = {**os.environ, "PYTHONPATH": str(Path(linedefects.__file__).resolve().parents[1])}
         out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env)
         assert out.stdout.strip() == "False"
+
+
+def test_importing_the_pipeline_and_baselines_leaves_evaluation_unloaded():
+    code = "import sys, linedefects.pipeline, linedefects.baselines; print('linedefects.evaluation' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(linedefects.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env)
+    assert out.stdout.strip() == "False"

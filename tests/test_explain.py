@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from linedefects.config import RunConfig
 from linedefects.corpus import FeatureVector, Vocabulary, vectorize
 from linedefects.explain import (
-    DEFAULT_KERNEL_WIDTH,
     _LASSO_GRID_DECAY,
     _LASSO_GRID_POINTS,
     _MIN_DIAG,
@@ -249,7 +248,7 @@ class TestExplain:
         # which the lasso would otherwise turn into tiny risky (positive) scores
         model = linear_model(np.full(50, 2.0), bias=40.0)
         x = FeatureVector({i: 1 for i in range(50)}, 50)
-        masks, probs, weights = _surrogate_data(model, x, list(range(50)), 5000, DEFAULT_KERNEL_WIDTH, 0)
+        masks, probs, weights = _surrogate_data(model, x, list(range(50)), 5000, RunConfig.lime_sigma, 0)
         assert np.all(probs == 1.0 - 1e-12)
         assert _k_lasso_arrays(masks, probs, weights, 100) == ({}, 0.0)
         expl = explain(model, x, vocab_of(50), n=5000, k=100, seed=0)
@@ -297,6 +296,59 @@ class TestNeighborMasks:
         np.testing.assert_array_equal(fast, slow)
         assert fast[1:].sum(axis=1).tolist() == [2, 3, 1]
 
+
+
+class TestLimeDepartures:
+    """This explainer's side of each departure from LIME's text explainer that README's "The surrogate" lists."""
+
+    @staticmethod
+    def neighbors(d: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Masks and kernel weights of 2000 neighbors of a file with d distinct tokens."""
+        x = FeatureVector({i: 1 for i in range(d)}, d)
+        masks, _, weights = _surrogate_data(linear_model(np.zeros(d)), x, list(range(d)), 2000, sigma, 0)
+        return masks, weights
+
+    def test_kernel_distance_is_the_unscaled_cosine_distance(self):
+        # the farthest neighbor keeps 1 of 8 tokens: distance 1 - sqrt(1/8), where LIME's x100 would give 0 weight
+        _, weights = self.neighbors(8, sigma=1.0)
+        assert weights.min() == pytest.approx(math.exp(-((1.0 - math.sqrt(1 / 8)) ** 2)), rel=1e-12)
+
+    def test_kernel_is_exp_without_square_root(self):
+        masks, weights = self.neighbors(8, sigma=0.5)
+        distance = 1.0 - np.sqrt(masks.mean(axis=1))
+        np.testing.assert_allclose(weights, np.exp(-(distance**2) / 0.5**2), rtol=1e-12)
+        assert not np.allclose(weights, np.sqrt(np.exp(-(distance**2) / 0.5**2)))
+
+    def test_neighbors_remove_zero_to_d_minus_one_tokens(self):
+        # LIME removes 1..D words, so one of its neighbors in D is the empty document
+        d = 5
+        masks = _neighbor_masks(5000, d, np.random.default_rng(0))
+        assert set((d - masks[1:].sum(axis=1)).tolist()) == set(range(d))
+
+    def test_selection_follows_the_lasso_path_not_the_largest_weights(self):
+        # b nearly copies a and cancels most of its effect: a has the largest coefficient of the full fit,
+        # which LIME's highest_weights keeps, but c is the most correlated with the response and enters first
+        rng = np.random.default_rng(0)
+        a = rng.random(400) < 0.5
+        b = a ^ (rng.random(400) < 0.1)
+        c = rng.random(400) < 0.5
+        masks = np.column_stack([a, b, c])
+        masks[0] = True
+        X = masks.astype(float)
+        y = 0.1 + 1.0 * X[:, 0] - 0.9 * X[:, 1] + 0.5 * X[:, 2]
+        full = np.linalg.lstsq(X - X.mean(axis=0), y - y.mean(), rcond=None)[0]
+        assert int(np.argmax(np.abs(full))) == 0
+        coefs, _ = _k_lasso_arrays(masks, y, np.ones(400), 1)
+        assert set(coefs) == {2}
+
+    def test_refit_ridge_is_tiny(self):
+        # LIME's Ridge(alpha=1) would shrink the coefficient to 0.4 * G / (G + 1), 0.36 at this G of 8.8
+        rng = np.random.default_rng(0)
+        masks = rng.random((40, 4)) < 0.5
+        masks[0] = True
+        y = 0.3 + 0.4 * masks[:, 2]
+        coefs, _ = _k_lasso_arrays(masks, y, np.ones(40), 1)
+        assert coefs == pytest.approx({2: 0.4}, abs=1e-6)
 
 def path_selection(masks, y, weights, k):
     """Phase 1 of ``_k_lasso_arrays`` on its own: (G, c, grid, beta, lam), or None without signal."""

@@ -16,7 +16,7 @@ from linedefects.miner import (
     load_issue_keys,
 )
 
-from conftest import release_of_files
+from conftest import defective_line_numbers, file_at, release_of_files
 
 
 def commit(commit_id, message, changes=()):
@@ -72,10 +72,10 @@ class TestLabelDefectiveLines:
         commits = [commit("c1", "AMQ-1", [change("src/F.java", (10, "line number 10;"))])]
         labeled, unresolved = label_defective_lines(snapshot(), commits)
         assert unresolved == 0
-        f = labeled.file_by_path("src/F.java")
-        assert f.defective_line_numbers() == {10}
+        f = file_at(labeled, "src/F.java")
+        assert defective_line_numbers(f) == {10}
         assert f.file_label
-        assert not labeled.file_by_path("src/G.java").file_label
+        assert not file_at(labeled, "src/G.java").file_label
 
     def test_adds_only_commit_contributes_nothing(self):
         commits = [commit("c1", "AMQ-1", [FileChange(path="src/F.java", removed=())])]
@@ -92,7 +92,7 @@ class TestLabelDefectiveLines:
         commits = [commit("c1", "AMQ-1", [change("src/F.java", (14, "line number 10;"))])]
         labeled, unresolved = label_defective_lines(snapshot(), commits)
         assert unresolved == 0
-        assert labeled.file_by_path("src/F.java").defective_line_numbers() == {10}
+        assert defective_line_numbers(file_at(labeled, "src/F.java")) == {10}
 
     def test_drift_beyond_window_dropped_with_count(self):
         commits = [commit("c1", "AMQ-1", [change("src/G.java", (60, "alpha;"))])]
@@ -112,7 +112,7 @@ class TestLabelDefectiveLines:
         )
         commits = [commit("c1", "K-1", [change("A.java", (4, "dup;"))])]
         labeled, _ = label_defective_lines(release, commits)
-        assert labeled.file_by_path("A.java").defective_line_numbers() == {3}
+        assert defective_line_numbers(file_at(labeled, "A.java")) == {3}
 
     def test_union_over_commits(self):
         commits = [
@@ -123,7 +123,7 @@ class TestLabelDefectiveLines:
         issues = IssueKeySet(bug_ids=frozenset({"AMQ-1", "AMQ-2"}))
         bugfix = find_bugfix_commits(commits, issues)
         labeled, _ = label_defective_lines(snapshot(), bugfix)
-        assert labeled.file_by_path("src/F.java").defective_line_numbers() == {2, 5}
+        assert defective_line_numbers(file_at(labeled, "src/F.java")) == {2, 5}
 
 
 class TestExportAndParsing:

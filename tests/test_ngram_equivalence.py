@@ -16,10 +16,10 @@ from linedefects.baselines import (
     NGRAM_ORDER,
     NgramModel,
     line_entropies,
-    sensitivity_entropy_threshold,
 )
 from linedefects.config import RunConfig
 from linedefects.evaluation import stratified_kfold
+from linedefects.experiments import sensitivity_entropy_threshold
 from linedefects.synthetic import make_release_series
 from linedefects.util import derive_seed
 

@@ -5,6 +5,7 @@ import pytest
 
 from linedefects.corpus import tokenize
 from linedefects.evaluation import evaluate_ranking
+from linedefects.experiments import sensitivity_k
 from linedefects.explain import Explanation
 from linedefects.pipeline import (
     RankedLine,
@@ -13,11 +14,10 @@ from linedefects.pipeline import (
     rank_lines_global,
     run_linedp,
     select_risky_tokens,
-    sensitivity_k,
 )
 from linedefects.synthetic import PLANTED_TOKENS
 
-from conftest import release_of_files, unseen_token_pair
+from conftest import file_at, release_of_files, unseen_token_pair
 
 
 def explanation_of(scores: dict[str, float]) -> Explanation:
@@ -140,7 +140,7 @@ class TestRunPipeline:
         with_planted = sum(
             1
             for r in top
-            if set(tokenize(test.file_by_path(r.file_path).lines[r.line_number - 1].content))
+            if set(tokenize(file_at(test, r.file_path).lines[r.line_number - 1].content))
             & set(PLANTED_TOKENS)
         )
         assert with_planted / len(top) >= 0.8
@@ -158,7 +158,7 @@ class TestRunPipeline:
         result = run_linedp(train, test, fast_config)
         for r in result.ranked:
             risky = {t for t, _ in result.risky_tokens[r.file_path].tokens}
-            content = test.file_by_path(r.file_path).lines[r.line_number - 1].content
+            content = file_at(test, r.file_path).lines[r.line_number - 1].content
             assert set(tokenize(content)) & risky
 
     def test_parallel_matches_sequential(self, small_planted_pair, fast_config):
