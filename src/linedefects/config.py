@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -25,8 +26,8 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         for name in ("lime_sigma", "entropy_threshold_within", "entropy_threshold_cross"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.lime_n < 2:
             raise ValueError("lime_n must be >= 2: the surrogate needs at least two neighbor samples")
         if self.lime_k_features < self.k_risky:

@@ -10,10 +10,12 @@ to the prediction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 from .config import RunConfig
@@ -59,14 +61,22 @@ def _neighbor_masks(n: int, n_active: int, rng: np.random.Generator) -> np.ndarr
     m = rng.integers(0, n_active, size=n - 1)
     noise = rng.random((n - 1, n_active))
     kth = np.take_along_axis(np.sort(noise, axis=1), m[:, None], axis=1)
-    keep = noise >= kth
+    keep = masks[1:]
+    np.greater_equal(noise, kth, out=keep)
     # a tie at the threshold keeps one token too many; rank those rows instead
     tied = np.flatnonzero(keep.sum(axis=1) != n_active - m)
     if tied.size:
         ranks = noise[tied].argsort(axis=1).argsort(axis=1)
         keep[tied] = ranks >= m[tied, None]
-    masks[1:] = keep
     return masks
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of a for ``dpotrs``; the same LAPACK call ``scipy.linalg.cho_factor`` makes."""
+    factor, info = dpotrf(a, lower=0, clean=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return factor
 
 
 def _lasso_select(
@@ -86,84 +96,101 @@ def _lasso_select(
     entry would make G_AA singular (it lies in the span of the active
     columns), so G_AA stays positive definite. A column that has just left
     may not re-enter on the boundary it left by at the same breakpoint.
+
+    The active set lives in preallocated buffers: ``active[:m]`` and
+    ``signs[:m]`` in entry order, and ``G_rows[:m]``, whose row t is the
+    column of G at ``active[t]``. So no breakpoint gathers a D x m copy of G,
+    and ``G_rows[:m].T`` has the column-major layout of ``G[:, active]``,
+    which makes BLAS sum ``G_A @ u`` in the same order.
     """
     d = c.size
     diag = G.diagonal()
-    can_enter = diag > _MIN_DIAG
-    active: list[int] = []
-    signs: list[float] = []
+    # columns that may enter now: a large enough variance and not active
+    free = diag > _MIN_DIAG
+    active = np.empty(d, dtype=np.intp)
+    signs = np.empty(d)
+    G_rows = np.empty((d, d))
+    m = 0
     lam = float(grid[0])
     g = 0
-    beta = np.zeros(d)
     dropped, dropped_sign = -1, 0.0
     max_steps = _MAX_PATH_STEPS_PER_COLUMN * d
-    for step in range(max_steps + 1):
-        idx = np.array(active, dtype=np.intp)
-        s = np.array(signs)
-        if active:
-            factor = cho_factor(G[np.ix_(idx, idx)], check_finite=False)
-            u, v = cho_solve(factor, np.column_stack([c[idx], s]), check_finite=False).T
-            G_A = G[:, idx]
-            a = c - G_A @ u
-            e = G_A @ v
-        else:
-            u = v = s
-            a, e = c, np.zeros(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(max_steps + 1):
+            idx, s = active[:m], signs[:m]
+            if m:
+                G_A = G_rows[:m].T
+                factor = _cholesky(G_A[idx])
+                u, v = dpotrs(factor, np.column_stack((c[idx], s)))[0].T
+                a = c - G_A @ u
+                e = G_A @ v
+            else:
+                u = v = s
+                a, e = c, np.zeros(d)
 
-        # Leaving: b_i(lam) = u_i - lam * v_i reaches zero while heading towards it.
-        drop_lam, drop_i = 0.0, -1
-        heading = s * v < 0
-        if heading.any():
-            roots = np.where(heading, u / np.where(heading, v, 1.0), 0.0)
-            i = int(np.argmax(roots))
-            if roots[i] > 0:
-                drop_lam, drop_i = min(float(roots[i]), lam), i
-        # Entering: r_j(lam) = a_j + lam * e_j reaches +-lam at a positive root
-        # and stays outside below it, which needs a_j = r_j(0) beyond that side.
-        free = can_enter.copy()
-        free[idx] = False
-        with np.errstate(divide="ignore", invalid="ignore"):
+            # Leaving: b_i(lam) = u_i - lam * v_i reaches zero while heading towards it.
+            drop_lam, drop_i = 0.0, -1
+            heading = s * v < 0
+            if heading.any():
+                roots = np.where(heading, u / np.where(heading, v, 1.0), 0.0)
+                i = int(np.argmax(roots))
+                if roots[i] > 0:
+                    drop_lam, drop_i = min(float(roots[i]), lam), i
+            # Entering: r_j(lam) = a_j + lam * e_j reaches +-lam at a positive root
+            # and stays outside below it, which needs a_j = r_j(0) beyond that side.
             up = np.where(free & (a > 0), a / (1.0 - e), 0.0)
             down = np.where(free & (a < 0), -a / (1.0 + e), 0.0)
-        if dropped >= 0:
-            # it sits on its old boundary; only the opposite one is a future event
-            (up if dropped_sign > 0 else down)[dropped] = 0.0
-        join = np.minimum(np.maximum(up, down), lam)
-        join_lam, join_j = 0.0, -1
-        while True:
-            j = int(np.argmax(join))
-            if join[j] <= drop_lam:
+            if dropped >= 0:
+                # it sits on its old boundary; only the opposite one is a future event
+                (up if dropped_sign > 0 else down)[dropped] = 0.0
+            join = np.minimum(np.maximum(up, down), lam)
+            join_lam, join_j = 0.0, -1
+            while True:
+                j = int(np.argmax(join))
+                if join[j] <= drop_lam:
+                    break
+                if m:
+                    G_Aj = G[idx, j]
+                    w = dpotrs(factor, G_Aj)[0]
+                    if diag[j] - G_Aj @ w <= _SINGULAR_SCHUR * diag[j]:
+                        join[j] = 0.0
+                        continue
+                join_lam, join_j = float(join[j]), j
                 break
-            if active:
-                w = cho_solve(factor, G[idx, j], check_finite=False)
-                if diag[j] - G[idx, j] @ w <= _SINGULAR_SCHUR * diag[j]:
-                    join[j] = 0.0
-                    continue
-            join_lam, join_j = float(join[j]), j
-            break
-        # past the step bound, the current segment serves the remaining grid
-        next_lam = 0.0 if step == max_steps else max(join_lam, drop_lam)
+            # past the step bound, the current segment serves the remaining grid
+            next_lam = 0.0 if step == max_steps else max(join_lam, drop_lam)
 
-        # grid points in (next_lam, lam]; closed below while the solution is zero
-        while g < grid.size and (grid[g] > next_lam or (not active and grid[g] >= next_lam)):
-            beta = np.zeros(d)
-            if active:
-                beta[idx] = u - grid[g] * v
-            if np.count_nonzero(beta) >= target:
-                return beta, float(grid[g])
-            g += 1
-        if g == grid.size:
-            break
+            # grid points in (next_lam, lam]; closed below while the solution is zero
+            while g < grid.size and (grid[g] > next_lam or (not m and grid[g] >= next_lam)):
+                if np.count_nonzero(u - grid[g] * v) >= target:
+                    return _scatter(d, idx, u - grid[g] * v), float(grid[g])
+                g += 1
+            if g == grid.size:
+                break
 
-        lam = next_lam
-        dropped = -1
-        if join_j < 0:
-            dropped = active.pop(drop_i)
-            dropped_sign = signs.pop(drop_i)
-        else:
-            active.append(join_j)
-            signs.append(1.0 if a[join_j] > 0 else -1.0)
-    return beta, float(grid[-1])
+            lam = next_lam
+            dropped = -1
+            if join_j < 0:
+                dropped, dropped_sign = int(active[drop_i]), float(signs[drop_i])
+                active[drop_i : m - 1] = active[drop_i + 1 : m]
+                signs[drop_i : m - 1] = signs[drop_i + 1 : m]
+                G_rows[drop_i : m - 1] = G_rows[drop_i + 1 : m]
+                free[dropped] = True
+                m -= 1
+            else:
+                active[m] = join_j
+                signs[m] = 1.0 if a[join_j] > 0 else -1.0
+                G_rows[m] = G[:, join_j]
+                free[join_j] = False
+                m += 1
+    return _scatter(d, idx, u - grid[-1] * v), float(grid[-1])
+
+
+def _scatter(d: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Length-d vector holding ``values`` at ``idx`` and zeros elsewhere."""
+    beta = np.zeros(d)
+    beta[idx] = values
+    return beta
 
 
 def _k_lasso_arrays(
@@ -209,10 +236,12 @@ def _k_lasso_arrays(
         order = np.argsort(-np.abs(selected_beta[support]), kind="stable")
         support = np.sort(support[order[:k]])
 
-    Gs = G[np.ix_(support, support)] + _RIDGE_REFIT * np.eye(support.size)
-    coef = np.linalg.solve(Gs, c[support])
+    # a full support refits on the design itself: no n x D gathered copy
+    if support.size < d:
+        G, c, X, xbar = G[np.ix_(support, support)], c[support], X[:, support], xbar[support]
+    coef = np.linalg.solve(G + _RIDGE_REFIT * np.eye(support.size), c)
 
-    fitted = (X[:, support] - xbar[support]) @ coef
+    fitted = (X - xbar) @ coef
     sse = float(weights @ ((y_centered - fitted) ** 2))
     r2 = max(0.0, 1.0 - sse / sst)
     return {int(j): float(v) for j, v in zip(support, coef)}, r2
@@ -250,8 +279,8 @@ def explain(
     """Explain one file's prediction; deterministic given the seed."""
     if n < 2:
         raise ValueError("need at least two neighbor samples")
-    if k < 1 or kernel_width <= 0:
-        raise ValueError("k and kernel width must be positive")
+    if k < 1 or not 0 < kernel_width < math.inf:
+        raise ValueError("k must be positive and kernel width finite and positive")
     indices = active_token_indices(x)
     if not indices:
         raise ValueError("cannot explain an empty feature vector")

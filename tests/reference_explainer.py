@@ -9,6 +9,13 @@ the same work in vectorised form.
 ``cd_k_lasso_arrays`` selects features by cyclic coordinate descent over the
 penalty grid; ``explain`` replaces them with a threshold at the m-th
 smallest noise value and with the exact lasso path.
+
+``reference_lasso_select`` walks that same path with scipy's ``cho_factor``
+and ``cho_solve``, fresh index copies of the active columns and a new
+coefficient vector at every grid point, and ``reference_k_lasso_arrays``
+refits on index copies of the selected columns. ``_lasso_select`` does the
+same arithmetic on preallocated buffers and must return bitwise equal
+results; ``explain``'s scores must be bitwise equal too.
 """
 
 from __future__ import annotations
@@ -16,13 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from linedefects.config import RunConfig
 from linedefects.corpus import FeatureVector
 from linedefects.explain import (
     _LASSO_GRID_DECAY,
     _LASSO_GRID_POINTS,
+    _MAX_PATH_STEPS_PER_COLUMN,
+    _MIN_DIAG,
     _RIDGE_REFIT,
+    _SINGULAR_SCHUR,
     _k_lasso_arrays,
     _neighbor_masks,
     active_token_indices,
@@ -135,38 +146,116 @@ def _soft_threshold(value: float, threshold: float) -> float:
     return 0.0
 
 
-def cd_k_lasso_arrays(
-    masks: np.ndarray, y: np.ndarray, weights: np.ndarray, k: int
-) -> tuple[dict[int, float], float, bool]:
-    """``_k_lasso_arrays`` with phase 1 solved by warm-started cyclic coordinate descent.
+def reference_lasso_select(
+    G: np.ndarray, c: np.ndarray, grid: np.ndarray, target: int
+) -> tuple[np.ndarray, float]:
+    """Lasso solution at the first grid penalty with >= target non-zeros.
 
-    Returns the refit coefficients, the weighted R^2, and whether any grid
-    penalty ran out of its 250 sweeps before converging.
+    Follows the exact piecewise-linear path of min 1/2 b'Gb - c'b + lam*|b|_1
+    (the LARS-lasso homotopy of Efron et al. 2004, the path LIME's feature
+    selection walks) from lam = grid[0] downwards. Between two breakpoints
+    the active coefficients are b_A = G_AA^-1 (c_A - lam * s_A); every grid
+    penalty inside a segment is evaluated there. Returns the solution and
+    penalty at the first grid point with at least ``target`` non-zeros, else
+    at the last grid point.
+
+    A column with G_jj <= 1e-15 never enters, and neither does one whose
+    entry would make G_AA singular (it lies in the span of the active
+    columns), so G_AA stays positive definite. A column that has just left
+    may not re-enter on the boundary it left by at the same breakpoint.
     """
-    n, d = masks.shape
-    if n < 2:
-        raise ValueError("need at least two samples to fit a surrogate")
-    if k < 1:
-        raise ValueError("feature budget must be >= 1")
-    w_total = float(weights.sum())
-    X = masks.astype(np.float64)
-    xbar = (weights @ X) / w_total
-    ybar = float(weights @ y) / w_total
-    G = (X * weights[:, None]).T @ X - w_total * np.outer(xbar, xbar)
-    c = X.T @ (weights * y) - w_total * xbar * ybar
-    y_centered = y - ybar
-    sst = float(weights @ (y_centered**2))
+    d = c.size
+    diag = G.diagonal()
+    can_enter = diag > _MIN_DIAG
+    active: list[int] = []
+    signs: list[float] = []
+    lam = float(grid[0])
+    g = 0
+    beta = np.zeros(d)
+    dropped, dropped_sign = -1, 0.0
+    max_steps = _MAX_PATH_STEPS_PER_COLUMN * d
+    for step in range(max_steps + 1):
+        idx = np.array(active, dtype=np.intp)
+        s = np.array(signs)
+        if active:
+            factor = cho_factor(G[np.ix_(idx, idx)], check_finite=False)
+            u, v = cho_solve(factor, np.column_stack([c[idx], s]), check_finite=False).T
+            G_A = G[:, idx]
+            a = c - G_A @ u
+            e = G_A @ v
+        else:
+            u = v = s
+            a, e = c, np.zeros(d)
 
-    lam_max = float(np.max(np.abs(c))) if d else 0.0
-    if lam_max <= 1e-15:
-        return {}, 0.0, False
+        # Leaving: b_i(lam) = u_i - lam * v_i reaches zero while heading towards it.
+        drop_lam, drop_i = 0.0, -1
+        heading = s * v < 0
+        if heading.any():
+            roots = np.where(heading, u / np.where(heading, v, 1.0), 0.0)
+            i = int(np.argmax(roots))
+            if roots[i] > 0:
+                drop_lam, drop_i = min(float(roots[i]), lam), i
+        # Entering: r_j(lam) = a_j + lam * e_j reaches +-lam at a positive root
+        # and stays outside below it, which needs a_j = r_j(0) beyond that side.
+        free = can_enter.copy()
+        free[idx] = False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(free & (a > 0), a / (1.0 - e), 0.0)
+            down = np.where(free & (a < 0), -a / (1.0 + e), 0.0)
+        if dropped >= 0:
+            # it sits on its old boundary; only the opposite one is a future event
+            (up if dropped_sign > 0 else down)[dropped] = 0.0
+        join = np.minimum(np.maximum(up, down), lam)
+        join_lam, join_j = 0.0, -1
+        while True:
+            j = int(np.argmax(join))
+            if join[j] <= drop_lam:
+                break
+            if active:
+                w = cho_solve(factor, G[idx, j], check_finite=False)
+                if diag[j] - G[idx, j] @ w <= _SINGULAR_SCHUR * diag[j]:
+                    join[j] = 0.0
+                    continue
+            join_lam, join_j = float(join[j]), j
+            break
+        # past the step bound, the current segment serves the remaining grid
+        next_lam = 0.0 if step == max_steps else max(join_lam, drop_lam)
 
-    grid = np.geomspace(lam_max, lam_max * _LASSO_GRID_DECAY, _LASSO_GRID_POINTS)
-    target = min(k, d)
+        # grid points in (next_lam, lam]; closed below while the solution is zero
+        while g < grid.size and (grid[g] > next_lam or (not active and grid[g] >= next_lam)):
+            beta = np.zeros(d)
+            if active:
+                beta[idx] = u - grid[g] * v
+            if np.count_nonzero(beta) >= target:
+                return beta, float(grid[g])
+            g += 1
+        if g == grid.size:
+            break
+
+        lam = next_lam
+        dropped = -1
+        if join_j < 0:
+            dropped = active.pop(drop_i)
+            dropped_sign = signs.pop(drop_i)
+        else:
+            active.append(join_j)
+            signs.append(1.0 if a[join_j] > 0 else -1.0)
+    return beta, float(grid[-1])
+
+
+def cd_lasso_select(
+    G: np.ndarray, c: np.ndarray, grid: np.ndarray, target: int
+) -> tuple[np.ndarray, float, bool]:
+    """Phase 1 by warm-started cyclic coordinate descent over the penalty grid.
+
+    Returns the solution and penalty at the first grid point with at least
+    ``target`` non-zeros (else the last), and whether any grid penalty ran
+    out of its 250 sweeps before converging.
+    """
+    d = c.size
     diag = G.diagonal().copy()
     beta = np.zeros(d)
     Gb = np.zeros(d)
-    selected_beta = None
     capped = False
     for lam in grid:
         for _ in range(250):
@@ -186,13 +275,62 @@ def cd_k_lasso_arrays(
         else:
             capped = True
         if np.count_nonzero(beta) >= target:
-            selected_beta = beta.copy()
-            break
-    if selected_beta is None:
-        selected_beta = beta
+            return beta, float(lam), capped
+    return beta, float(grid[-1]), capped
+
+
+def cd_k_lasso_arrays(
+    masks: np.ndarray, y: np.ndarray, weights: np.ndarray, k: int
+) -> tuple[dict[int, float], float, bool]:
+    """``reference_k_lasso_arrays`` with phase 1 solved by ``cd_lasso_select``.
+
+    Returns the refit coefficients, the weighted R^2, and whether any grid
+    penalty ran out of its 250 sweeps before converging.
+    """
+    capped = []
+
+    def select(G, c, grid, target):
+        beta, lam, hit = cd_lasso_select(G, c, grid, target)
+        capped.append(hit)
+        return beta, lam
+
+    coefs, r2 = reference_k_lasso_arrays(masks, y, weights, k, select)
+    return coefs, r2, any(capped)
+
+
+def reference_k_lasso_arrays(
+    masks: np.ndarray, y: np.ndarray, weights: np.ndarray, k: int, select=reference_lasso_select
+) -> tuple[dict[int, float], float]:
+    """``_k_lasso_arrays`` with phase 1 by ``select``.
+
+    The refit takes index copies of the selected rows and columns of G and
+    of the design, even when every column is selected.
+    """
+    n, d = masks.shape
+    if n < 2:
+        raise ValueError("need at least two samples to fit a surrogate")
+    if k < 1:
+        raise ValueError("feature budget must be >= 1")
+    w_total = float(weights.sum())
+    ybar = float(weights @ y) / w_total
+    y_centered = y - ybar
+    sst = float(weights @ (y_centered**2))
+    if sst <= 1e-18:
+        return {}, 0.0
+    X = masks.astype(np.float64)
+    xbar = (weights @ X) / w_total
+    G = (X * weights[:, None]).T @ X - w_total * np.outer(xbar, xbar)
+    c = X.T @ (weights * y) - w_total * xbar * ybar
+
+    lam_max = float(np.max(np.abs(c))) if d else 0.0
+    if lam_max <= 1e-15:
+        return {}, 0.0
+
+    grid = np.geomspace(lam_max, lam_max * _LASSO_GRID_DECAY, _LASSO_GRID_POINTS)
+    selected_beta, _ = select(G, c, grid, min(k, d))
     support = np.flatnonzero(selected_beta)
     if support.size == 0:
-        return {}, 0.0, capped
+        return {}, 0.0
     if support.size > k:
         order = np.argsort(-np.abs(selected_beta[support]), kind="stable")
         support = np.sort(support[order[:k]])
@@ -202,5 +340,5 @@ def cd_k_lasso_arrays(
 
     fitted = (X[:, support] - xbar[support]) @ coef
     sse = float(weights @ ((y_centered - fitted) ** 2))
-    r2 = 0.0 if sst <= 1e-18 else max(0.0, 1.0 - sse / sst)
-    return {int(j): float(v) for j, v in zip(support, coef)}, r2, capped
+    r2 = max(0.0, 1.0 - sse / sst)
+    return {int(j): float(v) for j, v in zip(support, coef)}, r2

@@ -504,6 +504,27 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == "error: the training releases hold no tokens, vocabulary would be empty\n"
 
+    @pytest.mark.parametrize(
+        "method, name", [("linedp", "lime_sigma"), ("ngram", "entropy_threshold_cross")], ids=["linedp", "ngram"]
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_setting_is_data_error(self, dataset_paths, tmp_path, capsys, method, name, source):
+        root, data, meta = dataset_paths
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        if source == "flag":
+            setting = ["--" + name.replace("_", "-"), "nan"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{name} = nan\n")
+            setting = ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out.csv"
+        rc = main(["predict", "--model", str(model_path), "--dataset", str(data), "--release", "cli-2.0",
+                   "--train-release", "cli-1.0", "--method", method, "--out", str(out)] + setting)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: bad configuration: {name} must be finite and positive\n"
+        assert not out.exists()
+
     def test_bad_config_key_is_data_error(self, dataset_paths, tmp_path, capsys):
         root, data, meta = dataset_paths
         cfg = tmp_path / "run.cfg"

@@ -26,6 +26,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(lime_sigma=0.0)
 
+    @pytest.mark.parametrize("name", ["lime_sigma", "entropy_threshold_within", "entropy_threshold_cross"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_float_settings_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            RunConfig(**{name: value})
+
     def test_surrogate_needs_two_neighbors(self):
         with pytest.raises(ValueError, match="lime_n must be >= 2"):
             RunConfig(lime_n=1)

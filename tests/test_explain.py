@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from numpy.linalg import LinAlgError
+from scipy.linalg import cho_factor
 
 from linedefects.config import RunConfig
 from linedefects.corpus import FeatureVector, Vocabulary, vectorize
@@ -12,6 +14,7 @@ from linedefects.explain import (
     _LASSO_GRID_DECAY,
     _LASSO_GRID_POINTS,
     _MIN_DIAG,
+    _cholesky,
     _k_lasso_arrays,
     _lasso_select,
     _neighbor_masks,
@@ -29,6 +32,8 @@ from reference_explainer import (
     k_lasso,
     kernel_weight,
     predict_neighbors,
+    reference_k_lasso_arrays,
+    reference_lasso_select,
     reference_neighbor_masks,
 )
 
@@ -243,6 +248,12 @@ class TestExplain:
         with pytest.raises(ValueError, match="empty"):
             explain(model, FeatureVector({}, 3), vocab_of(3), n=10, k=2, seed=0)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
+    def test_kernel_width_must_be_finite_and_positive(self, width):
+        x = FeatureVector({0: 1, 1: 1}, 3)
+        with pytest.raises(ValueError, match="kernel width"):
+            explain(linear_model(np.ones(3)), x, vocab_of(3), n=10, k=2, kernel_width=width, seed=0)
+
     def test_saturated_predictions_give_empty_explanation(self):
         # every neighbor's probability clips at 1 - 1e-12: c is rounding noise of ~1e-14,
         # which the lasso would otherwise turn into tiny risky (positive) scores
@@ -350,8 +361,8 @@ class TestLimeDepartures:
         coefs, _ = _k_lasso_arrays(masks, y, np.ones(40), 1)
         assert coefs == pytest.approx({2: 0.4}, abs=1e-6)
 
-def path_selection(masks, y, weights, k):
-    """Phase 1 of ``_k_lasso_arrays`` on its own: (G, c, grid, beta, lam), or None without signal."""
+def path_inputs(masks, y, weights, floor):
+    """The G, c and penalty grid ``_k_lasso_arrays`` hands to ``_lasso_select``, or None if max |c| <= floor."""
     w_total = float(weights.sum())
     X = masks.astype(np.float64)
     xbar = (weights @ X) / w_total
@@ -359,9 +370,17 @@ def path_selection(masks, y, weights, k):
     G = (X * weights[:, None]).T @ X - w_total * np.outer(xbar, xbar)
     c = X.T @ (weights * y) - w_total * xbar * ybar
     lam_max = float(np.max(np.abs(c)))
-    if lam_max <= 1e-9:
+    if lam_max <= floor:
         return None
-    grid = np.geomspace(lam_max, lam_max * _LASSO_GRID_DECAY, _LASSO_GRID_POINTS)
+    return G, c, np.geomspace(lam_max, lam_max * _LASSO_GRID_DECAY, _LASSO_GRID_POINTS)
+
+
+def path_selection(masks, y, weights, k):
+    """Phase 1 of ``_k_lasso_arrays`` on its own: (G, c, grid, beta, lam), or None without signal."""
+    inputs = path_inputs(masks, y, weights, floor=1e-9)
+    if inputs is None:
+        return None
+    G, c, grid = inputs
     beta, lam = _lasso_select(G, c, grid, min(k, masks.shape[1]))
     return G, c, grid, beta, lam
 
@@ -400,6 +419,17 @@ def assert_matches_coordinate_descent(masks, y, weights, k):
     assert fast_r2 == pytest.approx(slow_r2, abs=1e-6)
 
 
+def bench_shaped_surrogate(model_seed):
+    """Masks, predictions and weights of n = 5000 neighbors over d = 300 tokens: with k = 100 the budget binds."""
+    rng = np.random.default_rng(model_seed)
+    d = 300
+    contrib = rng.normal(0.0, 0.05, d)
+    contrib[rng.choice(d, 12, replace=False)] += rng.uniform(0.5, 1.5, 12)
+    model = linear_model(contrib, bias=-0.2)
+    x = FeatureVector({i: 1 for i in range(d)}, d)
+    return _surrogate_data(model, x, list(range(d)), 5000, 25.0, seed=7)
+
+
 class TestLassoPathMatchesCoordinateDescent:
     def test_planted_corpus_surrogates(self, planted_pair):
         # d (~50 distinct tokens) < k = 100, as in within-release CV
@@ -419,17 +449,10 @@ class TestLassoPathMatchesCoordinateDescent:
 
     @pytest.mark.parametrize("model_seed", [0, 31])
     def test_bench_shaped_surrogate(self, model_seed):
-        # n = 5000 neighbors, d = 300 distinct tokens, k = 100: the budget binds.
         # Coordinate descent hits its sweep cap on such designs. With model
         # seed 31 it then swaps the 100th and 101st features (a near tie that
         # the exact path orders correctly); with seed 0 both select one set.
-        rng = np.random.default_rng(model_seed)
-        d = 300
-        contrib = rng.normal(0.0, 0.05, d)
-        contrib[rng.choice(d, 12, replace=False)] += rng.uniform(0.5, 1.5, 12)
-        model = linear_model(contrib, bias=-0.2)
-        x = FeatureVector({i: 1 for i in range(d)}, d)
-        masks, probs, weights = _surrogate_data(model, x, list(range(d)), 5000, 25.0, seed=7)
+        masks, probs, weights = bench_shaped_surrogate(model_seed)
         fast, _ = _k_lasso_arrays(masks, probs, weights, 100)
         assert len(fast) == 100
         assert_matches_coordinate_descent(masks, probs, weights, 100)
@@ -500,3 +523,74 @@ class TestLassoPathOptimality:
         coefs, _ = _k_lasso_arrays(masks, y, np.ones(400), 5)
         assert not {1, 3} <= set(coefs)
         assert {1, 3} & set(coefs)
+
+
+def hex_items(coefs):
+    """A fit's coefficients with each value's exact bits."""
+    return [(j, float(v).hex()) for j, v in sorted(coefs.items())]
+
+
+def assert_matches_reference(masks, y, weights, k):
+    """The path and the refit do the reference's arithmetic.
+
+    ``(beta, lam)`` and the refit coefficients are bitwise equal. The weighted
+    R^2 may differ in its last bit: with every column selected the refit
+    multiplies the row-major design itself, where the reference multiplies
+    the column-major copy that ``X[:, support]`` gathers, and BLAS sums the
+    two layouts in different orders.
+    """
+    fast, fast_r2 = _k_lasso_arrays(masks, y, weights, k)
+    slow, slow_r2 = reference_k_lasso_arrays(masks, y, weights, k)
+    assert hex_items(fast) == hex_items(slow)
+    assert fast_r2 == pytest.approx(slow_r2, abs=1e-12)
+    inputs = path_inputs(masks, y, weights, floor=1e-15)
+    if inputs is not None:
+        G, c, grid = inputs
+        target = min(k, masks.shape[1])
+        beta, lam = _lasso_select(G, c, grid, target)
+        ref_beta, ref_lam = reference_lasso_select(G, c, grid, target)
+        assert beta.tobytes() == ref_beta.tobytes() and lam == ref_lam
+
+
+class TestLassoPathMatchesReference:
+    def test_planted_corpus_files(self, planted_pair):
+        train, test = planted_pair
+        config = RunConfig(seed=1)
+        model, vocab = train_file_model(train)
+        files = defect_prone_files(test, predict_files(model, vocab, test))
+        X = vectorize(test, vocab)
+        for i in files:
+            f, x = test.files[i], FeatureVector.from_row(X, i)
+            indices = active_token_indices(x)
+            seed = file_seed(config.seed, f.release_id, f.path)
+            masks, probs, weights = _surrogate_data(model, x, indices, config.lime_n, config.lime_sigma, seed)
+            assert_matches_reference(masks, probs, weights, config.lime_k_features)
+            coefs, r2 = reference_k_lasso_arrays(masks, probs, weights, config.lime_k_features)
+            expl = explain(model, x, vocab, seed=seed)
+            assert hex_items(expl.scores) == hex_items({vocab.tokens[indices[j]]: v for j, v in coefs.items()})
+            assert expl.fidelity_r2 == pytest.approx(r2, abs=1e-12)
+
+    @pytest.mark.parametrize("model_seed", [0, 31])
+    def test_bench_shaped_designs(self, model_seed):
+        assert_matches_reference(*bench_shaped_surrogate(model_seed), 100)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(small_designs())
+    def test_small_degenerate_designs(self, design):
+        # duplicate and constant columns reach the Schur-complement skip and the drop branch
+        assert_matches_reference(*design)
+
+
+class TestCholesky:
+    @pytest.mark.parametrize(
+        "block", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [[-1.0]]], ids=["indefinite", "singular", "negative"]
+    )
+    def test_block_that_is_not_positive_definite_raises(self, block):
+        with pytest.raises(LinAlgError, match="not positive definite"):
+            _cholesky(np.array(block))
+
+    def test_upper_factor_is_cho_factors(self):
+        rng = np.random.default_rng(0)
+        a = rng.random((6, 6))
+        a = a @ a.T + np.eye(6)
+        assert np.triu(_cholesky(a)).tobytes() == np.triu(cho_factor(a)[0]).tobytes()
