@@ -4,6 +4,10 @@ The canonical dataset format is a UTF-8 CSV with header
 ``release,file_path,line_number,line_content,file_label,line_label`` and one
 row per physical source line, plus an optional sidecar CSV
 ``release,release_date`` (ISO-8601) that orders releases in time.
+
+Loading a dataset leaves its parse beside the CSV, in the hidden file
+:func:`cache_path` names, keyed by the CSV's content hash; the next load of
+the same bytes rebuilds the releases from it without parsing the CSV again.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -25,12 +28,19 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .util import write_csv
+from .util import atomic_replace, write_csv
 
 DATASET_COLUMNS = ("release", "file_path", "line_number", "line_content", "file_label", "line_label")
 METADATA_COLUMNS = ("release", "release_date")
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
+# every byte but an ASCII letter, digit or underscore becomes a space
+_TOKEN_BYTES = bytes(
+    b if chr(b).isascii() and (chr(b).isalnum() or chr(b) == "_") else ord(" ") for b in range(256)
+)
+
+# bump whenever the sidecar's arrays, or what the loader accepts, change
+CACHE_FORMAT_VERSION = 1
+_HASH_CHUNK = 1 << 20
 
 
 class DatasetError(ValueError):
@@ -218,9 +228,11 @@ def tokenize(text: str) -> list[str]:
 
     Tokens are maximal runs of alphanumerics and underscore; every other
     character is a separator. Case is preserved: ``Node`` and ``node`` are
-    distinct tokens.
+    distinct tokens. Only ASCII letters and digits count: any other
+    character, ``é`` or a lone surrogate say, separates tokens.
     """
-    return _TOKEN_RE.findall(text)
+    # a character ASCII cannot encode becomes "?", then a space, as every other separator
+    return text.encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 def as_release_list(train: ReleaseDataset | list[ReleaseDataset]) -> list[ReleaseDataset]:
@@ -321,9 +333,29 @@ def _numbered_rows(reader, path) -> Iterator[tuple[int, list[str]]]:
         raise DatasetError(f"{path}:{number + 1}: {exc}") from exc
 
 
-def _csv_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """The numbered rows of a UTF-8 CSV file, header first (see :func:`_numbered_rows`)."""
-    with open(path, newline="", encoding="utf-8") as handle:
+class _HashingReader(io.RawIOBase):
+    """A binary file read through unchanged; every byte read is also fed to ``digest``."""
+
+    def __init__(self, raw, digest) -> None:
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def _csv_rows(path: str | Path, digest=None) -> Iterator[tuple[int, list[str]]]:
+    """The numbered rows of a UTF-8 CSV file, header first (see :func:`_numbered_rows`).
+
+    Given a ``hashlib`` hash, it feeds it the file's bytes as they are parsed.
+    """
+    with open(path, "rb") as raw:
+        source = raw if digest is None else _HashingReader(raw, digest)
+        handle = io.TextIOWrapper(source, encoding="utf-8", newline="")
         try:
             yield from _numbered_rows(csv.reader(handle), path)
         except UnicodeDecodeError:
@@ -404,17 +436,13 @@ def load_metadata(path: str | Path) -> dict[str, date]:
     return dates
 
 
-def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> list[ReleaseDataset]:
-    """Load a canonical dataset CSV into fully validated release datasets.
+# each file's rows, keyed by (release, path): (line number, content, file label, line label)
+_Rows = dict[tuple[str, str], list[tuple[int, str, bool, bool]]]
 
-    Validates that each file's line numbers are contiguous from 1, that the
-    file label is constant across the file's rows, and that it equals the
-    disjunction of the line labels. Violations raise :class:`DatasetError`
-    naming the offending record. Releases are returned sorted by release id
-    and files by path.
-    """
-    path = Path(path)
-    rows = _csv_rows(path)
+
+def _grouped_rows(path: Path, digest) -> _Rows:
+    """Each file's parsed rows, keyed by ``(release, path)``; every row is checked, the files are not."""
+    rows = _csv_rows(path, digest)
     _, header = next(rows, (1, None))
     if header is None:
         raise DatasetError(f"{path}: empty file")
@@ -423,7 +451,7 @@ def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> l
         raise DatasetError(f"{path}: missing required columns: {sorted(missing)}")
     indices = _column_indices(header, DATASET_COLUMNS)
     release_i, path_i, number_i, content_i, file_label_i, line_label_i = indices
-    rows_by_file: dict[tuple[str, str], list[tuple[int, str, bool, bool]]] = {}
+    rows_by_file: _Rows = {}
     for i, row in rows:
         try:
             key = (row[release_i], row[path_i])
@@ -440,9 +468,15 @@ def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> l
         rows_by_file.setdefault(key, []).append(parsed)
     if not rows_by_file:
         raise DatasetError(f"{path}: no data rows")
+    return rows_by_file
 
-    dates = load_metadata(metadata_path) if metadata_path is not None else {}
 
+# (release id, its files sorted by path), the releases sorted by id: a dataset without its dates
+_Releases = list[tuple[str, tuple[SourceFile, ...]]]
+
+
+def _checked_files(path: Path, rows_by_file: _Rows) -> _Releases:
+    """The files of :func:`_grouped_rows`, each checked as a whole, grouped into releases."""
     files_by_release: dict[str, list[SourceFile]] = {}
     for (release_id, file_path), file_rows in sorted(rows_by_file.items()):
         if not release_id:
@@ -468,14 +502,160 @@ def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> l
         files_by_release.setdefault(release_id, []).append(
             SourceFile(release_id=release_id, path=file_path, lines=lines, file_label=file_label)
         )
+    # the items were sorted by (release, path), so each release's files are already in path order
+    return [(release_id, tuple(files_by_release[release_id])) for release_id in sorted(files_by_release)]
 
-    datasets = []
-    for release_id in sorted(files_by_release):
-        files = tuple(sorted(files_by_release[release_id], key=lambda f: f.path))
-        datasets.append(
-            ReleaseDataset(release_id=release_id, release_date=dates.get(release_id), files=files)
-        )
-    return datasets
+
+def cache_path(path: str | Path) -> Path:
+    """The parse cache of dataset ``path``: ``.<file name>.linedefects-cache.npz`` in the same directory."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.linedefects-cache.npz")
+
+
+def _file_digest(path: Path) -> bytes:
+    """The sha256 of the file's bytes, read a chunk at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.digest()
+
+
+# every array of a parse cache and its dtype; each is one-dimensional
+_CACHE_DTYPES = {
+    "version": np.dtype(np.int64),  # [CACHE_FORMAT_VERSION]
+    "key": np.dtype(np.uint8),  # the CSV's sha256
+    "release_text": np.dtype(np.uint8),  # release ids, UTF-8, one after another
+    "release_offsets": np.dtype(np.int64),  # where each id starts in the text, in characters, then its end
+    "release_files": np.dtype(np.int64),  # files per release
+    "path_text": np.dtype(np.uint8),
+    "path_offsets": np.dtype(np.int64),
+    "file_label": np.dtype(np.bool_),
+    "file_lines": np.dtype(np.int64),  # lines per file; a file's lines are numbered 1..n
+    "content_text": np.dtype(np.uint8),
+    "content_offsets": np.dtype(np.int64),
+    "line_label": np.dtype(np.bool_),
+}
+
+
+def _packed(name: str, texts: list[str]) -> dict[str, np.ndarray]:
+    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)), out=offsets[1:])
+    return {f"{name}_text": np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8), f"{name}_offsets": offsets}
+
+
+def _unpacked(arrays: dict[str, np.ndarray], name: str, count: int) -> list[str]:
+    text = str(memoryview(arrays[f"{name}_text"]), "utf-8")
+    offsets = arrays[f"{name}_offsets"]
+    if len(offsets) != count + 1 or offsets[0] != 0 or offsets[-1] != len(text) or (np.diff(offsets) < 0).any():
+        raise ValueError(f"inconsistent {name} offsets")
+    bounds = offsets.tolist()
+    return [text[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+def _write_cache(target: Path, digest: bytes, releases: _Releases) -> None:
+    """Store ``releases``, parsed from the CSV whose sha256 is ``digest``, at ``target``.
+
+    Nothing is written, and nothing is said, if ``target`` cannot be written.
+    """
+    files = [f for _, release_files in releases for f in release_files]
+    lines = [line for f in files for line in f.lines]
+    arrays = {
+        "version": np.array([CACHE_FORMAT_VERSION], dtype=np.int64),
+        "key": np.frombuffer(digest, dtype=np.uint8),
+        **_packed("release", [release_id for release_id, _ in releases]),
+        "release_files": np.array([len(release_files) for _, release_files in releases], dtype=np.int64),
+        **_packed("path", [f.path for f in files]),
+        "file_label": np.array([f.file_label for f in files], dtype=np.bool_),
+        "file_lines": np.array([len(f.lines) for f in files], dtype=np.int64),
+        **_packed("content", [line.content for line in lines]),
+        "line_label": np.array([line.is_defective for line in lines], dtype=np.bool_),
+    }
+    try:
+        with atomic_replace(target) as handle:
+            np.savez(handle, **arrays)
+    except OSError:  # a read-only directory, say: the next load parses the CSV again
+        pass
+
+
+def _read_cache(target: Path, digest: bytes) -> _Releases:
+    """The releases stored at ``target`` for the CSV whose sha256 is ``digest``.
+
+    Raises if the file is missing, unreadable, of another format version or
+    CSV, or inconsistent in itself.
+    """
+    with np.load(target, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in _CACHE_DTYPES}
+    if any(array.dtype != _CACHE_DTYPES[name] or array.ndim != 1 for name, array in arrays.items()):
+        raise ValueError("unexpected array type")
+    if arrays["version"].tolist() != [CACHE_FORMAT_VERSION] or arrays["key"].tobytes() != digest:
+        raise ValueError("stale cache")
+    release_files, file_lines = arrays["release_files"], arrays["file_lines"]
+    n_files, n_lines = len(file_lines), len(arrays["line_label"])
+    if (
+        not len(release_files)
+        or (release_files < 1).any()
+        or (file_lines < 1).any()
+        or int(release_files.sum()) != n_files
+        or int(file_lines.sum()) != n_lines
+        or len(arrays["file_label"]) != n_files
+    ):
+        raise ValueError("inconsistent lengths")
+    release_ids = _unpacked(arrays, "release", len(release_files))
+    paths = _unpacked(arrays, "path", n_files)
+    contents = _unpacked(arrays, "content", n_lines)
+    file_labels, line_labels = arrays["file_label"].tolist(), arrays["line_label"].tolist()
+    line_ptr = np.concatenate(([0], np.cumsum(file_lines))).tolist()
+    file_ptr = np.concatenate(([0], np.cumsum(release_files))).tolist()
+    releases = []
+    for r, release_id in enumerate(release_ids):
+        files = []
+        for f in range(file_ptr[r], file_ptr[r + 1]):
+            first, last = line_ptr[f], line_ptr[f + 1]
+            lines = tuple(map(LineRecord, range(1, last - first + 1), contents[first:last], line_labels[first:last]))
+            files.append(SourceFile(release_id=release_id, path=paths[f], lines=lines, file_label=file_labels[f]))
+        releases.append((release_id, tuple(files)))
+    return releases
+
+
+def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> list[ReleaseDataset]:
+    """Load a canonical dataset CSV into fully validated release datasets.
+
+    Validates that each file's line numbers are contiguous from 1, that the
+    file label is constant across the file's rows, and that it equals the
+    disjunction of the line labels. Violations raise :class:`DatasetError`
+    naming the offending record. Releases are returned sorted by release id
+    and files by path.
+
+    The parse of a CSV that loads is kept beside it (:func:`cache_path`),
+    keyed by the sha256 of its bytes and :data:`CACHE_FORMAT_VERSION`. A
+    later load of the same bytes rebuilds the releases from that file
+    without parsing the CSV; a missing, stale or damaged cache is parsed
+    around and rewritten. The dates are read from ``metadata_path`` on
+    every load.
+    """
+    path = Path(path)
+    # a pipe or a device could be read only once: only a regular file is hashed first and cached
+    cacheable = path.is_file()
+    releases = None
+    if cacheable:
+        key = _file_digest(path)
+        try:
+            releases = _read_cache(cache_path(path), key)
+        # The cache is a file anyone may have damaged, and numpy's and zipfile's readers raise many
+        # kinds of errors on one; whatever the cause, the CSV is parsed and the cache rewritten.
+        except Exception:
+            pass
+    if releases is None:
+        digest = hashlib.sha256()
+        rows_by_file = _grouped_rows(path, digest)
+    # the dates are read after the rows are parsed and before the files are checked, and errors come in that order
+    dates = load_metadata(metadata_path) if metadata_path is not None else {}
+    if releases is None:
+        releases = _checked_files(path, rows_by_file)
+        if cacheable:
+            _write_cache(cache_path(path), digest.digest(), releases)
+    return [ReleaseDataset(release_id, dates.get(release_id), files) for release_id, files in releases]
 
 
 def write_dataset(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,11 +40,22 @@ _PROB_EPS = 1e-12
 _LEGACY_META_KEYS = frozenset({"l2_lambda", "max_iters", "tolerance", "seed"})
 
 
+def _is_json(value, kind: type) -> bool:
+    """Whether a decoded JSON value is of ``kind``; a float may be written as an integer, and a bool is neither."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass(frozen=True)
 class TrainMeta:
     iterations: int
     converged: bool
     final_grad_norm: float
+
+
+# each train_meta field's type, which a loaded document must match
+_META_TYPES = get_type_hints(TrainMeta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +201,11 @@ def standardized_coefficients(X: sp.csr_matrix, y: list[bool]) -> tuple[np.ndarr
 
 
 def save_model(model: LogisticModel, vocab: Vocabulary, path: str | Path) -> None:
-    """Persist a model and its vocabulary as a versioned JSON document."""
+    """Persist a model and its vocabulary as a versioned JSON document; a non-finite weight or bias is refused."""
     if model.vocab_fingerprint:
         model.check_vocab(vocab)
+    if not (np.isfinite(model.weights).all() and np.isfinite(model.bias)):
+        raise ValueError(f"{path}: refusing to save a model with a non-finite weight or bias")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "tokens": vocab.tokens,
@@ -206,9 +220,11 @@ def save_model(model: LogisticModel, vocab: Vocabulary, path: str | Path) -> Non
 def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
     """Load a persisted model, validating its structure, format version and vocabulary hash.
 
-    Any malformed document raises ``ValueError`` naming ``path``. Format-1
-    documents written by the earlier gradient-loop trainer carry its four
-    settings in ``train_meta`` as well; they are ignored.
+    Any malformed document raises ``ValueError`` naming ``path``: the
+    weights and bias must be finite JSON numbers, and each ``train_meta``
+    field must have its type. Format-1 documents written by the earlier
+    gradient-loop trainer carry its four settings in ``train_meta`` as
+    well; they are ignored.
     """
     with open(path, encoding="utf-8") as handle:
         doc = json.load(handle)
@@ -224,13 +240,20 @@ def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
     meta_keys = {f.name for f in fields(TrainMeta)}
     if not isinstance(meta, dict) or not meta_keys <= meta.keys() <= meta_keys | _LEGACY_META_KEYS:
         raise ValueError(f"{path}: train_meta must hold the keys {sorted(meta_keys)}")
-    try:
-        vocab = Vocabulary(tuple(doc["tokens"]))
-        fingerprint = vocab.fingerprint()
-        weights = np.asarray(doc["weights"], dtype=np.float64)
-        bias = float(doc["bias"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed model document: {exc}") from exc
+    train_meta = {key: meta[key] for key in meta_keys}
+    for key, kind in _META_TYPES.items():
+        if not _is_json(train_meta[key], kind):
+            raise ValueError(f"{path}: train_meta {key} must be of type {kind.__name__}, got {train_meta[key]!r}")
+    tokens, numbers, bias = doc["tokens"], doc["weights"], doc["bias"]
+    if not (isinstance(tokens, list) and all(isinstance(token, str) for token in tokens)):
+        raise ValueError(f"{path}: tokens must be a list of strings")
+    if not (isinstance(numbers, list) and all(_is_json(w, float) for w in numbers) and _is_json(bias, float)):
+        raise ValueError(f"{path}: weights must be a list of numbers and bias a number")
+    weights, bias = np.array(numbers, dtype=np.float64), float(bias)
+    if not (np.isfinite(weights).all() and np.isfinite(bias)):
+        raise ValueError(f"{path}: the model has a non-finite weight or bias")
+    vocab = Vocabulary(tuple(tokens))
+    fingerprint = vocab.fingerprint()
     if fingerprint != doc["vocab_fingerprint"]:
         raise ValueError(f"{path}: vocabulary hash does not match the stored token list")
     if len(vocab.token_to_index) != len(vocab):
@@ -241,6 +264,6 @@ def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
         weights=weights,
         bias=bias,
         vocab_fingerprint=fingerprint,
-        train_meta=TrainMeta(**{key: meta[key] for key in meta_keys}),
+        train_meta=TrainMeta(**train_meta),
     )
     return model, vocab

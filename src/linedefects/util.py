@@ -9,8 +9,9 @@ import multiprocessing
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 
 def derive_seed(*parts) -> int:
@@ -68,19 +69,29 @@ def pool_map(fn: Callable, tasks: Sequence, shared: tuple, workers: int) -> list
         return list(pool.map(_run_task, tasks))
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to ``path`` via a temp file + rename so readers never see partial output."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+@contextmanager
+def atomic_replace(path: Path) -> Iterator[BinaryIO]:
+    """A binary temp file beside ``path`` that replaces ``path`` if the block completes.
+
+    If the block raises, the temp file is removed and ``path`` is left as it was.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to ``path`` via a temp file + rename so readers never see partial output."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_replace(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 def format_cell(value) -> str:

@@ -1,21 +1,31 @@
-"""Reference features: the dict-based vocabulary, vectors and line flags the token table replaced.
+"""Reference features: the regex tokenizer, and the dict-based vocabulary, vectors and line flags the token table replaced.
 
-Each function re-tokenises the lines it needs, one string at a time, as
-``linedefects.corpus`` and ``linedefects.pipeline`` did before every release
-got one token table. The table-backed code must agree with these exactly:
-the same vocabulary, the same count vectors (so the same training design),
-and the same flagged lines with bitwise-equal score sums.
+Each function re-tokenises the lines it needs, one string at a time, with the
+regular expression ``linedefects.corpus.tokenize`` used before it translated
+bytes, as ``linedefects.corpus`` and ``linedefects.pipeline`` did before
+every release got one token table. The table-backed code must agree with
+these exactly: the same tokens, the same vocabulary, the same count vectors
+(so the same training design), and the same flagged lines with
+bitwise-equal score sums.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
 
-from linedefects.corpus import FeatureVector, SourceFile, Vocabulary, tokenize
+from linedefects.corpus import FeatureVector, SourceFile, Vocabulary
 from linedefects.pipeline import RankedLine, RiskyTokenSet
+
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
+
+
+def tokenize(text: str) -> list[str]:
+    """Maximal runs of ASCII letters, digits and underscore."""
+    return _TOKEN_RE.findall(text)
 
 
 def token_stream(file: SourceFile) -> list[str]:

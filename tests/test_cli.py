@@ -141,10 +141,25 @@ def _repeated_token(doc):
     return {**doc, "tokens": tokens, "weights": doc["weights"] + [0.0], "vocab_fingerprint": fingerprint}
 
 
+def _first_weight(value):
+    return lambda doc: {**doc, "weights": [value] + doc["weights"][1:]}
+
+
 class TestModelDocument:
     @pytest.mark.parametrize(
         "edit, expected_rc",
         [
+            pytest.param(_first_weight(float("nan")), 2, id="nan-weight"),
+            pytest.param(_first_weight(float("-inf")), 2, id="infinite-weight"),
+            pytest.param(_first_weight("0.5"), 2, id="string-weight"),
+            pytest.param(_first_weight(True), 2, id="boolean-weight"),
+            pytest.param(lambda doc: {**doc, "bias": float("inf")}, 2, id="infinite-bias"),
+            pytest.param(lambda doc: {**doc, "bias": None}, 2, id="null-bias"),
+            pytest.param(lambda doc: {**doc, "tokens": "".join(doc["tokens"])}, 2, id="string-tokens"),
+            pytest.param(_train_meta(lambda meta: {**meta, "iterations": 3.5}), 2, id="fractional-iterations"),
+            pytest.param(_train_meta(lambda meta: {**meta, "converged": "yes"}), 2, id="string-converged"),
+            pytest.param(_train_meta(lambda meta: {**meta, "final_grad_norm": False}), 2, id="boolean-grad-norm"),
+            pytest.param(_train_meta(lambda meta: {**meta, "final_grad_norm": 0}), 0, id="integer-grad-norm"),
             pytest.param(_without("weights"), 2, id="no-weights"),
             pytest.param(_without("train_meta"), 2, id="no-train-meta"),
             pytest.param(_train_meta(lambda meta: {**meta, "momentum": 0.9}), 2, id="extra-train-meta-key"),

@@ -1,23 +1,30 @@
-"""Every command that trains ends in exit 0 or a named data error (exit 2) on any valid dataset.
+"""Every command ends in exit 0 or a named data error (exit 2) on any valid dataset or any model document.
 
 Hypothesis generates small valid datasets: one to three releases of one to
 eight files, whose lines hold identifiers, only punctuation, or nothing.
 Each dataset goes through ``train``, ``predict`` with every method, both
-``evaluate`` settings and both ``sensitivity`` targets. A traceback fails
-the test.
+``evaluate`` settings and both ``sensitivity`` targets. It also edits a
+trained model document: it drops keys, sets numbers to NaN or infinities,
+changes types and lengths and repeats tokens, and runs ``predict`` with
+every method that reads the model. A traceback fails the test.
 """
 
 from __future__ import annotations
 
+import json
 import tempfile
 from datetime import date
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from linedefects.cli import main
 from linedefects.corpus import write_dataset
-from linedefects.experiments import ALL_METHODS
+from linedefects.experiments import ALL_METHODS, METHOD_INPUTS
+from linedefects.model import load_model
+from linedefects.synthetic import make_release_series
 
 from conftest import release_of_files
 
@@ -74,3 +81,61 @@ def test_training_commands_exit_zero_or_data_error(tmp_path, releases):
         write_dataset(built, data, meta)
         for argv in _commands(data, meta, out, built[-1].release_id):
             assert main(argv + FLAGS) in (0, 2), argv[0]
+
+
+# half of the drawn values are NaN or an infinity, which Python's json reads and writes
+JSON_VALUES = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.floats(), st.text(max_size=3), st.just([])),
+)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-model")
+    data = root / "data.csv"
+    write_dataset(make_release_series(n_releases=2, seed=3, n_files=12, n_defective=4), data)
+    model = root / "model.json"
+    assert main(["train", "--dataset", str(data), "--releases", "demo-1.0", "--out", str(model)]) == 0
+    return data, json.loads(model.read_text())
+
+
+def _edit(draw, doc: dict) -> dict:
+    """The document with one key dropped, one value or list entry replaced, or one list resized."""
+    meta = doc.get("train_meta")
+    parent = draw(st.sampled_from([doc, meta] if isinstance(meta, dict) and meta else [doc]))
+    key = draw(st.sampled_from(sorted(parent)))
+    # a bad number goes wrong in silence, so half of the edits replace a value
+    action = draw(st.sampled_from(["drop", "replace", "entry", "entry", "shorten", "repeat"]))
+    if action == "drop":
+        del parent[key]
+    elif action == "replace" or not isinstance(parent[key], list) or not parent[key]:
+        parent[key] = draw(JSON_VALUES)
+    elif action == "entry":
+        parent[key][draw(st.integers(0, len(parent[key]) - 1))] = draw(JSON_VALUES)
+    elif action == "shorten":
+        parent[key].pop()
+    else:
+        parent[key].append(parent[key][0])
+    return doc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_predict_exits_zero_or_data_error_on_edited_model(trained, tmp_path, data):
+    dataset, doc = trained
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _edit(data.draw, doc)
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(doc))
+    codes = {
+        method: main(["predict", "--model", str(model), "--dataset", str(dataset), "--release", "demo-2.0",
+                      "--train-release", "demo-1.0", "--method", method, "--out", str(tmp_path / "out.csv")] + FLAGS)
+        for method, inputs in METHOD_INPUTS.items()
+        if "model" in inputs
+    }
+    assert set(codes.values()) <= {0, 2}, codes
+    if 0 in codes.values():  # a model that loads is one the program can use
+        loaded, _ = load_model(model)
+        assert np.isfinite(loaded.weights).all() and np.isfinite(loaded.bias)

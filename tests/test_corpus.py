@@ -37,6 +37,24 @@ class TestTokenize:
     def test_underscore_and_digits_kept(self):
         assert tokenize("buf_2 = x->y") == ["buf_2", "x", "y"]
 
+    @settings(max_examples=500)
+    @given(
+        st.text(
+            st.one_of(
+                st.characters(exclude_categories=()),  # lone surrogates too
+                # separators str.split would honour, a non-breaking space, and letters that case-fold to ASCII
+                st.sampled_from("\x1c\x1d\x1e\x1f\x85\xa0\u212a\u017f\u0130"),
+                st.sampled_from("aZ09_ .;"),
+            ),
+            max_size=40,
+        )
+    )
+    def test_equals_the_regex_oracle(self, text):
+        assert tokenize(text) == reference_corpus.tokenize(text)
+
+    def test_non_ascii_letters_separate(self):
+        assert tokenize("a\u212ab\u017fc\u0130d\xe9e\ud800f\x1cg\xa0h") == list("abcdefgh")
+
     @given(st.text(max_size=200))
     def test_tokens_are_alphanumeric_runs(self, text):
         for token in tokenize(text):

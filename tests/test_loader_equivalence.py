@@ -1,4 +1,4 @@
-"""``corpus.load_dataset`` against the ``csv.DictReader`` loader it replaced.
+"""``corpus.load_dataset`` against the ``csv.DictReader`` loader it replaced, and its parse cache against the CSV.
 
 The generated CSV texts are valid datasets and their corruptions: shuffled
 rows, blank lines, reordered, duplicate and extra columns, short rows, bad
@@ -7,19 +7,33 @@ labels and empty release ids. Both loaders must return equal releases or
 raise :class:`DatasetError` with the same message. Where the reference
 loader ends in another exception, or lets a missing value through, the
 loader under test raises :class:`DatasetError` naming the short row.
+
+Every generated CSV is loaded twice, the second time from the cache the
+first load left, and must give the same outcome; a load that fails leaves
+no cache. A damaged, stale or unwritable cache falls back to the CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
 import re
+import subprocess
+import sys
+from datetime import date
+from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import reference_loader
+from linedefects import corpus, util
 from linedefects.cli import main
-from linedefects.corpus import DATASET_COLUMNS, DatasetError, load_dataset
+from linedefects.corpus import DATASET_COLUMNS, DatasetError, cache_path, load_dataset, write_dataset
+from linedefects.synthetic import make_release_series
 
 FILE_KEYS = [("r1", "A.java"), ("r1", "B,x.java"), ("r2", "A.java"), ("", "C.java")]
 CONTENT = st.text(st.sampled_from('ab ,"\n\r;\té'), max_size=6)
@@ -122,8 +136,11 @@ def test_loader_matches_reference(tmp_path, dataset, metadata):
         paths.append(tmp_path / "meta.csv")
         paths[1].write_text(metadata, encoding="utf-8")
 
+    cache_path(path).unlink(missing_ok=True)  # left by an earlier example
     expected = _outcome(reference_loader.load_dataset, *paths)
     actual = _outcome(load_dataset, *paths)
+    assert cache_path(path).exists() == (actual[0] == "ok")
+    assert _outcome(load_dataset, *paths) == actual
     if first_short is None:
         if expected[0] == "crash":
             assert actual[0] == "error"
@@ -153,3 +170,121 @@ def test_density_exits_zero_or_data_error(tmp_path, data):
     path = tmp_path / "data.csv"
     path.write_bytes(data)
     assert main(["density", "--dataset", str(path), "--out", str(tmp_path / "density.csv")]) in (0, 2)
+
+
+@pytest.fixture
+def cached(tmp_path):
+    """A dataset CSV, its releases parsed from the CSV, and the cache that load left."""
+    path = tmp_path / "data.csv"
+    write_dataset(make_release_series(n_releases=2, seed=4, n_files=6, n_defective=2), path)
+    releases = load_dataset(path)
+    assert cache_path(path).exists()
+    return path, releases
+
+
+def _parses(monkeypatch) -> list:
+    """A list that gains an entry each time the loader constructs a ``csv.reader``."""
+    calls = []
+    real = csv.reader
+    monkeypatch.setattr(corpus.csv, "reader", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+def _edited(name, change):
+    """A damage that saves the cache again with array ``name`` replaced by ``change(array)``."""
+
+    def damage(path):
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays[name] = change(arrays[name])
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+
+    return damage
+
+
+class TestParseCache:
+    def test_warm_load_does_not_parse_the_csv(self, cached, monkeypatch):
+        path, releases = cached
+        calls = _parses(monkeypatch)
+        assert load_dataset(path) == releases
+        assert calls == []
+
+    def test_cache_reads_no_dates(self, cached, tmp_path):
+        path, releases = cached
+        meta = tmp_path / "meta.csv"
+        meta.write_text("release,release_date\ndemo-1.0,2020-05-06\n")
+        dated = load_dataset(path, meta)
+        assert [ds.release_date for ds in dated] == [date(2020, 5, 6), None]
+        assert [ds.files for ds in dated] == [ds.files for ds in releases]
+        assert [ds.release_date for ds in load_dataset(path)] == [None, None]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]), id="truncated"),
+            pytest.param(lambda path: path.write_bytes(b"release,file_path\n"), id="not-npz"),
+            pytest.param(lambda path: path.write_bytes(pickle.dumps([1, 2])), id="pickle"),
+            pytest.param(_edited("key", np.zeros_like), id="wrong-key"),
+            pytest.param(_edited("version", lambda version: version + 1), id="wrong-version"),
+            # the first file claims one line more, so every later file would start a line late
+            pytest.param(_edited("file_lines", lambda lines: np.r_[lines[0] + 1, lines[1:]]), id="inconsistent-lengths"),
+            pytest.param(_edited("content_offsets", lambda ends: np.r_[ends[:-2], ends[-1] + 1, ends[-1]]),
+                         id="inconsistent-offsets"),
+            # 0 and 2 read as labels, but 2 is not True
+            pytest.param(_edited("line_label", lambda labels: labels.astype(np.int64) * 2), id="wrong-dtype"),
+            pytest.param(_edited("content_text", lambda text: np.array([text.tobytes()], dtype=object)),
+                         id="object-array"),
+            pytest.param(_edited("content_text", lambda text: np.frombuffer(b"\xff", dtype=np.uint8)), id="not-utf8"),
+        ],
+    )
+    def test_damaged_cache_falls_back_to_the_csv_and_is_rewritten(self, cached, monkeypatch, damage):
+        path, releases = cached
+        damage(cache_path(path))
+        calls = _parses(monkeypatch)
+        assert load_dataset(path) == releases
+        assert len(calls) == 1
+        assert load_dataset(path) == releases
+        assert len(calls) == 1
+
+    def test_rewritten_csv_is_parsed_again(self, cached):
+        path, releases = cached
+        other = make_release_series(n_releases=1, seed=9, n_files=5, n_defective=1)
+        write_dataset(other, path)
+        assert load_dataset(path) == reference_loader.load_dataset(path) != releases
+        assert load_dataset(path) == reference_loader.load_dataset(path)
+
+    def test_a_pipe_is_read_once_and_not_cached(self, cached, tmp_path):
+        path, releases = cached
+        out = tmp_path / "density.csv"
+        src = str(Path(corpus.__file__).resolve().parents[1])
+        for dataset in (str(path), "/dev/stdin"):
+            subprocess.run(
+                [sys.executable, "-m", "linedefects.cli", "density", "--dataset", dataset, "--out", str(out)],
+                input=path.read_bytes(), env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True,
+                timeout=120,
+            )
+            assert out.read_text().count("\n") == 1 + sum(len(ds.files) for ds in releases)
+
+    def test_unwritable_directory_skips_the_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        write_dataset(make_release_series(n_releases=1, seed=4, n_files=4, n_defective=1), path)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(util.tempfile, "mkstemp", refuse)
+        assert load_dataset(path) == load_dataset(path) == reference_loader.load_dataset(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        write_dataset(make_release_series(n_releases=1, seed=4, n_files=4, n_defective=1), path)
+
+        def disk_full(handle, **arrays):
+            handle.write(b"PK partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(corpus.np, "savez", disk_full)
+        assert load_dataset(path) == reference_loader.load_dataset(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]

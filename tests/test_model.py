@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from linedefects.corpus import FeatureVector, Vocabulary, build_vocabulary, vectorize
 from linedefects.model import (
     TOLERANCE,
+    LogisticModel,
     _HessianProduct,
     _loss_and_gradient,
     load_model,
@@ -354,6 +355,21 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="hash"):
             load_model(path)
+
+    @pytest.mark.parametrize("field, value", [("weights", np.nan), ("weights", -np.inf), ("bias", np.inf)])
+    def test_non_finite_model_is_not_saved(self, tmp_path, field, value):
+        release = make_planted_release("r", seed=2, n_files=10, n_defective=4)
+        vocab = build_vocabulary(release)
+        model = train_logistic(vectorize(release, vocab), [f.file_label for f in release.files], vocab=vocab)
+        weights = model.weights.copy()
+        if field == "weights":
+            weights[0] = value
+        broken = LogisticModel(weights, value if field == "bias" else model.bias, model.vocab_fingerprint,
+                               model.train_meta)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_model(broken, vocab, path)
+        assert not path.exists()
 
     def test_unknown_version_rejected(self, tmp_path):
         import json
