@@ -5,18 +5,20 @@ The canonical dataset format is a UTF-8 CSV with header
 row per physical source line, plus an optional sidecar CSV
 ``release,release_date`` (ISO-8601) that orders releases in time.
 
-Loading a dataset leaves its parse beside the CSV, in the hidden file
-:func:`cache_path` names, keyed by the CSV's content hash; the next load of
-the same bytes rebuilds the releases from it without parsing the CSV again.
+Loading a dataset leaves its parse and its releases' token tables beside
+the CSV, in the hidden file :func:`cache_path` names, keyed by the CSV's
+content hash; the next load of the same bytes rebuilds the releases and
+their tables from it without parsing the CSV or tokenising a line again.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -37,9 +39,12 @@ METADATA_COLUMNS = ("release", "release_date")
 _TOKEN_BYTES = bytes(
     b if chr(b).isascii() and (chr(b).isalnum() or chr(b) == "_") else ord(" ") for b in range(256)
 )
+# the bytes a token is made of
+_WORD_BYTES = bytes(b for b in range(256) if _TOKEN_BYTES[b] != ord(" "))
 
-# bump whenever the sidecar's arrays, or what the loader accepts, change
-CACHE_FORMAT_VERSION = 1
+# Bump whenever the sidecar's arrays, what the loader accepts, or what ``tokenize``
+# returns change: the sidecar holds every release's tokens, and a load trusts them.
+CACHE_FORMAT_VERSION = 2
 _HASH_CHUNK = 1 << 20
 
 
@@ -63,12 +68,19 @@ class SourceFile:
     file_label: bool
 
 
+def _pointer(counts) -> np.ndarray:
+    """The CSR pointer of rows holding ``counts`` entries: 0, then the running totals."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
 def _row_positions(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR row selection: the selected rows' new row pointer and the positions of their entries."""
     starts = ptr[rows]
     lengths = ptr[rows + 1] - starts
-    new_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=new_ptr[1:])
+    new_ptr = _pointer(lengths)
     return new_ptr, np.arange(new_ptr[-1]) + np.repeat(starts - new_ptr[:-1], lengths)
 
 
@@ -100,18 +112,29 @@ class TokenTable:
 
     @classmethod
     def build(cls, files: Sequence[SourceFile]) -> "TokenTable":
-        """Tokenise every line of ``files`` once, in file and line order."""
-        per_line = [tokenize(line.content) for f in files for line in f.lines]
-        flat = list(chain.from_iterable(per_line))
-        tokens = tuple(sorted(set(flat)))
-        index = {token: i for i, token in enumerate(tokens)}
-        ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
-        line_ptr = np.zeros(len(per_line) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, per_line), dtype=np.int64, count=len(per_line)), out=line_ptr[1:])
-        file_ptr = np.zeros(len(files) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter((len(f.lines) for f in files), dtype=np.int64, count=len(files)), out=file_ptr[1:])
-        numbers = np.fromiter((line.number for f in files for line in f.lines), dtype=np.int64, count=len(per_line))
-        return cls(tokens, ids, line_ptr, numbers, file_ptr)
+        """Tokenise every line of ``files`` once, in file and line order.
+
+        Tokens are interned as they are read, a file at a time, so only one
+        file's token strings and the distinct tokens are held at once; the
+        ids they get in order of first sight are then remapped to text rank.
+        """
+        line_lengths: list[int] = []
+
+        def file_tokens(f: SourceFile) -> Iterator[str]:
+            per_line = [tokenize(line.content) for line in f.lines]
+            line_lengths.extend(map(len, per_line))
+            return chain.from_iterable(per_line)
+
+        # a token not seen before gets the next id: the count of distinct tokens seen so far
+        seen: defaultdict[str, int] = defaultdict()
+        seen.default_factory = seen.__len__
+        first_seen = np.fromiter(map(seen.__getitem__, chain.from_iterable(map(file_tokens, files))), dtype=np.int64)
+        tokens = tuple(sorted(seen))
+        rank = dict(zip(tokens, range(len(tokens))))
+        # ``seen`` iterates in order of first sight, so this maps each first-seen id to its rank
+        ids = np.fromiter(map(rank.__getitem__, seen), dtype=np.int64, count=len(seen))[first_seen]
+        numbers = np.fromiter((line.number for f in files for line in f.lines), dtype=np.int64, count=len(line_lengths))
+        return cls(tokens, ids, _pointer(line_lengths), numbers, _pointer([len(f.lines) for f in files]))
 
     def select(self, indices: Sequence[int]) -> "TokenTable":
         """The table of files ``indices``, in that order: their rows of this table, under the same ids."""
@@ -175,15 +198,20 @@ class ReleaseDataset:
 
     @cached_property
     def token_table(self) -> TokenTable:
-        """The release's token table, built the first time it is used."""
+        """The release's token table: from the cache :func:`load_dataset` read, or else built on first use."""
         return TokenTable.build(self.files)
 
     def subset(self, indices: Sequence[int]) -> "ReleaseDataset":
         """The release restricted to ``files[i]`` for i in ``indices``; it selects this release's table rows."""
         subset = ReleaseDataset(self.release_id, self.release_date, tuple(self.files[i] for i in indices))
-        # cached_property keeps its value in the instance dict: seeding it there means the subset never tokenises
-        subset.__dict__["token_table"] = self.token_table.select(indices)
-        return subset
+        return _with_table(subset, self.token_table.select(indices))
+
+
+def _with_table(release: ReleaseDataset, table: TokenTable) -> ReleaseDataset:
+    """``release``, with ``table`` (the table of its files) as its token table, so it never tokenises."""
+    # cached_property keeps its value in the instance dict, so seeding it there is building it
+    release.__dict__["token_table"] = table
+    return release
 
 
 @dataclass(frozen=True)
@@ -535,13 +563,20 @@ _CACHE_DTYPES = {
     "content_text": np.dtype(np.uint8),
     "content_offsets": np.dtype(np.int64),
     "line_label": np.dtype(np.bool_),
+    # each release's token table (see TokenTable), its line and file pointers given by the counts
+    "token_text": np.dtype(np.uint8),  # each release's distinct tokens in text order, release after release
+    "token_offsets": np.dtype(np.int64),
+    "release_tokens": np.dtype(np.int64),  # distinct tokens per release
+    "line_tokens": np.dtype(np.int64),  # tokens per line
+    "token_ids": np.dtype(np.int64),  # each line's token ids, line after line; ids count from 0 in each release
 }
 
 
 def _packed(name: str, texts: list[str]) -> dict[str, np.ndarray]:
-    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)), out=offsets[1:])
-    return {f"{name}_text": np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8), f"{name}_offsets": offsets}
+    return {
+        f"{name}_text": np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8),
+        f"{name}_offsets": _pointer(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))),
+    }
 
 
 def _unpacked(arrays: dict[str, np.ndarray], name: str, count: int) -> list[str]:
@@ -553,8 +588,8 @@ def _unpacked(arrays: dict[str, np.ndarray], name: str, count: int) -> list[str]
     return [text[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
-def _write_cache(target: Path, digest: bytes, releases: _Releases) -> None:
-    """Store ``releases``, parsed from the CSV whose sha256 is ``digest``, at ``target``.
+def _write_cache(target: Path, digest: bytes, releases: _Releases, tables: list[TokenTable]) -> None:
+    """Store ``releases`` and their ``tables``, parsed from the CSV whose sha256 is ``digest``, at ``target``.
 
     Nothing is written, and nothing is said, if ``target`` cannot be written.
     """
@@ -570,6 +605,10 @@ def _write_cache(target: Path, digest: bytes, releases: _Releases) -> None:
         "file_lines": np.array([len(f.lines) for f in files], dtype=np.int64),
         **_packed("content", [line.content for line in lines]),
         "line_label": np.array([line.is_defective for line in lines], dtype=np.bool_),
+        **_packed("token", [token for table in tables for token in table.tokens]),
+        "release_tokens": np.array([len(table.tokens) for table in tables], dtype=np.int64),
+        "line_tokens": np.concatenate([np.diff(table.line_ptr) for table in tables]),
+        "token_ids": np.concatenate([table.ids for table in tables]),
     }
     try:
         with atomic_replace(target) as handle:
@@ -578,8 +617,48 @@ def _write_cache(target: Path, digest: bytes, releases: _Releases) -> None:
         pass
 
 
-def _read_cache(target: Path, digest: bytes) -> _Releases:
-    """The releases stored at ``target`` for the CSV whose sha256 is ``digest``.
+def _cached_tables(arrays: dict[str, np.ndarray], file_ptr: np.ndarray, line_ptr: np.ndarray) -> list[TokenTable]:
+    """Each release's token table from the cache's arrays, given the releases' files and the files' lines.
+
+    Raises if the arrays are inconsistent with those or in themselves.
+    """
+    release_tokens, line_tokens, token_ids = arrays["release_tokens"], arrays["line_tokens"], arrays["token_ids"]
+    if (
+        len(release_tokens) != len(file_ptr) - 1
+        or len(line_tokens) != line_ptr[-1]
+        or (release_tokens < 0).any()
+        or (line_tokens < 0).any()
+        or int(line_tokens.sum()) != len(token_ids)
+    ):
+        raise ValueError("inconsistent token table lengths")
+    id_ptr, token_ptr = _pointer(line_tokens), _pointer(release_tokens)
+    # ids count from 0 in each release, up to its count of distinct tokens
+    release_line_ptr = line_ptr[file_ptr]
+    if ((token_ids < 0) | (token_ids >= np.repeat(release_tokens, np.diff(id_ptr[release_line_ptr])))).any():
+        raise ValueError("token id out of range")
+    tokens = _unpacked(arrays, "token", int(token_ptr[-1]))
+    if arrays["token_text"].tobytes().translate(None, _WORD_BYTES) or not all(tokens):
+        raise ValueError("a token holds a separator or is empty")
+    tables = []
+    for r in range(len(release_tokens)):
+        words = tokens[token_ptr[r] : token_ptr[r + 1]]
+        # ids are text ranks, which TokenTable.occurrences bisects on
+        if not all(map(str.__lt__, words, words[1:])):
+            raise ValueError("tokens out of text order")
+        first_line, last_line = release_line_ptr[r], release_line_ptr[r + 1]
+        file_lines = np.diff(line_ptr[file_ptr[r] : file_ptr[r + 1] + 1])
+        table_file_ptr = _pointer(file_lines)
+        # a file's lines are numbered 1..n
+        rows = np.arange(last_line - first_line, dtype=np.int64)
+        numbers = rows - np.repeat(table_file_ptr[:-1], file_lines) + 1
+        first_id, last_id = id_ptr[first_line], id_ptr[last_line]
+        line_ids = id_ptr[first_line : last_line + 1] - first_id
+        tables.append(TokenTable(tuple(words), token_ids[first_id:last_id], line_ids, numbers, table_file_ptr))
+    return tables
+
+
+def _read_cache(target: Path, digest: bytes) -> tuple[_Releases, list[TokenTable]]:
+    """The releases stored at ``target`` for the CSV whose sha256 is ``digest``, and their token tables.
 
     Raises if the file is missing, unreadable, of another format version or
     CSV, or inconsistent in itself.
@@ -601,21 +680,30 @@ def _read_cache(target: Path, digest: bytes) -> _Releases:
         or len(arrays["file_label"]) != n_files
     ):
         raise ValueError("inconsistent lengths")
+    file_ptr, line_ptr = _pointer(release_files), _pointer(file_lines)
+    tables = _cached_tables(arrays, file_ptr, line_ptr)
     release_ids = _unpacked(arrays, "release", len(release_files))
-    paths = _unpacked(arrays, "path", n_files)
-    contents = _unpacked(arrays, "content", n_lines)
     file_labels, line_labels = arrays["file_label"].tolist(), arrays["line_label"].tolist()
-    line_ptr = np.concatenate(([0], np.cumsum(file_lines))).tolist()
-    file_ptr = np.concatenate(([0], np.cumsum(release_files))).tolist()
+    file_bounds, line_bounds = file_ptr.tolist(), line_ptr.tolist()
     releases = []
-    for r, release_id in enumerate(release_ids):
-        files = []
-        for f in range(file_ptr[r], file_ptr[r + 1]):
-            first, last = line_ptr[f], line_ptr[f + 1]
-            lines = tuple(map(LineRecord, range(1, last - first + 1), contents[first:last], line_labels[first:last]))
-            files.append(SourceFile(release_id=release_id, path=paths[f], lines=lines, file_label=file_labels[f]))
-        releases.append((release_id, tuple(files)))
-    return releases
+    # the rebuilt releases hold only tuples of strings, numbers and booleans: no cycle for the collector to find
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        paths = _unpacked(arrays, "path", n_files)
+        contents = _unpacked(arrays, "content", n_lines)
+        for r, release_id in enumerate(release_ids):
+            files = []
+            for f in range(file_bounds[r], file_bounds[r + 1]):
+                first, last = line_bounds[f], line_bounds[f + 1]
+                numbers = range(1, last - first + 1)
+                lines = tuple(map(LineRecord, numbers, contents[first:last], line_labels[first:last]))
+                files.append(SourceFile(release_id=release_id, path=paths[f], lines=lines, file_label=file_labels[f]))
+            releases.append((release_id, tuple(files)))
+    finally:
+        if collecting:
+            gc.enable()
+    return releases, tables
 
 
 def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> list[ReleaseDataset]:
@@ -628,20 +716,22 @@ def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> l
     and files by path.
 
     The parse of a CSV that loads is kept beside it (:func:`cache_path`),
-    keyed by the sha256 of its bytes and :data:`CACHE_FORMAT_VERSION`. A
-    later load of the same bytes rebuilds the releases from that file
-    without parsing the CSV; a missing, stale or damaged cache is parsed
-    around and rewritten. The dates are read from ``metadata_path`` on
-    every load.
+    keyed by the sha256 of its bytes and :data:`CACHE_FORMAT_VERSION`,
+    together with each release's token table. A later load of the same
+    bytes rebuilds the releases and their tables from that file without
+    parsing the CSV or tokenising a line; a missing, stale or damaged cache
+    is parsed around and rewritten. The dates are read from
+    ``metadata_path`` on every load. A file that is not regular, such as a
+    pipe, is not cached, and its releases tokenise on first use.
     """
     path = Path(path)
     # a pipe or a device could be read only once: only a regular file is hashed first and cached
     cacheable = path.is_file()
-    releases = None
+    releases = tables = None
     if cacheable:
         key = _file_digest(path)
         try:
-            releases = _read_cache(cache_path(path), key)
+            releases, tables = _read_cache(cache_path(path), key)
         # The cache is a file anyone may have damaged, and numpy's and zipfile's readers raise many
         # kinds of errors on one; whatever the cause, the CSV is parsed and the cache rewritten.
         except Exception:
@@ -653,9 +743,12 @@ def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> l
     dates = load_metadata(metadata_path) if metadata_path is not None else {}
     if releases is None:
         releases = _checked_files(path, rows_by_file)
+        del rows_by_file  # the parsed rows are not read again: free them before the tables are built
         if cacheable:
-            _write_cache(cache_path(path), digest.digest(), releases)
-    return [ReleaseDataset(release_id, dates.get(release_id), files) for release_id, files in releases]
+            tables = [TokenTable.build(files) for _, files in releases]
+            _write_cache(cache_path(path), digest.digest(), releases, tables)
+    datasets = [ReleaseDataset(release_id, dates.get(release_id), files) for release_id, files in releases]
+    return datasets if tables is None else list(map(_with_table, datasets, tables))
 
 
 def write_dataset(

@@ -73,11 +73,17 @@ def pool_map(fn: Callable, tasks: Sequence, shared: tuple, workers: int) -> list
 def atomic_replace(path: Path) -> Iterator[BinaryIO]:
     """A binary temp file beside ``path`` that replaces ``path`` if the block completes.
 
-    If the block raises, the temp file is removed and ``path`` is left as it was.
+    The file gets the mode a plain ``open`` would give it, ``0o666`` less the
+    umask. If the block raises, the temp file is removed and ``path`` is left
+    as it was.
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
+            # mkstemp creates the file 0600 and the rename keeps that mode; the umask is read by setting it
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             yield handle
         os.replace(tmp, path)
     except BaseException:

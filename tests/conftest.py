@@ -2,10 +2,11 @@ from __future__ import annotations
 
 from datetime import date
 
+import numpy as np
 import pytest
 
 from linedefects.config import RunConfig
-from linedefects.corpus import LineRecord, ReleaseDataset, SourceFile
+from linedefects.corpus import LineRecord, ReleaseDataset, SourceFile, TokenTable
 from linedefects.synthetic import make_release_series
 
 
@@ -30,6 +31,15 @@ def release_of_files(release_id: str, files: dict[str, list[tuple[str, bool]]], 
         release_date=release_date or date(2024, 1, 1),
         files=tuple(sorted(built, key=lambda f: f.path)),
     )
+
+
+def assert_same_table(actual: TokenTable, expected: TokenTable) -> None:
+    """The two tables hold the same tokens, and arrays of equal values and dtypes."""
+    assert actual.tokens == expected.tokens
+    for name in ("ids", "line_ptr", "numbers", "file_ptr"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == e.dtype, name
+        assert np.array_equal(a, e), name
 
 
 def file_at(release: ReleaseDataset, path: str) -> SourceFile:

@@ -1,4 +1,4 @@
-"""Reference features: the regex tokenizer, and the dict-based vocabulary, vectors and line flags the token table replaced.
+"""Reference features: the regex tokenizer, a list-built token table, and dict-based vocabulary, vectors and flags.
 
 Each function re-tokenises the lines it needs, one string at a time, with the
 regular expression ``linedefects.corpus.tokenize`` used before it translated
@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import scipy.sparse as sp
 
-from linedefects.corpus import FeatureVector, SourceFile, Vocabulary
+from linedefects.corpus import FeatureVector, SourceFile, TokenTable, Vocabulary
 from linedefects.pipeline import RankedLine, RiskyTokenSet
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -26,6 +26,21 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 def tokenize(text: str) -> list[str]:
     """Maximal runs of ASCII letters, digits and underscore."""
     return _TOKEN_RE.findall(text)
+
+
+def token_table(files: list[SourceFile]) -> TokenTable:
+    """Every line's tokens as a list, the sorted distinct tokens, then each token's index among them."""
+    per_line = [tokenize(line.content) for f in files for line in f.lines]
+    flat = [token for words in per_line for token in words]
+    tokens = tuple(sorted(set(flat)))
+    index = {token: i for i, token in enumerate(tokens)}
+    return TokenTable(
+        tokens=tokens,
+        ids=np.array([index[token] for token in flat], dtype=np.int64),
+        line_ptr=np.cumsum([0] + [len(words) for words in per_line], dtype=np.int64),
+        numbers=np.array([line.number for f in files for line in f.lines], dtype=np.int64),
+        file_ptr=np.cumsum([0] + [len(f.lines) for f in files], dtype=np.int64),
+    )
 
 
 def token_stream(file: SourceFile) -> list[str]:

@@ -4,13 +4,15 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import os
+import stat
 from dataclasses import asdict
 
 import pytest
 
 from linedefects.cli import _config_from_args, build_parser, main
 from linedefects.config import FIELD_TYPES, RunConfig
-from linedefects.corpus import write_dataset
+from linedefects.corpus import cache_path, write_dataset
 from linedefects.synthetic import make_release_series
 
 from conftest import release_of_files, unseen_token_pair
@@ -373,6 +375,19 @@ class TestMineAndDensity:
         assert len(rows) - 1 == 48  # 24 files x 2 releases
         for r in rows[1:]:
             assert float(r[4]) == pytest.approx(int(r[3]) / int(r[2]))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_written_files_take_the_umask_mode(tmp_path, umask):
+    data, model = tmp_path / "dataset.csv", tmp_path / "model.json"
+    previous = os.umask(umask)
+    try:
+        write_dataset(make_release_series(system="m", n_releases=1, seed=2, n_files=6, n_defective=2), data)
+        assert main(["train", "--dataset", str(data), "--out", str(model)]) == 0
+    finally:
+        os.umask(previous)
+    for path in (data, model, cache_path(data)):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 class TestExitCodes:

@@ -10,12 +10,15 @@ loader under test raises :class:`DatasetError` naming the short row.
 
 Every generated CSV is loaded twice, the second time from the cache the
 first load left, and must give the same outcome; a load that fails leaves
-no cache. A damaged, stale or unwritable cache falls back to the CSV.
+no cache. Both loads return releases that already hold their token tables,
+equal to tokenising the files afresh. A damaged, stale or unwritable cache
+falls back to the CSV.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import os
 import pickle
@@ -30,9 +33,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import reference_loader
+from conftest import assert_same_table, release_of_files
 from linedefects import corpus, util
 from linedefects.cli import main
-from linedefects.corpus import DATASET_COLUMNS, DatasetError, cache_path, load_dataset, write_dataset
+from linedefects.corpus import DATASET_COLUMNS, DatasetError, TokenTable, cache_path, load_dataset, write_dataset
 from linedefects.synthetic import make_release_series
 
 FILE_KEYS = [("r1", "A.java"), ("r1", "B,x.java"), ("r2", "A.java"), ("", "C.java")]
@@ -111,6 +115,13 @@ def metadata_texts(draw):
     return "\n".join(rows) + "\n"
 
 
+def assert_tables_cached(releases) -> None:
+    """Each release came with its token table, equal to one built from its files."""
+    for release in releases:
+        assert "token_table" in release.__dict__
+        assert_same_table(release.token_table, TokenTable.build(release.files))
+
+
 def _outcome(loader, *paths):
     try:
         return "ok", loader(*paths)
@@ -140,7 +151,11 @@ def test_loader_matches_reference(tmp_path, dataset, metadata):
     expected = _outcome(reference_loader.load_dataset, *paths)
     actual = _outcome(load_dataset, *paths)
     assert cache_path(path).exists() == (actual[0] == "ok")
-    assert _outcome(load_dataset, *paths) == actual
+    warm = _outcome(load_dataset, *paths)
+    assert warm == actual
+    if actual[0] == "ok":
+        assert_tables_cached(actual[1])
+        assert_tables_cached(warm[1])
     if first_short is None:
         if expected[0] == "crash":
             assert actual[0] == "error"
@@ -190,17 +205,37 @@ def _parses(monkeypatch) -> list:
     return calls
 
 
-def _edited(name, change):
-    """A damage that saves the cache again with array ``name`` replaced by ``change(array)``."""
+def _resaved(change):
+    """A damage that saves the cache again after ``change(arrays)`` edits its arrays in place."""
 
     def damage(path):
         with np.load(path) as archive:
             arrays = dict(archive)
-        arrays[name] = change(arrays[name])
+        change(arrays)
         with open(path, "wb") as handle:
             np.savez(handle, **arrays)
 
     return damage
+
+
+def _edited(name, change):
+    """A damage that saves the cache again with array ``name`` replaced by ``change(array)``."""
+    return _resaved(lambda arrays: arrays.update({name: change(arrays[name])}))
+
+
+def _tokens_edited(change):
+    """A damage that saves the cache again with its token list replaced by ``change(tokens)``."""
+
+    def edit(arrays):
+        bounds = arrays["token_offsets"].tolist()
+        text = arrays["token_text"].tobytes().decode("ascii")
+        arrays.update(corpus._packed("token", change([text[start:end] for start, end in zip(bounds, bounds[1:])])))
+
+    return _resaved(edit)
+
+
+def _last_id_one_past_its_release(arrays):
+    arrays["token_ids"][-1] = arrays["release_tokens"][-1]
 
 
 class TestParseCache:
@@ -209,6 +244,17 @@ class TestParseCache:
         calls = _parses(monkeypatch)
         assert load_dataset(path) == releases
         assert calls == []
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+    def test_warm_load_leaves_the_collector_as_it_was(self, cached, collecting):
+        path, releases = cached
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert load_dataset(path) == releases
+            assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_cache_reads_no_dates(self, cached, tmp_path):
         path, releases = cached
@@ -236,16 +282,50 @@ class TestParseCache:
             pytest.param(_edited("content_text", lambda text: np.array([text.tobytes()], dtype=object)),
                          id="object-array"),
             pytest.param(_edited("content_text", lambda text: np.frombuffer(b"\xff", dtype=np.uint8)), id="not-utf8"),
+            pytest.param(_resaved(_last_id_one_past_its_release), id="id-out-of-range"),
+            pytest.param(_edited("token_ids", lambda ids: np.r_[-1, ids[1:]]), id="negative-id"),
+            # the first release's two first tokens trade places, or the first is given again
+            pytest.param(_tokens_edited(lambda tokens: [tokens[1], tokens[0], *tokens[2:]]), id="unsorted-tokens"),
+            pytest.param(_tokens_edited(lambda tokens: [tokens[0], tokens[0], *tokens[2:]]), id="repeated-token"),
+            pytest.param(_edited("line_tokens", lambda counts: np.r_[counts[:-1], counts[-1] + 1]),
+                         id="token-count-sum"),
+            pytest.param(_edited("line_tokens", lambda counts: np.r_[counts[0] + counts[1] + 1, -1, counts[2:]]),
+                         id="negative-token-count"),
+            # every line's ids would start one line late
+            pytest.param(_edited("line_tokens", lambda counts: np.r_[0, counts]), id="token-counts-too-long"),
+            # a space sorts before every token byte, so the tokens stay in text order
+            pytest.param(_edited("token_text", lambda text: np.r_[np.uint8(ord(" ")), text[1:]]),
+                         id="separator-in-token"),
+            # the first token's text joins the second's
+            pytest.param(_edited("token_offsets", lambda offsets: np.r_[0, 0, offsets[2:]]),
+                         id="empty-token"),
         ],
     )
     def test_damaged_cache_falls_back_to_the_csv_and_is_rewritten(self, cached, monkeypatch, damage):
         path, releases = cached
         damage(cache_path(path))
         calls = _parses(monkeypatch)
-        assert load_dataset(path) == releases
+        reloaded = load_dataset(path)
+        assert reloaded == releases
         assert len(calls) == 1
-        assert load_dataset(path) == releases
+        assert_tables_cached(reloaded)
+        rewritten = load_dataset(path)
+        assert rewritten == releases
         assert len(calls) == 1
+        assert_tables_cached(rewritten)
+
+    def test_negative_token_count_of_a_release_without_tokens_falls_back(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        blank = release_of_files("blank", {"A.java": [("", False), ("();", False)]})
+        write_dataset([blank, *make_release_series(n_releases=1, seed=4, n_files=4, n_defective=1)], path)
+        releases = load_dataset(path)
+        # the tokenless first release would take all but the last token, and the other release that one
+        _edited("release_tokens", lambda counts: counts + np.array([-1, 1]))(cache_path(path))
+        calls = _parses(monkeypatch)
+        reloaded = load_dataset(path)
+        assert reloaded == releases
+        assert len(calls) == 1
+        assert_tables_cached(reloaded)
 
     def test_rewritten_csv_is_parsed_again(self, cached):
         path, releases = cached

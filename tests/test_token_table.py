@@ -31,7 +31,7 @@ from linedefects.synthetic import make_release_series
 
 import reference_corpus
 import reference_ngram
-from conftest import release_of_files
+from conftest import assert_same_table, release_of_files
 
 ALPHABET = ("a", "b", "c", "Node", "node", "x_1", "zz")
 SEPARATORS = (" ", "  ", ".", "();", "->")
@@ -82,6 +82,11 @@ class TestTable:
         assert table_texts(table) == [corpus.tokenize(line.content) for f in release.files for line in f.lines]
         assert table.numbers.tolist() == [line.number for f in release.files for line in f.lines]
         assert np.diff(table.file_ptr).tolist() == [len(f.lines) for f in release.files]
+
+    @settings(max_examples=100, deadline=None)
+    @given(releases())
+    def test_build_equals_reference_table(self, release):
+        assert_same_table(TokenTable.build(release.files), reference_corpus.token_table(list(release.files)))
 
     @settings(max_examples=100, deadline=None)
     @given(releases(), st.data())
@@ -269,17 +274,26 @@ class TestNgramStream:
 
 
 class TestBuildOnlyWhatIsUsed:
-    def test_random_and_density_do_not_tokenise_the_training_release(self, tmp_path, monkeypatch):
+    def test_commands_on_a_cached_dataset_do_not_tokenise(self, tmp_path, monkeypatch):
         data = tmp_path / "dataset.csv"
-        train, test = make_release_series(system="u", seed=5, n_files=20, n_defective=6)
-        write_dataset([train, test], data)
+        write_dataset(make_release_series(system="u", seed=5, n_files=20, n_defective=6), data)
         model = tmp_path / "model.json"
+        # the first load parses the CSV and caches its releases' token tables
         assert main(["train", "--dataset", str(data), "--releases", "u-1.0", "--out", str(model)]) == 0
         calls = []
         real = corpus.tokenize
         monkeypatch.setattr(corpus, "tokenize", lambda text: calls.append(text) or real(text))
         assert main(["density", "--dataset", str(data), "--out", str(tmp_path / "density.csv")]) == 0
+        for method in ("random", "tmi_lr", "ngram"):
+            assert main(["predict", "--model", str(model), "--dataset", str(data), "--release", "u-2.0",
+                         "--train-release", "u-1.0", "--method", method, "--out", str(tmp_path / f"{method}.csv")]) == 0
         assert calls == []
-        assert main(["predict", "--model", str(model), "--dataset", str(data), "--release", "u-2.0",
-                     "--method", "random", "--out", str(tmp_path / "random.csv")]) == 0
+
+    def test_random_tokenises_only_the_test_release_of_an_uncached_dataset(self, monkeypatch):
+        train, test = make_release_series(system="u", seed=5, n_files=20, n_defective=6)
+        model, vocab = train_file_model(train)
+        calls = []
+        real = corpus.tokenize
+        monkeypatch.setattr(corpus, "tokenize", lambda text: calls.append(text) or real(text))
+        random_baseline(test, model, vocab)
         assert len(calls) == sum(len(f.lines) for f in test.files)
