@@ -49,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class DataError(Exception):
-    pass
-
-
 def _write_ranked_csv(path: str, ranked, method: str | None = None) -> None:
     extra = () if method is None else (method,)
     rows = (
@@ -71,7 +67,7 @@ def _pick_release(releases, release_id: str):
     for ds in releases:
         if ds.release_id == release_id:
             return ds
-    raise DataError(f"release {release_id!r} not found; available: {[d.release_id for d in releases]}")
+    raise ValueError(f"release {release_id!r} not found; available: {[d.release_id for d in releases]}")
 
 
 def _needed_for(needed: str) -> str:
@@ -84,7 +80,7 @@ def _config_from_args(args) -> RunConfig:
     try:
         return make_config(getattr(args, "config", None), **overrides)
     except (OSError, ValueError) as exc:
-        raise DataError(f"bad configuration: {exc}") from exc
+        raise ValueError(f"bad configuration: {exc}") from exc
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -136,11 +132,11 @@ def cmd_predict(args) -> int:
     model = vocab = train = None
     if "model" in inputs:
         if args.model is None:
-            raise DataError(f"method {method} needs --model")
+            raise ValueError(f"method {method} needs --model")
         model, vocab = load_model(args.model)
     if "train" in inputs:
         if args.train_release is None:
-            raise DataError(f"method {method} needs --train-release")
+            raise ValueError(f"method {method} needs --train-release")
         train = _pick_release(releases, args.train_release)
     result = experiments.run_method(
         method, train, test, model, vocab, config, config.entropy_threshold_cross, config.seed
@@ -155,10 +151,10 @@ def cmd_evaluate(args) -> int:
     methods = tuple(args.methods.split(","))
     unknown = set(methods) - set(experiments.ALL_METHODS)
     if unknown:
-        raise DataError(f"unknown methods: {sorted(unknown)}")
+        raise ValueError(f"unknown methods: {sorted(unknown)}")
     repeated = {method for method in methods if methods.count(method) > 1}
     if repeated:
-        raise DataError(f"repeated methods: {sorted(repeated)}")
+        raise ValueError(f"repeated methods: {sorted(repeated)}")
     config = _config_from_args(args)
     if args.setting == "within":
         output = experiments.within_release_eval(releases, methods, config)
@@ -265,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
-    except (DataError, ValueError, OSError) as exc:  # unreadable or malformed input, unwritable output
+    except (ValueError, OSError) as exc:  # unreadable or malformed input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

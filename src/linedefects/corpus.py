@@ -5,10 +5,12 @@ The canonical dataset format is a UTF-8 CSV with header
 row per physical source line, plus an optional sidecar CSV
 ``release,release_date`` (ISO-8601) that orders releases in time.
 
-Loading a dataset leaves its parse and its releases' token tables beside
-the CSV, in the hidden file :func:`cache_path` names, keyed by the CSV's
-content hash; the next load of the same bytes rebuilds the releases and
-their tables from it without parsing the CSV or tokenising a line again.
+A load reads the CSV's bytes once: their hash is the cache key, the parse
+and any error report read the same bytes. Loading a dataset leaves its
+parse and its releases' token tables beside the CSV, in the hidden file
+:func:`cache_path` names, keyed by that hash; the next load of the same
+bytes rebuilds the releases and their tables from it without parsing the
+CSV or tokenising a line again.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ _WORD_BYTES = bytes(b for b in range(256) if _TOKEN_BYTES[b] != ord(" "))
 # Bump whenever the sidecar's arrays, what the loader accepts, or what ``tokenize``
 # returns change: the sidecar holds every release's tokens, and a load trusts them.
 CACHE_FORMAT_VERSION = 2
-_HASH_CHUNK = 1 << 20
 
 
 class DatasetError(ValueError):
@@ -198,7 +199,7 @@ class ReleaseDataset:
 
     @cached_property
     def token_table(self) -> TokenTable:
-        """The release's token table: from the cache :func:`load_dataset` read, or else built on first use."""
+        """The release's token table: set by :func:`load_dataset`, or else built on first use."""
         return TokenTable.build(self.files)
 
     def subset(self, indices: Sequence[int]) -> "ReleaseDataset":
@@ -361,38 +362,17 @@ def _numbered_rows(reader, path) -> Iterator[tuple[int, list[str]]]:
         raise DatasetError(f"{path}:{number + 1}: {exc}") from exc
 
 
-class _HashingReader(io.RawIOBase):
-    """A binary file read through unchanged; every byte read is also fed to ``digest``."""
-
-    def __init__(self, raw, digest) -> None:
-        self._raw, self._digest = raw, digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._raw.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:n])
-        return n
-
-
-def _csv_rows(path: str | Path, digest=None) -> Iterator[tuple[int, list[str]]]:
-    """The numbered rows of a UTF-8 CSV file, header first (see :func:`_numbered_rows`).
-
-    Given a ``hashlib`` hash, it feeds it the file's bytes as they are parsed.
-    """
-    with open(path, "rb") as raw:
-        source = raw if digest is None else _HashingReader(raw, digest)
-        handle = io.TextIOWrapper(source, encoding="utf-8", newline="")
+def _csv_rows(path: str | Path, raw: bytes) -> Iterator[tuple[int, list[str]]]:
+    """The numbered rows of ``raw``, the bytes of UTF-8 CSV file ``path``, header first (see :func:`_numbered_rows`)."""
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as handle:
         try:
             yield from _numbered_rows(csv.reader(handle), path)
         except UnicodeDecodeError:
-            raise _undecodable(path) from None
+            raise _undecodable(path, raw) from None
 
 
-def _undecodable(path: str | Path) -> DatasetError:
-    """The error for a file that is not UTF-8, naming the row that holds its first bad byte."""
-    raw = Path(path).read_bytes()
+def _undecodable(path: str | Path, raw: bytes) -> DatasetError:
+    """The error for ``raw``, the bytes of ``path``, that are not UTF-8, naming the row of their first bad byte."""
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -448,7 +428,7 @@ def _checked_row(
 def load_metadata(path: str | Path) -> dict[str, date]:
     """Read the release-date sidecar CSV (``release,release_date``)."""
     dates: dict[str, date] = {}
-    rows = _csv_rows(path)
+    rows = _csv_rows(path, Path(path).read_bytes())
     _, header = next(rows, (1, None))
     if header is None or set(METADATA_COLUMNS) - set(header):
         raise DatasetError(f"{path}: metadata header must contain {','.join(METADATA_COLUMNS)}")
@@ -468,9 +448,9 @@ def load_metadata(path: str | Path) -> dict[str, date]:
 _Rows = dict[tuple[str, str], list[tuple[int, str, bool, bool]]]
 
 
-def _grouped_rows(path: Path, digest) -> _Rows:
-    """Each file's parsed rows, keyed by ``(release, path)``; every row is checked, the files are not."""
-    rows = _csv_rows(path, digest)
+def _grouped_rows(path: Path, raw: bytes) -> _Rows:
+    """Each file's rows parsed from ``raw``, keyed by ``(release, path)``; every row is checked, the files are not."""
+    rows = _csv_rows(path, raw)
     _, header = next(rows, (1, None))
     if header is None:
         raise DatasetError(f"{path}: empty file")
@@ -538,15 +518,6 @@ def cache_path(path: str | Path) -> Path:
     """The parse cache of dataset ``path``: ``.<file name>.linedefects-cache.npz`` in the same directory."""
     path = Path(path)
     return path.with_name(f".{path.name}.linedefects-cache.npz")
-
-
-def _file_digest(path: Path) -> bytes:
-    """The sha256 of the file's bytes, read a chunk at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while chunk := handle.read(_HASH_CHUNK):
-            digest.update(chunk)
-    return digest.digest()
 
 
 # every array of a parse cache and its dtype; each is one-dimensional
@@ -715,40 +686,43 @@ def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> l
     naming the offending record. Releases are returned sorted by release id
     and files by path.
 
-    The parse of a CSV that loads is kept beside it (:func:`cache_path`),
-    keyed by the sha256 of its bytes and :data:`CACHE_FORMAT_VERSION`,
-    together with each release's token table. A later load of the same
-    bytes rebuilds the releases and their tables from that file without
-    parsing the CSV or tokenising a line; a missing, stale or damaged cache
-    is parsed around and rewritten. The dates are read from
-    ``metadata_path`` on every load. A file that is not regular, such as a
-    pipe, is not cached, and its releases tokenise on first use.
+    The file is read once, whole: the sha256 of those bytes is the cache
+    key, and the parse and any error report read the same bytes, so a pipe
+    or a device such as ``/dev/stdin`` loads like a regular file. Every
+    returned release already holds its token table. The parse of a CSV that
+    loads is kept beside it (:func:`cache_path`), keyed by that sha256 and
+    :data:`CACHE_FORMAT_VERSION`, together with each release's token table.
+    A later load of the same bytes rebuilds the releases and their tables
+    from that file without parsing the CSV or tokenising a line; a missing,
+    stale or damaged cache is parsed around and rewritten. The dates are
+    read from ``metadata_path`` on every load. Only a regular file's parse
+    is written to a cache.
     """
     path = Path(path)
-    # a pipe or a device could be read only once: only a regular file is hashed first and cached
-    cacheable = path.is_file()
-    releases = tables = None
-    if cacheable:
-        key = _file_digest(path)
-        try:
-            releases, tables = _read_cache(cache_path(path), key)
-        # The cache is a file anyone may have damaged, and numpy's and zipfile's readers raise many
-        # kinds of errors on one; whatever the cause, the CSV is parsed and the cache rewritten.
-        except Exception:
-            pass
+    raw = path.read_bytes()
+    key = hashlib.sha256(raw).digest()
+    try:
+        releases, tables = _read_cache(cache_path(path), key)
+    # The cache is a file anyone may have damaged, and numpy's and zipfile's readers raise many
+    # kinds of errors on one; whatever the cause, the CSV is parsed and the cache rewritten.
+    except Exception:
+        releases = None
     if releases is None:
-        digest = hashlib.sha256()
-        rows_by_file = _grouped_rows(path, digest)
+        rows_by_file = _grouped_rows(path, raw)
+    del raw  # the bytes are not read again: free them before the files are checked and the tables built
     # the dates are read after the rows are parsed and before the files are checked, and errors come in that order
     dates = load_metadata(metadata_path) if metadata_path is not None else {}
     if releases is None:
         releases = _checked_files(path, rows_by_file)
         del rows_by_file  # the parsed rows are not read again: free them before the tables are built
-        if cacheable:
-            tables = [TokenTable.build(files) for _, files in releases]
-            _write_cache(cache_path(path), digest.digest(), releases, tables)
-    datasets = [ReleaseDataset(release_id, dates.get(release_id), files) for release_id, files in releases]
-    return datasets if tables is None else list(map(_with_table, datasets, tables))
+        tables = [TokenTable.build(files) for _, files in releases]
+        # the name of a pipe or a device such as /dev/stdin names no stored bytes to keep a parse beside
+        if path.is_file():
+            _write_cache(cache_path(path), key, releases, tables)
+    return [
+        _with_table(ReleaseDataset(release_id, dates.get(release_id), files), table)
+        for (release_id, files), table in zip(releases, tables)
+    ]
 
 
 def write_dataset(

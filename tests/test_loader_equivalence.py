@@ -12,12 +12,15 @@ Every generated CSV is loaded twice, the second time from the cache the
 first load left, and must give the same outcome; a load that fails leaves
 no cache. Both loads return releases that already hold their token tables,
 equal to tokenising the files afresh. A damaged, stale or unwritable cache
-falls back to the CSV.
+falls back to the CSV. A load opens the CSV once, so a pipe, named or not,
+loads, and reports the row of a bad byte, as a file does.
 """
 
 from __future__ import annotations
 
+import builtins
 import csv
+import errno
 import gc
 import io
 import os
@@ -25,6 +28,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 from datetime import date
 from pathlib import Path
 
@@ -238,6 +242,41 @@ def _last_id_one_past_its_release(arrays):
     arrays["token_ids"][-1] = arrays["release_tokens"][-1]
 
 
+def _cli_env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(Path(corpus.__file__).resolve().parents[1])}
+
+
+def _run_cli(argv, fifo=None, timeout=60, **kwargs) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process; given ``fifo``, a named pipe and its bytes, feed it those bytes once.
+
+    The pipe is written once, after the child opens it to read; a second open
+    would wait for a writer, and time out.
+    """
+    if fifo is None:
+        return subprocess.run([sys.executable, "-m", "linedefects.cli", *argv], env=_cli_env(), capture_output=True,
+                              timeout=timeout, **kwargs)
+    name, data = fifo
+    with subprocess.Popen([sys.executable, "-m", "linedefects.cli", *argv], env=_cli_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        try:
+            deadline = time.monotonic() + timeout
+            while True:
+                try:  # without a reader, a non-blocking open for writing fails with ENXIO
+                    writer = os.open(name, os.O_WRONLY | os.O_NONBLOCK)
+                    break
+                except OSError as exc:
+                    if exc.errno != errno.ENXIO or child.poll() is not None or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.01)
+            os.set_blocking(writer, True)
+            with open(writer, "wb") as handle:
+                handle.write(data)
+            stdout, stderr = child.communicate(timeout=timeout)
+        finally:
+            child.kill()
+    return subprocess.CompletedProcess(child.args, child.returncode, stdout, stderr)
+
+
 class TestParseCache:
     def test_warm_load_does_not_parse_the_csv(self, cached, monkeypatch):
         path, releases = cached
@@ -337,14 +376,64 @@ class TestParseCache:
     def test_a_pipe_is_read_once_and_not_cached(self, cached, tmp_path):
         path, releases = cached
         out = tmp_path / "density.csv"
-        src = str(Path(corpus.__file__).resolve().parents[1])
         for dataset in (str(path), "/dev/stdin"):
-            subprocess.run(
-                [sys.executable, "-m", "linedefects.cli", "density", "--dataset", dataset, "--out", str(out)],
-                input=path.read_bytes(), env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True,
-                timeout=120,
-            )
+            _run_cli(["density", "--dataset", dataset, "--out", str(out)], input=path.read_bytes(), check=True)
             assert out.read_text().count("\n") == 1 + sum(len(ds.files) for ds in releases)
+
+    @pytest.mark.parametrize("source", ["fifo", "stdin"])
+    @pytest.mark.parametrize("flag", ["--dataset", "--metadata"])
+    def test_a_pipe_with_a_bad_byte_names_its_row(self, tmp_path, source, flag):
+        # each file's second row ends in a digit, or in its place the byte 0xff in the file under test
+        texts = {
+            "--dataset": ",".join(DATASET_COLUMNS).encode() + b"\nr,A.java,1,x?,false,false\n",
+            "--metadata": b"release,release_date\nr,2024-01-0?\n",
+        }
+        other = "--metadata" if flag == "--dataset" else "--dataset"
+        bad = texts[flag].replace(b"?", b"\xff")
+        (tmp_path / "good.csv").write_bytes(texts[other].replace(b"?", b"2"))
+        name = "/dev/stdin" if source == "stdin" else str(tmp_path / "bad.csv")
+        argv = ["train", "--out", str(tmp_path / "model.json"), flag, name, other, str(tmp_path / "good.csv")]
+        if source == "stdin":
+            done = _run_cli(argv, input=bad)
+        else:
+            os.mkfifo(name)
+            done = _run_cli(argv, fifo=(name, bad))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(f"error: {name}:2: not UTF-8 text: byte 0xff".encode()), done.stderr
+
+    def test_a_pipe_gives_releases_with_their_tables(self, cached):
+        path, releases = cached
+        code = (
+            "from linedefects.corpus import load_dataset; "
+            "print([('token_table' in ds.__dict__, ds.release_id) for ds in load_dataset('/dev/stdin')])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=path.read_bytes(), env=_cli_env(), check=True, capture_output=True,
+            timeout=120,
+        )
+        assert done.stdout.decode().strip() == str([(True, ds.release_id) for ds in releases])
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_a_load_opens_the_csv_once(self, cached, monkeypatch, warm):
+        path, releases = cached
+        if not warm:
+            cache_path(path).unlink()
+        opened = []
+        real_open, real_path_open = builtins.open, Path.open
+
+        def counted(real):
+            def open_(file, *args, **kwargs):
+                opened.append(str(file))
+                return real(file, *args, **kwargs)
+
+            return open_
+
+        monkeypatch.setattr(builtins, "open", counted(real_open))
+        monkeypatch.setattr(Path, "open", counted(real_path_open))
+        calls = _parses(monkeypatch)
+        assert load_dataset(path) == releases
+        assert opened.count(str(path)) == 1
+        assert len(calls) == (0 if warm else 1)
 
     def test_unwritable_directory_skips_the_cache(self, tmp_path, monkeypatch):
         path = tmp_path / "data.csv"
