@@ -1,26 +1,27 @@
 """The three baselines against the explanation-based pipeline on one split.
 
-Random guessing reuses the file-level model but scores tokens uniformly at
-random; TMI-LR applies one global standardized-coefficient risky set to all
-files; the n-gram baseline flags lines whose mean token surprisal exceeds a
-threshold. All emit the same ranked-line records, so one evaluator compares
+Random guessing reuses the file-level model's prediction but scores tokens
+uniformly at random; TMI-LR applies one global standardized-coefficient
+risky set to all files; the n-gram baseline flags lines whose mean token
+surprisal exceeds a threshold. All emit the same ranked-line records, so one evaluator compares
 them.
 """
 
 from linedefects.baselines import ngram_entropy_baseline, random_baseline, tmi_lr_baseline
 from linedefects.config import RunConfig
 from linedefects.evaluation import evaluate_ranking
-from linedefects.pipeline import identify_lines, train_file_model
+from linedefects.pipeline import identify_lines, predict_files, train_file_model
 from linedefects.synthetic import make_release_series
 
 train, test = make_release_series(system="demo", n_releases=2, seed=9)
 config = RunConfig(seed=1, lime_n=1000)
 
 model, vocab = train_file_model(train)
+predicted = predict_files(model, vocab, test)  # one file-level prediction, shared by the three model-based methods
 results = [
-    identify_lines(model, vocab, test, config),
-    random_baseline(test, model, vocab, k_risky=config.k_risky, seed=config.seed),
-    tmi_lr_baseline(train, test, model, vocab, k_risky=config.k_risky),
+    identify_lines(model, vocab, test, config, predicted),
+    random_baseline(test, vocab, predicted, k_risky=config.k_risky, seed=config.seed),
+    tmi_lr_baseline(train, test, vocab, predicted, k_risky=config.k_risky),
     ngram_entropy_baseline(train, test, threshold=config.entropy_threshold_cross),
 ]
 

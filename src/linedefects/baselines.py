@@ -19,15 +19,15 @@ from .corpus import (
     tokenize,  # noqa: F401  (the benchmark's traced run counts calls through this name)
     vectorize,
 )
-from .model import LogisticModel, standardized_coefficients
+from .model import standardized_coefficients
 from .pipeline import (
+    FilePredictions,
     MethodResult,
     RankedLine,
     RiskyTokenSet,
     as_release_list,
-    defect_prone_files,
     flag_lines,
-    predict_files,
+    predict_files,  # noqa: F401  (the benchmark's traced run wraps this name)
     rank_lines_global,
 )
 from .util import derive_seed
@@ -46,21 +46,22 @@ _LINE_SENTINEL = "\n"
 
 def random_baseline(
     test: ReleaseDataset,
-    model: LogisticModel,
     vocab: Vocabulary,
+    predicted: FilePredictions,
     k_risky: int = RunConfig.k_risky,
     seed: int = 0,
 ) -> MethodResult:
     """Random scores in [-1, 1] instead of explanation scores; random final order.
 
-    Uses the same file-level model as the pipeline to pick defect-prone
-    files. Each distinct in-vocabulary token of such a file gets a uniform
-    score; positive scores become risky candidates and the top-20 by score
-    are kept. Flagged lines are then ranked by a seeded uniform shuffle.
+    Takes the defect-prone files from the pipeline's file-level prediction
+    ``predicted``. Each distinct in-vocabulary token of such a file gets a
+    uniform score; positive scores become risky candidates and the
+    ``k_risky`` highest are kept. Flagged lines are then ranked by a seeded
+    uniform shuffle.
     """
-    file_probs = predict_files(model, vocab, test)
+    file_probs = predicted.probabilities
     flagged: list[RankedLine] = []
-    for i in defect_prone_files(test, file_probs):
+    for i in predicted.defect_prone:
         f = test.files[i]
         distinct = [t for t in test.token_table.distinct_tokens(i) if t in vocab.token_to_index]
         if not distinct:
@@ -101,21 +102,21 @@ def global_risky_tokens(
 def tmi_lr_baseline(
     train: ReleaseDataset | list[ReleaseDataset],
     test: ReleaseDataset,
-    model: LogisticModel,
     vocab: Vocabulary,
+    predicted: FilePredictions,
     k_risky: int = RunConfig.k_risky,
 ) -> MethodResult:
-    """Apply one global standardized-coefficient risky set to every defect-prone file.
+    """Apply one global standardized-coefficient risky set to every defect-prone file of ``predicted``.
 
     Unlike the per-file explanations of the pipeline, the same risky set is
     used for every predicted-defective test file; flagging and hit-count
     ranking are otherwise identical.
     """
     risky = global_risky_tokens(train, vocab, k_risky)
-    file_probs = predict_files(model, vocab, test)
+    file_probs = predicted.probabilities
     flagged = [
         line
-        for i in defect_prone_files(test, file_probs)
+        for i in predicted.defect_prone
         for line in flag_lines(test, i, risky, file_probs[test.files[i].path])
     ]
     return MethodResult(

@@ -77,8 +77,10 @@ def _needed_for(needed: str) -> str:
 
 def _config_from_args(args) -> RunConfig:
     overrides = {name: getattr(args, name) for name in FIELD_TYPES}
+    # all cores, unless the config file or --workers sets the worker count
+    defaults = {"parallelism": max(1, os.cpu_count() or 1)}
     try:
-        return make_config(getattr(args, "config", None), **overrides)
+        return make_config(getattr(args, "config", None), defaults, **overrides)
     except (OSError, ValueError) as exc:
         raise ValueError(f"bad configuration: {exc}") from exc
 
@@ -138,8 +140,8 @@ def cmd_predict(args) -> int:
         if args.train_release is None:
             raise ValueError(f"method {method} needs --train-release")
         train = _pick_release(releases, args.train_release)
-    result = experiments.run_method(
-        method, train, test, model, vocab, config, config.entropy_threshold_cross, config.seed
+    [result] = experiments.run_methods(
+        (method,), train, test, model, vocab, config, config.entropy_threshold_cross, config.seed
     )
     _write_ranked_csv(args.out, result.ranked, method=method if args.method_column else None)
     print(f"{method}: {len(result.ranked)} flagged lines; wrote {args.out}")
@@ -255,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "parallelism", None) is None and hasattr(args, "parallelism"):
-        args.parallelism = max(1, os.cpu_count() or 1)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -54,9 +54,9 @@ def load_config_file(path: str | Path) -> dict[str, object]:
     return values
 
 
-def make_config(file_path: str | Path | None = None, **overrides) -> RunConfig:
-    """Build a RunConfig from an optional config file; explicit overrides win."""
-    values: dict[str, object] = {}
+def make_config(file_path: str | Path | None = None, defaults: dict | None = None, **overrides) -> RunConfig:
+    """Build a RunConfig from ``defaults``, then an optional config file, then the overrides; later ones win."""
+    values: dict[str, object] = dict(defaults or {})
     if file_path is not None:
         values.update(load_config_file(file_path))
     values.update({k: v for k, v in overrides.items() if v is not None})

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+from . import pipeline  # predict_files is called through the module, where the benchmark's traced run wraps it
 from .baselines import ngram_entropy_baseline, random_baseline, tmi_lr_baseline
 from .config import RunConfig
 from .corpus import ReleaseDataset, Vocabulary
@@ -49,8 +50,8 @@ class EvaluationOutput:
     stats: list[dict]  # linedp vs baseline, per metric
 
 
-def run_method(
-    method: str,
+def run_methods(
+    methods: tuple[str, ...],
     train: ReleaseDataset | None,
     test: ReleaseDataset,
     model: LogisticModel | None,
@@ -58,15 +59,25 @@ def run_method(
     config: RunConfig,
     entropy_threshold: float,
     seed: int,
-) -> MethodResult:
-    """Rank the lines of ``test`` by ``method``; the inputs ``METHOD_INPUTS`` does not list for it may be None."""
-    if method == "linedp":
-        return identify_lines(model, vocab, test, config)
-    if method == "random":
-        return random_baseline(test, model, vocab, config.k_risky, seed)
-    if method == "tmi_lr":
-        return tmi_lr_baseline(train, test, model, vocab, config.k_risky)
-    return ngram_entropy_baseline(train, test, entropy_threshold)
+) -> list[MethodResult]:
+    """Rank the lines of ``test`` by each of ``methods``, in that order.
+
+    The inputs ``METHOD_INPUTS`` lists for none of the methods may be None.
+    When a method needs the model, the model predicts ``test`` once, and
+    every such method shares that prediction.
+    """
+    predicted = pipeline.predict_files(model, vocab, test) if _needs_model(methods) else None
+    run = {
+        "linedp": lambda: identify_lines(model, vocab, test, config, predicted),
+        "random": lambda: random_baseline(test, vocab, predicted, config.k_risky, seed),
+        "tmi_lr": lambda: tmi_lr_baseline(train, test, vocab, predicted, config.k_risky),
+        "ngram": lambda: ngram_entropy_baseline(train, test, entropy_threshold),
+    }
+    return [run[method]() for method in methods]
+
+
+def _needs_model(methods: tuple[str, ...]) -> bool:
+    return any("model" in METHOD_INPUTS[method] for method in methods)
 
 
 def _method_reports(
@@ -78,18 +89,13 @@ def _method_reports(
     entropy_threshold: float,
     seed: int,
 ) -> list[MetricsReport]:
-    """Run the requested methods on one train/test unit, sharing the file-level model.
+    """Run the requested methods on one train/test unit, sharing the file-level model and its prediction.
 
     Returns one metrics row per method, in ``methods`` order.
     """
-    model = vocab = None
-    if any("model" in METHOD_INPUTS[method] for method in methods):
-        model, vocab = train_file_model(train)
-    reports = []
-    for method in methods:
-        result = run_method(method, train, test, model, vocab, config, entropy_threshold, seed)
-        reports.append(evaluate_ranking(method, unit, result.ranked, test, result.file_probabilities))
-    return reports
+    model, vocab = train_file_model(train) if _needs_model(methods) else (None, None)
+    results = run_methods(methods, train, test, model, vocab, config, entropy_threshold, seed)
+    return [evaluate_ranking(r.method, unit, r.ranked, test, r.file_probabilities) for r in results]
 
 
 def _split_reports(

@@ -106,7 +106,7 @@ def load_commit_export(path: str | Path) -> list[CommitRecord]:
                 continue
             try:
                 commits.append(_parse_commit(json.loads(raw)))
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc

@@ -220,14 +220,17 @@ def save_model(model: LogisticModel, vocab: Vocabulary, path: str | Path) -> Non
 def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
     """Load a persisted model, validating its structure, format version and vocabulary hash.
 
-    Any malformed document raises ``ValueError`` naming ``path``: the
-    weights and bias must be finite JSON numbers, and each ``train_meta``
-    field must have its type. Format-1 documents written by the earlier
-    gradient-loop trainer carry its four settings in ``train_meta`` as
-    well; they are ignored.
+    Any malformed document raises ``ValueError`` naming ``path``, bad or
+    too deeply nested JSON included: the weights and bias must be finite
+    JSON numbers, and each ``train_meta`` field must have its type.
+    Format-1 documents written by the earlier gradient-loop trainer carry
+    its four settings in ``train_meta`` as well; they are ignored.
     """
     with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"{path}: bad JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model document is not a JSON object")
     version = doc.get("format_version")

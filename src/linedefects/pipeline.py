@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import RunConfig
 from .corpus import (
@@ -131,17 +132,22 @@ def file_seed(config_seed: int, release_id: str, path: str) -> int:
     return derive_seed(config_seed, release_id, path)
 
 
-def predict_files(
-    model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset
-) -> dict[str, float]:
-    probabilities = predict_proba(model, vectorize(test, vocab))
-    return {f.path: p for f, p in zip(test.files, probabilities.tolist())}
+@dataclass(frozen=True)
+class FilePredictions:
+    """The file-level model's one prediction on a test release, shared by every method that needs the model."""
+
+    design: sp.csr_matrix  # vectorize's matrix, one row per file of the release
+    probabilities: dict[str, float]  # file path -> defect probability
+    defect_prone: tuple[int, ...]  # indices into the release's files with probability > 0.5, in path order
 
 
-def defect_prone_files(test: ReleaseDataset, file_probs: dict[str, float]) -> list[int]:
-    """Indices into ``test.files`` of the files predicted defective (probability > 0.5), in path order."""
+def predict_files(model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset) -> FilePredictions:
+    """Vectorize ``test`` and predict each of its files; the only place the model meets a test release."""
+    design = vectorize(test, vocab)
+    probabilities = dict(zip((f.path for f in test.files), predict_proba(model, design).tolist()))
     by_path = sorted(range(len(test.files)), key=lambda i: test.files[i].path)
-    return [i for i in by_path if file_probs[test.files[i].path] > 0.5]
+    defect_prone = tuple(i for i in by_path if probabilities[test.files[i].path] > 0.5)
+    return FilePredictions(design, probabilities, defect_prone)
 
 
 def _explain_file(
@@ -152,43 +158,29 @@ def _explain_file(
         # nothing to perturb: no token of the file is in the vocabulary
         return Explanation(scores={}, fidelity_r2=0.0)
     return explain(
-        model,
-        x,
-        vocab,
-        n=config.lime_n,
-        k=config.lime_k_features,
-        kernel_width=config.lime_sigma,
-        seed=seed,
+        model, x, vocab, n=config.lime_n, k=config.lime_k_features, kernel_width=config.lime_sigma, seed=seed
     )
 
 
-def explain_files(
-    model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset, indices: list[int], config: RunConfig
-) -> list[Explanation]:
-    """Explain each file ``test.files[i]`` with its own seed; results follow the order of ``indices``.
+def identify_lines(
+    model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset, config: RunConfig, predicted: FilePredictions
+) -> MethodResult:
+    """Explain the defect-prone files of ``predicted``, flag the lines holding their risky tokens, and rank them.
 
-    A file without in-vocabulary tokens gets an empty explanation, so it
-    has no risky tokens and flags nothing. Files are spread over
-    ``config.parallelism`` worker processes when there are at least 4, one
-    file per task so that the workers share the files evenly; the model and
-    vocabulary reach each worker once.
+    Each defect-prone file is explained from its row of ``predicted.design``
+    with its own seed. A file without in-vocabulary tokens gets an empty
+    explanation, so it has no risky tokens and flags nothing. Files are
+    spread over ``config.parallelism`` worker processes when there are at
+    least 4, one file per task so that the workers share the files evenly;
+    the model and vocabulary reach each worker once.
     """
-    X = vectorize(test, vocab)
+    files, file_probs = predicted.defect_prone, predicted.probabilities
     tasks = [
-        (file_seed(config.seed, test.release_id, test.files[i].path), FeatureVector.from_row(X, i))
-        for i in indices
+        (file_seed(config.seed, test.release_id, test.files[i].path), FeatureVector.from_row(predicted.design, i))
+        for i in files
     ]
     workers = pool_workers(config.parallelism, len(tasks), min_tasks=4)
-    return pool_map(_explain_file, tasks, (model, vocab, config), workers)
-
-
-def identify_lines(
-    model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset, config: RunConfig
-) -> MethodResult:
-    """Steps 2-4 on an already trained model: predict, explain, flag, and rank."""
-    file_probs = predict_files(model, vocab, test)
-    files = defect_prone_files(test, file_probs)
-    explanations = explain_files(model, vocab, test, files, config)
+    explanations = pool_map(_explain_file, tasks, (model, vocab, config), workers)
     risky_sets = {
         test.files[i].path: select_risky_tokens(expl, config.k_risky) for i, expl in zip(files, explanations)
     }
@@ -197,12 +189,7 @@ def identify_lines(
         for i in files
         for line in flag_lines(test, i, risky_sets[test.files[i].path], file_probs[test.files[i].path])
     ]
-    return MethodResult(
-        method="linedp",
-        ranked=rank_lines_global(flagged),
-        file_probabilities=file_probs,
-        risky_tokens=risky_sets,
-    )
+    return MethodResult("linedp", rank_lines_global(flagged), file_probs, risky_tokens=risky_sets)
 
 
 def run_linedp(
@@ -210,4 +197,4 @@ def run_linedp(
 ) -> MethodResult:
     """The whole framework end to end; deterministic given config.seed."""
     model, vocab = train_file_model(train)
-    return identify_lines(model, vocab, test, config)
+    return identify_lines(model, vocab, test, config, predict_files(model, vocab, test))

@@ -37,7 +37,7 @@ from linedefects.evaluation import (
 from linedefects.experiments import cross_release_eval, sensitivity_k
 from linedefects.explain import explain
 from linedefects.model import LogisticModel, TrainMeta
-from linedefects.pipeline import run_linedp, train_file_model
+from linedefects.pipeline import predict_files, run_linedp, train_file_model
 from linedefects.synthetic import PLANTED_TOKENS, make_release_series
 
 from conftest import release_of_files
@@ -179,9 +179,10 @@ def test_criterion_6_planted_corpus_end_to_end():
     assert linedp_recall >= 0.8, f"pipeline line recall {linedp_recall:.3f}"
 
     model, vocab = train_file_model(train)
+    predicted = predict_files(model, vocab, test)
     random_recalls = []
     for seed in range(50):
-        rand = random_baseline(test, model, vocab, k_risky=config.k_risky, seed=seed)
+        rand = random_baseline(test, vocab, predicted, k_risky=config.k_risky, seed=seed)
         hit = {(r.file_path, r.line_number) for r in rand.ranked}
         random_recalls.append(len(defective & hit) / len(defective))
     random_median = float(np.median(random_recalls))

@@ -20,7 +20,7 @@ from linedefects.config import RunConfig
 from linedefects.corpus import FeatureVector, Vocabulary
 from linedefects.experiments import sensitivity_entropy_threshold
 from linedefects.model import LogisticModel, TrainMeta
-from linedefects.pipeline import train_file_model
+from linedefects.pipeline import predict_files, train_file_model
 from linedefects.synthetic import PLANTED_TOKENS
 
 from conftest import file_at, release_of_files
@@ -43,14 +43,14 @@ def small_planted_pair_module():
 class TestRandomBaseline:
     def test_same_seed_reproducible(self, trained):
         train, test, model, vocab = trained
-        a = random_baseline(test, model, vocab, seed=5)
-        b = random_baseline(test, model, vocab, seed=5)
+        a = random_baseline(test, vocab, predict_files(model, vocab, test), seed=5)
+        b = random_baseline(test, vocab, predict_files(model, vocab, test), seed=5)
         assert a.ranked == b.ranked
 
     def test_different_seeds_differ(self, trained):
         train, test, model, vocab = trained
-        a = random_baseline(test, model, vocab, seed=5)
-        b = random_baseline(test, model, vocab, seed=6)
+        a = random_baseline(test, vocab, predict_files(model, vocab, test), seed=5)
+        b = random_baseline(test, vocab, predict_files(model, vocab, test), seed=6)
         assert a.ranked != b.ranked
 
     def test_tokenless_file_never_flagged(self):
@@ -63,7 +63,7 @@ class TestRandomBaseline:
         )
         vocab = Vocabulary(("known",))
         test = release_of_files("r", {"Empty.java": [(";;;", False), ("###", False)]})
-        result = random_baseline(test, always_defective, vocab, seed=0)
+        result = random_baseline(test, vocab, predict_files(always_defective, vocab, test), seed=0)
         assert result.ranked == []
 
     def test_risky_fraction_matches_binomial_oracle(self):
@@ -84,9 +84,10 @@ class TestRandomBaseline:
                 vocab_fingerprint="",
                 train_meta=always_defective.train_meta,
             )
+            predicted = predict_files(model, vocab, release)
             fractions = []
             for seed in range(1000):
-                result = random_baseline(release, model, vocab, k_risky=20, seed=seed)
+                result = random_baseline(release, vocab, predicted, k_risky=20, seed=seed)
                 # the single line holds every token, so its hit count equals |risky set|
                 if result.ranked:
                     fractions.append(result.ranked[0].hit_count / d)
@@ -99,7 +100,7 @@ class TestRandomBaseline:
 
     def test_ranking_is_random_permutation_of_flagged(self, trained):
         train, test, model, vocab = trained
-        result = random_baseline(test, model, vocab, seed=11)
+        result = random_baseline(test, vocab, predict_files(model, vocab, test), seed=11)
         keys = [(r.file_path, r.line_number) for r in result.ranked]
         assert len(set(keys)) == len(keys)
 
@@ -112,7 +113,7 @@ class TestTmiLrBaseline:
 
     def test_same_risky_set_for_all_files(self, trained):
         train, test, model, vocab = trained
-        result = tmi_lr_baseline(train, test, model, vocab, k_risky=20)
+        result = tmi_lr_baseline(train, test, vocab, predict_files(model, vocab, test), k_risky=20)
         assert set(result.risky_tokens) == {"*"}
         # flagged lines in different files must all match the single global set
         global_set = {t for t, _ in result.risky_tokens["*"].tokens}
@@ -135,20 +136,20 @@ class TestTmiLrBaseline:
         )
         test = release_of_files("s", {"X.java": [("tok tok", False)]})
         model, vocab = train_file_model(train)
-        result = tmi_lr_baseline(train, test, model, vocab)
+        result = tmi_lr_baseline(train, test, vocab, predict_files(model, vocab, test))
         assert result.ranked == []
 
     def test_converged_fit_does_not_warn(self, trained):
         train, test, model, vocab = trained
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tmi_lr_baseline(train, test, model, vocab)
+            tmi_lr_baseline(train, test, vocab, predict_files(model, vocab, test))
 
     def test_unconverged_fit_warns_with_iterations_and_gradient(self, trained, monkeypatch):
         train, test, model, vocab = trained
         monkeypatch.setattr("linedefects.model.MAX_ITERS", 1)
         with pytest.warns(RuntimeWarning, match=r"NOT converged after 1 iterations \(\|\|g\|\| = "):
-            tmi_lr_baseline(train, test, model, vocab)
+            tmi_lr_baseline(train, test, vocab, predict_files(model, vocab, test))
 
 
 def single_file_release(release_id, line_contents, defective=None):
@@ -238,9 +239,9 @@ class TestSharedResultSchema:
 
         cfg = RunConfig(seed=1, lime_n=200, lime_k_features=20)
         results = [
-            identify_lines(model, vocab, test, cfg),
-            random_baseline(test, model, vocab, seed=1),
-            tmi_lr_baseline(train, test, model, vocab),
+            identify_lines(model, vocab, test, cfg, predict_files(model, vocab, test)),
+            random_baseline(test, vocab, predict_files(model, vocab, test), seed=1),
+            tmi_lr_baseline(train, test, vocab, predict_files(model, vocab, test)),
             ngram_entropy_baseline(train, test, threshold=0.6),
         ]
         assert [r.method for r in results] == ["linedp", "random", "tmi_lr", "ngram"]

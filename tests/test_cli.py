@@ -10,6 +10,7 @@ from dataclasses import asdict
 
 import pytest
 
+from linedefects import cli
 from linedefects.cli import _config_from_args, build_parser, main
 from linedefects.config import FIELD_TYPES, RunConfig
 from linedefects.corpus import cache_path, write_dataset
@@ -30,6 +31,9 @@ def dataset_paths(tmp_path_factory):
     write_dataset(releases, data, meta)
     return root, data, meta
 
+
+# nested past the interpreter's recursion limit: json raises RecursionError, not a ValueError
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 HEADER = b"release,file_path,line_number,line_content,file_label,line_label\n"
 
@@ -190,6 +194,17 @@ class TestModelDocument:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and str(edited) in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("text", [DEEP_JSON, "{not json"], ids=["deeply-nested", "not-json"])
+    def test_unparsable_model_document_is_data_error(self, dataset_paths, tmp_path, capsys, text):
+        root, data, meta = dataset_paths
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        out = tmp_path / "ranked.csv"
+        argv = ["predict", "--dataset", str(data), "--release", "cli-2.0", "--model", str(model), "--out", str(out)]
+        assert main(argv + FAST_FLAGS) == 2
+        assert capsys.readouterr().err.startswith(f"error: {model}: bad JSON: ")
+        assert not out.exists()
 
 
 class TestEvaluate:
@@ -465,6 +480,17 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {commits}:2: {message}\n"
 
+    def test_deeply_nested_commit_record_is_data_error(self, tmp_path, capsys):
+        commits = tmp_path / "commits.jsonl"
+        commits.write_text(json.dumps({"commit_id": "ok", "message": "K-2"}) + "\n" + DEEP_JSON + "\n")
+        (tmp_path / "issues.txt").write_text("K-1\n")
+        write_dataset([release_of_files("r", {"A.java": [("x", False)]})], tmp_path / "snapshot.csv")
+        rc = main(["mine", "--commits", str(commits), "--issues", str(tmp_path / "issues.txt"),
+                   "--snapshot", str(tmp_path / "snapshot.csv"), "--out", str(tmp_path / "mined.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {commits}:2: bad JSON: ")
+        assert not (tmp_path / "mined.csv").exists()
+
     @pytest.mark.parametrize(
         "command",
         [["density"], ["predict", "--release", "cli-2.0", "--method", "ngram", "--train-release", "cli-1.0"]],
@@ -596,3 +622,26 @@ class TestConfigFlags:
         args = build_parser().parse_args(argv)
         expected = RunConfig(**{name: kind(self.VALUES[name]) for name, kind in FIELD_TYPES.items()})
         assert _config_from_args(args) == expected
+
+    @pytest.mark.parametrize(
+        "file_text, flags, expected",
+        [
+            pytest.param("seed = 7\nparallelism = 1\n", [], 1, id="file-sets-workers"),
+            pytest.param("seed = 7\nparallelism = 1\n", ["--workers", "2"], 2, id="flag-beats-file"),
+            pytest.param("seed = 7\n", [], 3, id="all-cores-otherwise"),
+        ],
+    )
+    def test_worker_count_from_flag_then_file_then_cores(
+        self, dataset_paths, tmp_path, monkeypatch, file_text, flags, expected
+    ):
+        # the all-cores default must not count as an explicit --workers
+        root, data, meta = dataset_paths
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(file_text)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        built = []
+        original = cli._config_from_args
+        monkeypatch.setattr(cli, "_config_from_args", lambda args: built.append(original(args)) or built[-1])
+        argv = ["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(tmp_path / "m.json")]
+        assert main(argv + ["--config", str(cfg)] + flags) == 0
+        assert built == [RunConfig(seed=7, parallelism=expected)]

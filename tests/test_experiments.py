@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import pytest
 
-from linedefects import experiments
+from linedefects import baselines, experiments, pipeline
 from linedefects.config import RunConfig
+from linedefects.corpus import as_release_list
 from linedefects.evaluation import METRIC_DIRECTIONS
 from linedefects.experiments import ALL_METHODS, cross_release_eval, within_release_eval
+from linedefects.pipeline import train_file_model
 from linedefects.synthetic import make_release_series
 
 
@@ -108,11 +110,11 @@ class TestParallelEqualsSerial:
         pids = tmp_path / "pids"
         original = experiments.identify_lines
 
-        def serial_only(model, vocab, test, config):
+        def serial_only(model, vocab, test, config, predicted):
             assert config.parallelism == 1, "a split worker would open a nested pool"
             with open(pids, "a") as handle:
                 handle.write(f"{os.getpid()}\n")
-            return original(model, vocab, test, config)
+            return original(model, vocab, test, config, predicted)
 
         monkeypatch.setattr(experiments, "identify_lines", serial_only)
         config = replace(quick_config, parallelism=2)
@@ -127,9 +129,9 @@ class TestParallelEqualsSerial:
         seen = []
         original = experiments.identify_lines
 
-        def record(model, vocab, test, config):
+        def record(model, vocab, test, config, predicted):
             seen.append(config.parallelism)
-            return original(model, vocab, test, config)
+            return original(model, vocab, test, config, predicted)
 
         monkeypatch.setattr(experiments, "identify_lines", record)
         cross_release_eval(corpus, ("linedp",), replace(quick_config, parallelism=2))
@@ -140,10 +142,59 @@ class TestParallelEqualsSerial:
         seen = []
         original = experiments.identify_lines
 
-        def record(model, vocab, test, config):
+        def record(model, vocab, test, config, predicted):
             seen.append((os.getpid(), config.parallelism))
-            return original(model, vocab, test, config)
+            return original(model, vocab, test, config, predicted)
 
         monkeypatch.setattr(experiments, "identify_lines", record)
         cross_release_eval(three_releases, ("linedp",), replace(quick_config, parallelism=3))
         assert seen == [(os.getpid(), 3)] * 2
+
+
+class TestOnePredictionPerUnit:
+    """The model-based methods of a train/test unit share one file-level prediction."""
+
+    def test_each_unit_predicts_and_vectorizes_its_test_release_once(self, corpus, quick_config, monkeypatch):
+        units = []  # per unit: its test release, then [predict_proba calls, vectorize calls on that release]
+        method_reports = experiments._method_reports
+
+        def unit(train, test, *args):
+            units.append((test, [0, 0]))
+            return method_reports(train, test, *args)
+
+        def counted(module, name, slot, on_test):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                test, counts = units[-1]
+                if not on_test or any(ds is test for ds in as_release_list(args[0])):
+                    counts[slot] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        monkeypatch.setattr(experiments, "_method_reports", unit)
+        counted(pipeline, "predict_proba", 0, on_test=False)
+        for module in (pipeline, baselines):
+            counted(module, "vectorize", 1, on_test=True)
+        within_release_eval([corpus[0]], ALL_METHODS, quick_config)
+        cross_release_eval(corpus, ALL_METHODS, quick_config)
+        assert [counts for _, counts in units] == [[1, 1]] * (quick_config.folds * quick_config.repeats + 1)
+
+    @pytest.fixture(scope="class")
+    def trained(self, corpus):
+        train, test = corpus
+        return train, test, *train_file_model(train)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_sharing_the_prediction_changes_no_result(self, trained, quick_config, method):
+        # a method that changed the shared probabilities or defect-prone files would change the others' results
+        train, test, model, vocab = trained
+
+        def result(methods):
+            results = experiments.run_methods(methods, train, test, model, vocab, quick_config, 0.6, seed=3)
+            return results[methods.index(method)]
+
+        alone = result((method,))
+        assert result(ALL_METHODS) == alone
+        assert result(ALL_METHODS[::-1]) == alone

@@ -9,7 +9,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor
 
 from linedefects.config import RunConfig
-from linedefects.corpus import FeatureVector, Vocabulary, vectorize
+from linedefects.corpus import FeatureVector, Vocabulary
 from linedefects.explain import (
     _LASSO_GRID_DECAY,
     _LASSO_GRID_POINTS,
@@ -23,7 +23,7 @@ from linedefects.explain import (
     explain,
 )
 from linedefects.model import LogisticModel, TrainMeta
-from linedefects.pipeline import defect_prone_files, file_seed, predict_files, train_file_model
+from linedefects.pipeline import file_seed, predict_files, train_file_model
 
 from reference_explainer import (
     NeighborSample,
@@ -436,11 +436,10 @@ class TestLassoPathMatchesCoordinateDescent:
         train, test = planted_pair
         config = RunConfig(seed=1)
         model, vocab = train_file_model(train)
-        files = defect_prone_files(test, predict_files(model, vocab, test))
-        assert len(files) >= 3
-        X = vectorize(test, vocab)
-        for i in files[:3]:
-            f, x = test.files[i], FeatureVector.from_row(X, i)
+        predicted = predict_files(model, vocab, test)
+        assert len(predicted.defect_prone) >= 3
+        for i in predicted.defect_prone[:3]:
+            f, x = test.files[i], FeatureVector.from_row(predicted.design, i)
             indices = active_token_indices(x)
             seed = file_seed(config.seed, f.release_id, f.path)
             masks, probs, weights = _surrogate_data(model, x, indices, config.lime_n, config.lime_sigma, seed)
@@ -557,10 +556,9 @@ class TestLassoPathMatchesReference:
         train, test = planted_pair
         config = RunConfig(seed=1)
         model, vocab = train_file_model(train)
-        files = defect_prone_files(test, predict_files(model, vocab, test))
-        X = vectorize(test, vocab)
-        for i in files:
-            f, x = test.files[i], FeatureVector.from_row(X, i)
+        predicted = predict_files(model, vocab, test)
+        for i in predicted.defect_prone:
+            f, x = test.files[i], FeatureVector.from_row(predicted.design, i)
             indices = active_token_indices(x)
             seed = file_seed(config.seed, f.release_id, f.path)
             masks, probs, weights = _surrogate_data(model, x, indices, config.lime_n, config.lime_sigma, seed)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from linedefects.cli import main
 from linedefects.config import RunConfig
 from linedefects.corpus import ReleaseDataset, write_dataset
-from linedefects.pipeline import RankedLine, identify_lines, rank_lines_global, train_file_model
+from linedefects.pipeline import RankedLine, identify_lines, predict_files, rank_lines_global, train_file_model
 from linedefects.synthetic import make_release_series
 
 # few distinct values, so that every sort key ties often
@@ -64,9 +64,9 @@ def test_identify_lines_ignores_file_order(trained, data):
     config = RunConfig(seed=5, lime_n=200, lime_k_features=20)
     files = data.draw(st.permutations(test.files))
     reordered = ReleaseDataset(test.release_id, test.release_date, tuple(files))
-    expected = identify_lines(model, vocab, test, config)
+    expected = identify_lines(model, vocab, test, config, predict_files(model, vocab, test))
     assert expected.ranked
-    assert identify_lines(model, vocab, reordered, config).ranked == expected.ranked
+    assert identify_lines(model, vocab, reordered, config, predict_files(model, vocab, reordered)).ranked == expected.ranked
 
 
 @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])

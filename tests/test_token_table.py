@@ -26,7 +26,7 @@ from linedefects.config import RunConfig
 from linedefects.corpus import FeatureVector, TokenTable, Vocabulary, build_vocabulary, vectorize, write_dataset
 from linedefects.experiments import within_release_eval
 from linedefects.model import LogisticModel, TrainMeta, predict_proba, train_logistic
-from linedefects.pipeline import RiskyTokenSet, flag_lines, train_file_model
+from linedefects.pipeline import RiskyTokenSet, flag_lines, predict_files, train_file_model
 from linedefects.synthetic import make_release_series
 
 import reference_corpus
@@ -249,7 +249,7 @@ class TestRandomBaselineCandidates:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(RiskyTokenSet, "top_positive", record)
-            random_baseline(test, model, vocab)
+            random_baseline(test, vocab, predict_files(model, vocab, test))
         expected = [
             sorted({t for t in reference_corpus.token_stream(f) if t in vocab.token_to_index}) for f in test.files
         ]
@@ -295,5 +295,5 @@ class TestBuildOnlyWhatIsUsed:
         calls = []
         real = corpus.tokenize
         monkeypatch.setattr(corpus, "tokenize", lambda text: calls.append(text) or real(text))
-        random_baseline(test, model, vocab)
+        random_baseline(test, vocab, predict_files(model, vocab, test))
         assert len(calls) == sum(len(f.lines) for f in test.files)
