@@ -13,13 +13,13 @@ from linedefects.synthetic import make_release_series
 train, test = make_release_series(system="demo", n_releases=2, seed=3, n_files=30, n_defective=10)
 config = RunConfig(seed=0, lime_n=2000)
 
-model, vocab = train_file_model(train)
+model = train_file_model(train)
 meta = model.train_meta
-print(f"trained on {len(train.files)} files, |V| = {len(vocab)}")
+print(f"trained on {len(train.files)} files, |V| = {len(model.vocab)}")
 print(f"optimizer: {meta.iterations} iterations, converged={meta.converged}, |grad|={meta.final_grad_norm:.2e}")
 
 print("\n== file-level predictions on the next release ==")
-X = vectorize(test, vocab)
+X = vectorize(test, model.vocab)
 scored = sorted(zip(predict_proba(model, X).tolist(), range(len(test.files))), key=lambda pair: -pair[0])
 for p, i in scored[:5]:
     f = test.files[i]
@@ -32,7 +32,6 @@ target = test.files[target_index]
 expl = explain(
     model,
     FeatureVector.from_row(X, target_index),
-    vocab,
     n=config.lime_n,
     k=config.lime_k_features,
     kernel_width=config.lime_sigma,

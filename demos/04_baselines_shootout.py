@@ -16,12 +16,12 @@ from linedefects.synthetic import make_release_series
 train, test = make_release_series(system="demo", n_releases=2, seed=9)
 config = RunConfig(seed=1, lime_n=1000)
 
-model, vocab = train_file_model(train)
-predicted = predict_files(model, vocab, test)  # one file-level prediction, shared by the three model-based methods
+model = train_file_model(train)
+predicted = predict_files(model, test)  # one file-level prediction, shared by the three model-based methods
 results = [
-    identify_lines(model, vocab, test, config, predicted),
-    random_baseline(test, vocab, predicted, k_risky=config.k_risky, seed=config.seed),
-    tmi_lr_baseline(train, test, vocab, predicted, k_risky=config.k_risky),
+    identify_lines(model, test, predicted, config),
+    random_baseline(test, model.vocab, predicted, k_risky=config.k_risky, seed=config.seed),
+    tmi_lr_baseline(train, test, model.vocab, predicted, k_risky=config.k_risky),
     ngram_entropy_baseline(train, test, threshold=config.entropy_threshold_cross),
 ]
 

@@ -118,10 +118,10 @@ def cmd_train(args) -> int:
         wanted = args.releases.split(",")
         releases = [_pick_release(releases, r) for r in wanted]
     _config_from_args(args)  # training reads no setting, but a bad --config is still a data error
-    model, vocab = pipeline.train_file_model(releases)
-    save_model(model, vocab, args.out)
+    model = pipeline.train_file_model(releases)
+    save_model(model, args.out)
     status = "converged" if model.train_meta.converged else "NOT converged (warning)"
-    print(f"trained on {sum(len(d.files) for d in releases)} files, |V|={len(vocab)}, {status}; wrote {args.out}")
+    print(f"trained on {sum(len(d.files) for d in releases)} files, |V|={len(model.vocab)}, {status}; wrote {args.out}")
     return EXIT_OK
 
 
@@ -131,17 +131,17 @@ def cmd_predict(args) -> int:
     config = _config_from_args(args)
     method = args.method
     inputs = experiments.METHOD_INPUTS[method]
-    model = vocab = train = None
+    model = train = None
     if "model" in inputs:
         if args.model is None:
             raise ValueError(f"method {method} needs --model")
-        model, vocab = load_model(args.model)
+        model = load_model(args.model)
     if "train" in inputs:
         if args.train_release is None:
             raise ValueError(f"method {method} needs --train-release")
         train = _pick_release(releases, args.train_release)
     [result] = experiments.run_methods(
-        (method,), train, test, model, vocab, config, config.entropy_threshold_cross, config.seed
+        (method,), train, test, model, config, config.entropy_threshold_cross, config.seed
     )
     _write_ranked_csv(args.out, result.ranked, method=method if args.method_column else None)
     print(f"{method}: {len(result.ranked)} flagged lines; wrote {args.out}")

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import get_type_hints
 
+from .util import decode_utf8
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -41,7 +43,7 @@ FIELD_TYPES: dict[str, type] = get_type_hints(RunConfig)
 def load_config_file(path: str | Path) -> dict[str, object]:
     """Parse a key=value config file; '#' starts a comment, blank lines ignored."""
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(decode_utf8(Path(path).read_bytes(), path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 from . import pipeline  # predict_files is called through the module, where the benchmark's traced run wraps it
 from .baselines import ngram_entropy_baseline, random_baseline, tmi_lr_baseline
 from .config import RunConfig
-from .corpus import ReleaseDataset, Vocabulary
+from .corpus import ReleaseDataset
 from .evaluation import (
     METRIC_DIRECTIONS,
     FoldSplit,
@@ -55,7 +55,6 @@ def run_methods(
     train: ReleaseDataset | None,
     test: ReleaseDataset,
     model: LogisticModel | None,
-    vocab: Vocabulary | None,
     config: RunConfig,
     entropy_threshold: float,
     seed: int,
@@ -66,11 +65,11 @@ def run_methods(
     When a method needs the model, the model predicts ``test`` once, and
     every such method shares that prediction.
     """
-    predicted = pipeline.predict_files(model, vocab, test) if _needs_model(methods) else None
+    predicted = pipeline.predict_files(model, test) if _needs_model(methods) else None
     run = {
-        "linedp": lambda: identify_lines(model, vocab, test, config, predicted),
-        "random": lambda: random_baseline(test, vocab, predicted, config.k_risky, seed),
-        "tmi_lr": lambda: tmi_lr_baseline(train, test, vocab, predicted, config.k_risky),
+        "linedp": lambda: identify_lines(model, test, predicted, config),
+        "random": lambda: random_baseline(test, model.vocab, predicted, config.k_risky, seed),
+        "tmi_lr": lambda: tmi_lr_baseline(train, test, model.vocab, predicted, config.k_risky),
         "ngram": lambda: ngram_entropy_baseline(train, test, entropy_threshold),
     }
     return [run[method]() for method in methods]
@@ -93,8 +92,8 @@ def _method_reports(
 
     Returns one metrics row per method, in ``methods`` order.
     """
-    model, vocab = train_file_model(train) if _needs_model(methods) else (None, None)
-    results = run_methods(methods, train, test, model, vocab, config, entropy_threshold, seed)
+    model = train_file_model(train) if _needs_model(methods) else None
+    results = run_methods(methods, train, test, model, config, entropy_threshold, seed)
     return [evaluate_ranking(r.method, unit, r.ranked, test, r.file_probabilities) for r in results]
 
 

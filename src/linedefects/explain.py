@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 from .config import RunConfig
-from .corpus import FeatureVector, Vocabulary
+from .corpus import FeatureVector
 from .model import LogisticModel
 
 _LASSO_GRID_POINTS = 100
@@ -270,13 +270,12 @@ def _surrogate_data(
 def explain(
     model: LogisticModel,
     x: FeatureVector,
-    vocab: Vocabulary,
     n: int = RunConfig.lime_n,
     k: int = RunConfig.lime_k_features,
     kernel_width: float = RunConfig.lime_sigma,
     seed: int = 0,
 ) -> Explanation:
-    """Explain one file's prediction; deterministic given the seed."""
+    """Explain one file's prediction, naming tokens from ``model.vocab``; deterministic given the seed."""
     if n < 2:
         raise ValueError("need at least two neighbor samples")
     if k < 1 or not 0 < kernel_width < math.inf:
@@ -286,6 +285,6 @@ def explain(
         raise ValueError("cannot explain an empty feature vector")
     masks, probs, weights = _surrogate_data(model, x, indices, n, kernel_width, seed)
     coefs, r2 = _k_lasso_arrays(masks, probs, weights, k)
-    tokens = vocab.tokens
+    tokens = model.vocab.tokens
     scores = {tokens[indices[j]]: value for j, value in sorted(coefs.items())}
     return Explanation(scores=scores, fidelity_r2=r2)

@@ -15,14 +15,12 @@ A matching export can be produced from a git checkout with the standard
 from __future__ import annotations
 
 import json
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import LineRecord, ReleaseDataset, SourceFile
-
-logger = logging.getLogger(__name__)
+from .util import decode_utf8
 
 # how far a pre-change line number may drift from the release snapshot
 LINE_MATCH_WINDOW = 20
@@ -99,9 +97,10 @@ def _parse_commit(doc: object) -> CommitRecord:
 def load_commit_export(path: str | Path) -> list[CommitRecord]:
     """Parse a commit-export JSONL file; a malformed record raises ValueError naming its line."""
     commits: list[CommitRecord] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            raw = raw.strip()
+    # one line at a time: a JSON Lines record ends at "\n" (a "\r" before it is stripped)
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            raw = decode_utf8(line, path, lineno).strip()
             if not raw:
                 continue
             try:
@@ -115,7 +114,7 @@ def load_commit_export(path: str | Path) -> list[CommitRecord]:
 
 def load_issue_keys(path: str | Path) -> IssueKeySet:
     """Read bug ids from a newline-delimited text file."""
-    ids = {line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()}
+    ids = {line.strip() for line in decode_utf8(Path(path).read_bytes(), path).splitlines() if line.strip()}
     return IssueKeySet(bug_ids=frozenset(ids))
 
 
@@ -178,8 +177,6 @@ def label_defective_lines(
                     unresolved += 1
                 else:
                     defective.setdefault(change.path, set()).add(number)
-    if unresolved:
-        logger.warning("%d changed lines could not be matched to the release snapshot", unresolved)
 
     files = []
     for f in snapshot.files:

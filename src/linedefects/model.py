@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 from .corpus import Vocabulary
-from .util import atomic_write_text
+from .util import atomic_write_text, decode_utf8
 
 MODEL_FORMAT_VERSION = 1
 
@@ -62,16 +62,12 @@ _META_TYPES = get_type_hints(TrainMeta)
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    vocab_fingerprint: str
+    vocab: Vocabulary  # the training tokens; weight i belongs to vocab.tokens[i]
     train_meta: TrainMeta
 
     @property
     def dimension(self) -> int:
         return self.weights.shape[0]
-
-    def check_vocab(self, vocab: Vocabulary) -> None:
-        if vocab.fingerprint() != self.vocab_fingerprint:
-            raise ValueError("vocabulary fingerprint does not match the model's training vocabulary")
 
 
 def _loss_and_gradient(
@@ -142,21 +138,14 @@ def _validate_labels(n_samples: int, y: np.ndarray) -> None:
         raise ValueError("training labels contain a single class")
 
 
-def train_logistic(
-    X: sp.csr_matrix,
-    y: list[bool],
-    vocab: Vocabulary | None = None,
-) -> LogisticModel:
-    """Fit the L2-regularized logistic model on raw token counts, one file per row of ``X``."""
+def train_logistic(X: sp.csr_matrix, y: list[bool], vocab: Vocabulary) -> LogisticModel:
+    """Fit the L2-regularized logistic model on raw token counts, a row of ``X`` per file and a column per token."""
+    if X.shape[1] != len(vocab):
+        raise ValueError(f"feature dimension {X.shape[1]} does not match vocabulary size {len(vocab)}")
     labels = np.asarray(y, dtype=np.float64)
     _validate_labels(X.shape[0], labels)
     theta, meta = _minimize(X, labels)
-    return LogisticModel(
-        weights=theta[:-1],
-        bias=float(theta[-1]),
-        vocab_fingerprint=vocab.fingerprint() if vocab is not None else "",
-        train_meta=meta,
-    )
+    return LogisticModel(weights=theta[:-1], bias=float(theta[-1]), vocab=vocab, train_meta=meta)
 
 
 def predict_proba(model: LogisticModel, X: sp.csr_matrix) -> np.ndarray:
@@ -200,24 +189,22 @@ def standardized_coefficients(X: sp.csr_matrix, y: list[bool]) -> tuple[np.ndarr
     return theta[:-1], meta
 
 
-def save_model(model: LogisticModel, vocab: Vocabulary, path: str | Path) -> None:
+def save_model(model: LogisticModel, path: str | Path) -> None:
     """Persist a model and its vocabulary as a versioned JSON document; a non-finite weight or bias is refused."""
-    if model.vocab_fingerprint:
-        model.check_vocab(vocab)
     if not (np.isfinite(model.weights).all() and np.isfinite(model.bias)):
         raise ValueError(f"{path}: refusing to save a model with a non-finite weight or bias")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "tokens": vocab.tokens,
+        "tokens": model.vocab.tokens,
         "weights": model.weights.tolist(),
         "bias": model.bias,
         "train_meta": asdict(model.train_meta),
-        "vocab_fingerprint": vocab.fingerprint(),
+        "vocab_fingerprint": model.vocab.fingerprint(),
     }
     atomic_write_text(path, json.dumps(doc))
 
 
-def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
+def load_model(path: str | Path) -> LogisticModel:
     """Load a persisted model, validating its structure, format version and vocabulary hash.
 
     Any malformed document raises ``ValueError`` naming ``path``, bad or
@@ -226,11 +213,10 @@ def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
     Format-1 documents written by the earlier gradient-loop trainer carry
     its four settings in ``train_meta`` as well; they are ignored.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"{path}: bad JSON: {exc}") from exc
+    try:
+        doc = json.loads(decode_utf8(Path(path).read_bytes(), path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: bad JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model document is not a JSON object")
     version = doc.get("format_version")
@@ -256,17 +242,10 @@ def load_model(path: str | Path) -> tuple[LogisticModel, Vocabulary]:
     if not (np.isfinite(weights).all() and np.isfinite(bias)):
         raise ValueError(f"{path}: the model has a non-finite weight or bias")
     vocab = Vocabulary(tuple(tokens))
-    fingerprint = vocab.fingerprint()
-    if fingerprint != doc["vocab_fingerprint"]:
+    if vocab.fingerprint() != doc["vocab_fingerprint"]:
         raise ValueError(f"{path}: vocabulary hash does not match the stored token list")
     if len(vocab.token_to_index) != len(vocab):
         raise ValueError(f"{path}: the stored token list repeats a token")
     if weights.shape != (len(vocab),):
         raise ValueError(f"{path}: weight vector length does not match vocabulary size")
-    model = LogisticModel(
-        weights=weights,
-        bias=bias,
-        vocab_fingerprint=fingerprint,
-        train_meta=TrainMeta(**train_meta),
-    )
-    return model, vocab
+    return LogisticModel(weights=weights, bias=bias, vocab=vocab, train_meta=TrainMeta(**train_meta))

@@ -18,7 +18,6 @@ from .config import RunConfig
 from .corpus import (
     FeatureVector,
     ReleaseDataset,
-    Vocabulary,
     as_release_list,
     build_vocabulary,
     tokenize,  # noqa: F401  (the benchmark's traced run counts calls through this name)
@@ -118,13 +117,12 @@ def rank_lines_global(flagged: list[RankedLine]) -> list[RankedLine]:
     )
 
 
-def train_file_model(train: ReleaseDataset | list[ReleaseDataset]) -> tuple[LogisticModel, Vocabulary]:
-    """Vocabulary + file-level logistic model from the training releases only."""
+def train_file_model(train: ReleaseDataset | list[ReleaseDataset]) -> LogisticModel:
+    """The file-level logistic model over the vocabulary of the training releases only."""
     releases = as_release_list(train)
     vocab = build_vocabulary(releases)
     y = [f.file_label for ds in releases for f in ds.files]
-    model = train_logistic(vectorize(releases, vocab), y, vocab=vocab)
-    return model, vocab
+    return train_logistic(vectorize(releases, vocab), y, vocab)
 
 
 def file_seed(config_seed: int, release_id: str, path: str) -> int:
@@ -141,29 +139,25 @@ class FilePredictions:
     defect_prone: tuple[int, ...]  # indices into the release's files with probability > 0.5, in path order
 
 
-def predict_files(model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset) -> FilePredictions:
+def predict_files(model: LogisticModel, test: ReleaseDataset) -> FilePredictions:
     """Vectorize ``test`` and predict each of its files; the only place the model meets a test release."""
-    design = vectorize(test, vocab)
+    design = vectorize(test, model.vocab)
     probabilities = dict(zip((f.path for f in test.files), predict_proba(model, design).tolist()))
     by_path = sorted(range(len(test.files)), key=lambda i: test.files[i].path)
     defect_prone = tuple(i for i in by_path if probabilities[test.files[i].path] > 0.5)
     return FilePredictions(design, probabilities, defect_prone)
 
 
-def _explain_file(
-    model: LogisticModel, vocab: Vocabulary, config: RunConfig, task: tuple[int, FeatureVector]
-) -> Explanation:
+def _explain_file(model: LogisticModel, config: RunConfig, task: tuple[int, FeatureVector]) -> Explanation:
     seed, x = task
     if not x.entries:
         # nothing to perturb: no token of the file is in the vocabulary
         return Explanation(scores={}, fidelity_r2=0.0)
-    return explain(
-        model, x, vocab, n=config.lime_n, k=config.lime_k_features, kernel_width=config.lime_sigma, seed=seed
-    )
+    return explain(model, x, n=config.lime_n, k=config.lime_k_features, kernel_width=config.lime_sigma, seed=seed)
 
 
 def identify_lines(
-    model: LogisticModel, vocab: Vocabulary, test: ReleaseDataset, config: RunConfig, predicted: FilePredictions
+    model: LogisticModel, test: ReleaseDataset, predicted: FilePredictions, config: RunConfig
 ) -> MethodResult:
     """Explain the defect-prone files of ``predicted``, flag the lines holding their risky tokens, and rank them.
 
@@ -172,7 +166,7 @@ def identify_lines(
     explanation, so it has no risky tokens and flags nothing. Files are
     spread over ``config.parallelism`` worker processes when there are at
     least 4, one file per task so that the workers share the files evenly;
-    the model and vocabulary reach each worker once.
+    the model reaches each worker once.
     """
     files, file_probs = predicted.defect_prone, predicted.probabilities
     tasks = [
@@ -180,7 +174,7 @@ def identify_lines(
         for i in files
     ]
     workers = pool_workers(config.parallelism, len(tasks), min_tasks=4)
-    explanations = pool_map(_explain_file, tasks, (model, vocab, config), workers)
+    explanations = pool_map(_explain_file, tasks, (model, config), workers)
     risky_sets = {
         test.files[i].path: select_risky_tokens(expl, config.k_risky) for i, expl in zip(files, explanations)
     }
@@ -196,5 +190,5 @@ def run_linedp(
     train: ReleaseDataset | list[ReleaseDataset], test: ReleaseDataset, config: RunConfig = RunConfig()
 ) -> MethodResult:
     """The whole framework end to end; deterministic given config.seed."""
-    model, vocab = train_file_model(train)
-    return identify_lines(model, vocab, test, config, predict_files(model, vocab, test))
+    model = train_file_model(train)
+    return identify_lines(model, test, predict_files(model, test), config)

@@ -1,4 +1,4 @@
-"""Small shared helpers: stable seeding, the process pool, and atomic file and CSV output."""
+"""Small shared helpers: stable seeding, the process pool, UTF-8 decoding, and atomic file and CSV output."""
 
 from __future__ import annotations
 
@@ -98,6 +98,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_replace(path) as handle:
         handle.write(text.encode("utf-8"))
+
+
+def decode_utf8(raw: bytes, path: str | Path, line: int = 1) -> str:
+    """``raw``, the bytes of ``path`` from line ``line`` on, as text; a bad byte raises ValueError naming its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line += raw.count(b"\n", 0, exc.start)
+        raise ValueError(f"{path}:{line}: not UTF-8 text: byte {raw[exc.start]:#04x} ({exc.reason})") from None
 
 
 def format_cell(value) -> str:

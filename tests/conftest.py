@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linedefects.config import RunConfig
-from linedefects.corpus import LineRecord, ReleaseDataset, SourceFile, TokenTable
+from linedefects.corpus import LineRecord, ReleaseDataset, SourceFile, TokenTable, Vocabulary
 from linedefects.synthetic import make_release_series
 
 
@@ -31,6 +31,11 @@ def release_of_files(release_id: str, files: dict[str, list[tuple[str, bool]]], 
         release_date=release_date or date(2024, 1, 1),
         files=tuple(sorted(built, key=lambda f: f.path)),
     )
+
+
+def vocab_of(n: int) -> Vocabulary:
+    """A vocabulary of ``n`` made-up tokens, for a model built without a corpus."""
+    return Vocabulary(tuple(f"tok{i:02d}" for i in range(n)))
 
 
 def assert_same_table(actual: TokenTable, expected: TokenTable) -> None:

@@ -20,7 +20,7 @@ from scipy.stats import rankdata
 
 from linedefects.baselines import NGRAM_ORDER, NgramModel, line_entropies, random_baseline
 from linedefects.config import RunConfig
-from linedefects.corpus import FeatureVector, Vocabulary, load_dataset
+from linedefects.corpus import FeatureVector, load_dataset
 from linedefects.evaluation import (
     _exact_one_sided_p,
     confusion_counts,
@@ -40,7 +40,7 @@ from linedefects.model import LogisticModel, TrainMeta
 from linedefects.pipeline import predict_files, run_linedp, train_file_model
 from linedefects.synthetic import PLANTED_TOKENS, make_release_series
 
-from conftest import release_of_files
+from conftest import release_of_files, vocab_of
 
 DATA_DIR = Path(os.environ.get("LINEDEFECTS_DATA", Path(__file__).parent.parent / "data" / "published"))
 
@@ -124,19 +124,14 @@ def test_criterion_4_lime_sign_recovery():
     weights = rng.uniform(0.4, 1.5, size=d) * rng.choice([-1.0, 1.0], size=d)
     strongest = int(np.argmax(np.abs(weights)))
     weights[strongest] = abs(weights[strongest]) + 1.0
-    model = LogisticModel(
-        weights=weights,
-        bias=-float(weights.sum()) / 2.0,
-        vocab_fingerprint="",
-        train_meta=TrainMeta(0, True, 0.0),
-    )
-    vocab = Vocabulary(tuple(f"tok{i:02d}" for i in range(d)))
+    vocab = vocab_of(d)
+    model = LogisticModel(weights, -float(weights.sum()) / 2.0, vocab, TrainMeta(0, True, 0.0))
     x = FeatureVector({i: 1 for i in range(d)}, d)
     start = time.perf_counter()
     sign_matches = 0
     strongest_first = 0
     for seed in range(100):
-        expl = explain(model, x, vocab, n=5000, k=10, seed=seed)
+        expl = explain(model, x, n=5000, k=10, seed=seed)
         assert expl.scores
         sign_matches += all(
             np.sign(score) == np.sign(weights[vocab.token_to_index[token]])
@@ -178,11 +173,11 @@ def test_criterion_6_planted_corpus_end_to_end():
     linedp_recall = len(defective & flagged) / len(defective)
     assert linedp_recall >= 0.8, f"pipeline line recall {linedp_recall:.3f}"
 
-    model, vocab = train_file_model(train)
-    predicted = predict_files(model, vocab, test)
+    model = train_file_model(train)
+    predicted = predict_files(model, test)
     random_recalls = []
     for seed in range(50):
-        rand = random_baseline(test, vocab, predicted, k_risky=config.k_risky, seed=seed)
+        rand = random_baseline(test, model.vocab, predicted, k_risky=config.k_risky, seed=seed)
         hit = {(r.file_path, r.line_number) for r in rand.ranked}
         random_recalls.append(len(defective & hit) / len(defective))
     random_median = float(np.median(random_recalls))
@@ -190,7 +185,7 @@ def test_criterion_6_planted_corpus_end_to_end():
 
     from linedefects.baselines import global_risky_tokens
 
-    risky = global_risky_tokens(train, vocab, k_risky=config.k_risky)
+    risky = global_risky_tokens(train, model.vocab, k_risky=config.k_risky)
     recovered = len(set(PLANTED_TOKENS) & {t for t, _ in risky.tokens})
     assert recovered >= 2, f"TMI-LR recovered only {recovered}/3 planted tokens"
     elapsed = time.perf_counter() - start

@@ -29,8 +29,7 @@ from conftest import file_at, release_of_files
 @pytest.fixture(scope="module")
 def trained(small_planted_pair_module):
     train, test = small_planted_pair_module
-    model, vocab = train_file_model(train)
-    return train, test, model, vocab
+    return train, test, train_file_model(train)
 
 
 @pytest.fixture(scope="module")
@@ -42,49 +41,33 @@ def small_planted_pair_module():
 
 class TestRandomBaseline:
     def test_same_seed_reproducible(self, trained):
-        train, test, model, vocab = trained
-        a = random_baseline(test, vocab, predict_files(model, vocab, test), seed=5)
-        b = random_baseline(test, vocab, predict_files(model, vocab, test), seed=5)
+        train, test, model = trained
+        a = random_baseline(test, model.vocab, predict_files(model, test), seed=5)
+        b = random_baseline(test, model.vocab, predict_files(model, test), seed=5)
         assert a.ranked == b.ranked
 
     def test_different_seeds_differ(self, trained):
-        train, test, model, vocab = trained
-        a = random_baseline(test, vocab, predict_files(model, vocab, test), seed=5)
-        b = random_baseline(test, vocab, predict_files(model, vocab, test), seed=6)
+        train, test, model = trained
+        a = random_baseline(test, model.vocab, predict_files(model, test), seed=5)
+        b = random_baseline(test, model.vocab, predict_files(model, test), seed=6)
         assert a.ranked != b.ranked
 
     def test_tokenless_file_never_flagged(self):
         # one defect-prone file with no in-vocabulary tokens at all
-        always_defective = LogisticModel(
-            weights=np.zeros(1),
-            bias=5.0,
-            vocab_fingerprint="",
-            train_meta=TrainMeta(0, True, 0.0),
-        )
         vocab = Vocabulary(("known",))
+        always_defective = LogisticModel(weights=np.zeros(1), bias=5.0, vocab=vocab, train_meta=TrainMeta(0, True, 0.0))
         test = release_of_files("r", {"Empty.java": [(";;;", False), ("###", False)]})
-        result = random_baseline(test, vocab, predict_files(always_defective, vocab, test), seed=0)
+        result = random_baseline(test, vocab, predict_files(always_defective, test), seed=0)
         assert result.ranked == []
 
     def test_risky_fraction_matches_binomial_oracle(self):
         # fraction of tokens marked risky ~ E[min(20, Binomial(D, 1/2))] / D
-        always_defective = LogisticModel(
-            weights=np.zeros(100),
-            bias=5.0,
-            vocab_fingerprint="",
-            train_meta=TrainMeta(0, True, 0.0),
-        )
         for d in (10, 60):
             tokens = [f"tk{i:03d}" for i in range(d)]
             vocab = Vocabulary(tuple(tokens))
             release = release_of_files("r", {"F.java": [(" ".join(tokens), False)]})
-            model = LogisticModel(
-                weights=np.zeros(d),
-                bias=5.0,
-                vocab_fingerprint="",
-                train_meta=always_defective.train_meta,
-            )
-            predicted = predict_files(model, vocab, release)
+            model = LogisticModel(weights=np.zeros(d), bias=5.0, vocab=vocab, train_meta=TrainMeta(0, True, 0.0))
+            predicted = predict_files(model, release)
             fractions = []
             for seed in range(1000):
                 result = random_baseline(release, vocab, predicted, k_risky=20, seed=seed)
@@ -99,21 +82,21 @@ class TestRandomBaseline:
             assert np.mean(fractions) == pytest.approx(expected, abs=0.02)
 
     def test_ranking_is_random_permutation_of_flagged(self, trained):
-        train, test, model, vocab = trained
-        result = random_baseline(test, vocab, predict_files(model, vocab, test), seed=11)
+        train, test, model = trained
+        result = random_baseline(test, model.vocab, predict_files(model, test), seed=11)
         keys = [(r.file_path, r.line_number) for r in result.ranked]
         assert len(set(keys)) == len(keys)
 
 
 class TestTmiLrBaseline:
     def test_planted_tokens_in_global_set(self, trained):
-        train, test, model, vocab = trained
-        risky = global_risky_tokens(train, vocab, k_risky=20)
+        train, test, model = trained
+        risky = global_risky_tokens(train, model.vocab, k_risky=20)
         assert len(set(PLANTED_TOKENS) & {t for t, _ in risky.tokens}) >= 2
 
     def test_same_risky_set_for_all_files(self, trained):
-        train, test, model, vocab = trained
-        result = tmi_lr_baseline(train, test, vocab, predict_files(model, vocab, test), k_risky=20)
+        train, test, model = trained
+        result = tmi_lr_baseline(train, test, model.vocab, predict_files(model, test), k_risky=20)
         assert set(result.risky_tokens) == {"*"}
         # flagged lines in different files must all match the single global set
         global_set = {t for t, _ in result.risky_tokens["*"].tokens}
@@ -135,21 +118,21 @@ class TestTmiLrBaseline:
             },
         )
         test = release_of_files("s", {"X.java": [("tok tok", False)]})
-        model, vocab = train_file_model(train)
-        result = tmi_lr_baseline(train, test, vocab, predict_files(model, vocab, test))
+        model = train_file_model(train)
+        result = tmi_lr_baseline(train, test, model.vocab, predict_files(model, test))
         assert result.ranked == []
 
     def test_converged_fit_does_not_warn(self, trained):
-        train, test, model, vocab = trained
+        train, test, model = trained
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tmi_lr_baseline(train, test, vocab, predict_files(model, vocab, test))
+            tmi_lr_baseline(train, test, model.vocab, predict_files(model, test))
 
     def test_unconverged_fit_warns_with_iterations_and_gradient(self, trained, monkeypatch):
-        train, test, model, vocab = trained
+        train, test, model = trained
         monkeypatch.setattr("linedefects.model.MAX_ITERS", 1)
         with pytest.warns(RuntimeWarning, match=r"NOT converged after 1 iterations \(\|\|g\|\| = "):
-            tmi_lr_baseline(train, test, vocab, predict_files(model, vocab, test))
+            tmi_lr_baseline(train, test, model.vocab, predict_files(model, test))
 
 
 def single_file_release(release_id, line_contents, defective=None):
@@ -234,14 +217,14 @@ class TestNgramModel:
 
 class TestSharedResultSchema:
     def test_all_methods_emit_ranked_lines(self, trained):
-        train, test, model, vocab = trained
+        train, test, model = trained
         from linedefects.pipeline import identify_lines
 
         cfg = RunConfig(seed=1, lime_n=200, lime_k_features=20)
         results = [
-            identify_lines(model, vocab, test, cfg, predict_files(model, vocab, test)),
-            random_baseline(test, vocab, predict_files(model, vocab, test), seed=1),
-            tmi_lr_baseline(train, test, vocab, predict_files(model, vocab, test)),
+            identify_lines(model, test, predict_files(model, test), cfg),
+            random_baseline(test, model.vocab, predict_files(model, test), seed=1),
+            tmi_lr_baseline(train, test, model.vocab, predict_files(model, test)),
             ngram_entropy_baseline(train, test, threshold=0.6),
         ]
         assert [r.method for r in results] == ["linedp", "random", "tmi_lr", "ngram"]

@@ -380,6 +380,20 @@ class TestMineAndDensity:
         assert by_key[("src/F.java", "4")][4] == "true"
         assert by_key[("src/G.java", "1")][5] == "false"
 
+    def test_mine_warns_once_about_unmatched_lines(self, tmp_path, capsys, caplog):
+        snap_path, commits_path, issues_path = tmp_path / "snapshot.csv", tmp_path / "commits.jsonl", tmp_path / "ids"
+        write_dataset([release_of_files("rel-1.0", {"src/F.java": [("alpha;", False)]})], snap_path)
+        removed = [{"line": 1, "content": "alpha;"}, {"line": 1, "content": "gone;"}]
+        commits_path.write_text(json.dumps({"commit_id": "c1", "message": "Fix K-1",
+                                            "changes": [{"path": "src/F.java", "removed": removed}]}))
+        issues_path.write_text("K-1\n")
+        rc = main(["mine", "--commits", str(commits_path), "--issues", str(issues_path),
+                   "--snapshot", str(snap_path), "--out", str(tmp_path / "mined.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err == "warning: rel-1.0: 1 changed lines not matched to the snapshot\n"
+        # a logged warning would reach stderr a second time, through logging's last-resort handler
+        assert caplog.records == []
+
     def test_density(self, dataset_paths, tmp_path):
         root, data, meta = dataset_paths
         out = tmp_path / "density.csv"
@@ -490,6 +504,37 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {commits}:2: bad JSON: ")
         assert not (tmp_path / "mined.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad, content, line",
+        [
+            pytest.param("model", b"\xff{}", 1, id="model"),
+            pytest.param("commits", b'{"commit_id": "c1", "message": "K-1"}\n{"commit_id": "\xff"}\n', 2, id="commits"),
+            pytest.param("issues", b"K-1\n\xffK-2\n", 2, id="issues"),
+            pytest.param("config", b"seed = 1\n\xff = 2\n", 2, id="config"),
+        ],
+    )
+    def test_non_utf8_input_is_data_error_naming_its_line(self, dataset_paths, tmp_path, capsys, bad, content, line):
+        root, data, meta = dataset_paths
+        paths = {name: tmp_path / name for name in ("model", "commits", "issues", "config")}
+        paths["commits"].write_text("")
+        paths["issues"].write_text("K-1\n")
+        paths[bad].write_bytes(content)
+        write_dataset([release_of_files("r", {"A.java": [("x", False)]})], tmp_path / "snapshot.csv")
+        out = tmp_path / "out"
+        mine = ["mine", "--commits", str(paths["commits"]), "--issues", str(paths["issues"]),
+                "--snapshot", str(tmp_path / "snapshot.csv")]
+        argv = {
+            "model": ["predict", "--model", str(paths["model"]), "--dataset", str(data), "--release", "cli-2.0"],
+            "commits": mine,
+            "issues": mine,
+            "config": ["train", "--dataset", str(data), "--config", str(paths["config"])],
+        }
+        assert main(argv[bad] + ["--out", str(out)]) == 2
+        prefix = "bad configuration: " if bad == "config" else ""
+        expected = f"error: {prefix}{paths[bad]}:{line}: not UTF-8 text: byte 0xff (invalid start byte)\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command",

@@ -6,7 +6,10 @@ Each dataset goes through ``train``, ``predict`` with every method, both
 ``evaluate`` settings and both ``sensitivity`` targets. It also edits a
 trained model document: it drops keys, sets numbers to NaN or infinities,
 changes types and lengths and repeats tokens, and runs ``predict`` with
-every method that reads the model. A traceback fails the test.
+every method that reads the model. Last, it overwrites, inserts and deletes
+bytes of a model document, a commit export, an issue list and a config
+file, any byte value included, and runs the command that reads the file.
+A traceback fails the test.
 """
 
 from __future__ import annotations
@@ -137,5 +140,59 @@ def test_predict_exits_zero_or_data_error_on_edited_model(trained, tmp_path, dat
     }
     assert set(codes.values()) <= {0, 2}, codes
     if 0 in codes.values():  # a model that loads is one the program can use
-        loaded, _ = load_model(model)
+        loaded = load_model(model)
         assert np.isfinite(loaded.weights).all() and np.isfinite(loaded.bias)
+
+
+@pytest.fixture(scope="module")
+def input_files(trained, tmp_path_factory):
+    """Each kind of input file: its valid bytes, and the command line, less ``--out``, that reads it from a path."""
+    dataset, doc = trained
+    root = tmp_path_factory.mktemp("fuzz-inputs")
+    snapshot, commits, issues = root / "snapshot.csv", root / "commits.jsonl", root / "issues.txt"
+    write_dataset([release_of_files("r", {"A.java": [("x;", False), ("y;", False)]})], snapshot)
+    removed = {"path": "A.java", "removed": [{"line": 2, "content": "y;"}]}
+    commits.write_text(json.dumps({"commit_id": "c1", "message": "Fix K-1", "changes": [removed]}) + "\n")
+    issues.write_text("K-1\nK-2\n")
+
+    def mine(commits_path, issues_path):
+        return ["mine", "--commits", str(commits_path), "--issues", str(issues_path), "--snapshot", str(snapshot)]
+
+    predict = ["predict", "--dataset", str(dataset), "--release", "demo-2.0"] + FLAGS
+    return {
+        "model": (json.dumps(doc).encode(), lambda path: predict + ["--model", str(path)]),
+        "commits": (commits.read_bytes(), lambda path: mine(path, issues)),
+        "issues": (issues.read_bytes(), lambda path: mine(commits, path)),
+        "config": (b"seed = 3\nk_risky = 5\n", lambda path: ["train", "--dataset", str(dataset), "--config", str(path)]),
+    }
+
+
+# half of the drawn bytes are digits or JSON and config syntax, so that some corrupted files still parse
+BYTES = st.one_of(st.sampled_from(b'0123456789.-e" =\n'), st.integers(0, 255))
+
+
+def _corrupt(draw, raw: bytes) -> bytes:
+    """``raw`` with one to four bytes overwritten, runs of bytes inserted or runs deleted."""
+    data = bytearray(raw)
+    # positions uniform over the file: drawn integers favour its first bytes
+    positions = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(1, 4))):
+        at = positions.randint(0, len(data))
+        action = draw(st.sampled_from(["overwrite", "insert", "delete"]))
+        if action == "insert" or at == len(data):
+            data[at:at] = bytes(draw(st.lists(BYTES, min_size=1, max_size=3)))
+        elif action == "overwrite":
+            data[at] = draw(BYTES)
+        else:
+            del data[at : at + draw(st.integers(1, 8))]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", ["model", "commits", "issues", "config"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_command_exits_zero_or_data_error_on_corrupted_input_file(input_files, tmp_path, kind, data):
+    raw, command = input_files[kind]
+    path = tmp_path / kind
+    path.write_bytes(_corrupt(data.draw, raw))
+    assert main(command(path) + ["--out", str(tmp_path / "out")]) in (0, 2)

@@ -110,11 +110,11 @@ class TestParallelEqualsSerial:
         pids = tmp_path / "pids"
         original = experiments.identify_lines
 
-        def serial_only(model, vocab, test, config, predicted):
+        def serial_only(model, test, predicted, config):
             assert config.parallelism == 1, "a split worker would open a nested pool"
             with open(pids, "a") as handle:
                 handle.write(f"{os.getpid()}\n")
-            return original(model, vocab, test, config, predicted)
+            return original(model, test, predicted, config)
 
         monkeypatch.setattr(experiments, "identify_lines", serial_only)
         config = replace(quick_config, parallelism=2)
@@ -129,9 +129,9 @@ class TestParallelEqualsSerial:
         seen = []
         original = experiments.identify_lines
 
-        def record(model, vocab, test, config, predicted):
+        def record(model, test, predicted, config):
             seen.append(config.parallelism)
-            return original(model, vocab, test, config, predicted)
+            return original(model, test, predicted, config)
 
         monkeypatch.setattr(experiments, "identify_lines", record)
         cross_release_eval(corpus, ("linedp",), replace(quick_config, parallelism=2))
@@ -142,9 +142,9 @@ class TestParallelEqualsSerial:
         seen = []
         original = experiments.identify_lines
 
-        def record(model, vocab, test, config, predicted):
+        def record(model, test, predicted, config):
             seen.append((os.getpid(), config.parallelism))
-            return original(model, vocab, test, config, predicted)
+            return original(model, test, predicted, config)
 
         monkeypatch.setattr(experiments, "identify_lines", record)
         cross_release_eval(three_releases, ("linedp",), replace(quick_config, parallelism=3))
@@ -184,15 +184,15 @@ class TestOnePredictionPerUnit:
     @pytest.fixture(scope="class")
     def trained(self, corpus):
         train, test = corpus
-        return train, test, *train_file_model(train)
+        return train, test, train_file_model(train)
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_sharing_the_prediction_changes_no_result(self, trained, quick_config, method):
         # a method that changed the shared probabilities or defect-prone files would change the others' results
-        train, test, model, vocab = trained
+        train, test, model = trained
 
         def result(methods):
-            results = experiments.run_methods(methods, train, test, model, vocab, quick_config, 0.6, seed=3)
+            results = experiments.run_methods(methods, train, test, model, quick_config, 0.6, seed=3)
             return results[methods.index(method)]
 
         alone = result((method,))

@@ -9,7 +9,7 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor
 
 from linedefects.config import RunConfig
-from linedefects.corpus import FeatureVector, Vocabulary
+from linedefects.corpus import FeatureVector
 from linedefects.explain import (
     _LASSO_GRID_DECAY,
     _LASSO_GRID_POINTS,
@@ -25,6 +25,7 @@ from linedefects.explain import (
 from linedefects.model import LogisticModel, TrainMeta
 from linedefects.pipeline import file_seed, predict_files, train_file_model
 
+from conftest import vocab_of
 from reference_explainer import (
     NeighborSample,
     cd_k_lasso_arrays,
@@ -39,17 +40,8 @@ from reference_explainer import (
 
 
 def linear_model(weights, bias=0.0):
-    meta = TrainMeta(0, True, 0.0)
-    return LogisticModel(
-        weights=np.asarray(weights, dtype=float),
-        bias=bias,
-        vocab_fingerprint="",
-        train_meta=meta,
-    )
-
-
-def vocab_of(n):
-    return Vocabulary(tuple(f"tok{i:02d}" for i in range(n)))
+    weights = np.asarray(weights, dtype=float)
+    return LogisticModel(weights=weights, bias=bias, vocab=vocab_of(len(weights)), train_meta=TrainMeta(0, True, 0.0))
 
 
 class TestGenerateNeighbors:
@@ -184,52 +176,46 @@ class TestExplain:
         bug_index = 2
         weights[bug_index] = 3.0
         model = linear_model(weights)
-        vocab = vocab_of(6)
         x = FeatureVector({i: 1 for i in range(6)}, 6)
         hits = 0
         for seed in range(100):
-            expl = explain(model, x, vocab, n=300, k=6, seed=seed)
+            expl = explain(model, x, n=300, k=6, seed=seed)
             top = max(expl.scores, key=expl.scores.get)
-            hits += top == vocab.tokens[bug_index] and expl.scores[top] > 0
+            hits += top == model.vocab.tokens[bug_index] and expl.scores[top] > 0
         assert hits >= 95
 
     def test_zero_weight_model_gives_zero_scores(self):
         model = linear_model(np.zeros(5))
-        vocab = vocab_of(5)
         x = FeatureVector({i: 2 for i in range(5)}, 5)
-        expl = explain(model, x, vocab, n=500, k=5, seed=4)
+        expl = explain(model, x, n=500, k=5, seed=4)
         assert all(abs(v) <= 1e-9 for v in expl.scores.values())
 
     def test_file_with_only_negative_weight_tokens_has_no_risky_scores(self):
         weights = np.array([-0.8, -0.5, -1.2, 2.0, 1.5])
         model = linear_model(weights, bias=0.5)
-        vocab = vocab_of(5)
         x = FeatureVector({0: 1, 1: 2, 2: 1}, 5)  # shares no positive-weight tokens
-        expl = explain(model, x, vocab, n=2000, k=5, seed=9)
+        expl = explain(model, x, n=2000, k=5, seed=9)
         assert max(expl.scores.values()) < 1e-6
 
     def test_deterministic_given_seed(self):
         model = linear_model(np.array([0.5, -0.3, 1.0, 0.1]))
-        vocab = vocab_of(4)
         x = FeatureVector({0: 1, 1: 3, 2: 1, 3: 2}, 4)
-        a = explain(model, x, vocab, n=400, k=4, seed=77)
-        b = explain(model, x, vocab, n=400, k=4, seed=77)
+        a = explain(model, x, n=400, k=4, seed=77)
+        b = explain(model, x, n=400, k=4, seed=77)
         assert a == b
-        c = explain(model, x, vocab, n=400, k=4, seed=78)
+        c = explain(model, x, n=400, k=4, seed=78)
         assert c != a
 
     def test_scores_only_for_tokens_present_in_file(self):
         model = linear_model(np.array([0.5, -0.3, 1.0, 0.1, 0.9]))
-        vocab = vocab_of(5)
         x = FeatureVector({1: 2, 3: 1}, 5)
-        expl = explain(model, x, vocab, n=300, k=5, seed=0)
-        assert set(expl.scores) <= {vocab.tokens[1], vocab.tokens[3]}
+        expl = explain(model, x, n=300, k=5, seed=0)
+        assert set(expl.scores) <= {model.vocab.tokens[1], model.vocab.tokens[3]}
 
     def test_budget_respected_and_fidelity_nonnegative(self):
         model = linear_model(np.linspace(-1, 1, 12))
-        vocab = vocab_of(12)
         x = FeatureVector({i: 1 for i in range(12)}, 12)
-        expl = explain(model, x, vocab, n=600, k=4, seed=5)
+        expl = explain(model, x, n=600, k=4, seed=5)
         assert len(expl.scores) <= 4
         assert expl.fidelity_r2 >= 0.0
 
@@ -237,22 +223,21 @@ class TestExplain:
         rng = np.random.default_rng(6)
         weights = rng.uniform(0.5, 1.5, size=10) * rng.choice([-1.0, 1.0], size=10)
         model = linear_model(weights, bias=-float(weights.sum()) / 2)
-        vocab = vocab_of(10)
         x = FeatureVector({i: 1 for i in range(10)}, 10)
-        expl = explain(model, x, vocab, n=4000, k=10, seed=13)
+        expl = explain(model, x, n=4000, k=10, seed=13)
         for token, score in expl.scores.items():
-            assert np.sign(score) == np.sign(weights[vocab.token_to_index[token]])
+            assert np.sign(score) == np.sign(weights[model.vocab.token_to_index[token]])
 
     def test_empty_vector_rejected(self):
         model = linear_model(np.zeros(3))
         with pytest.raises(ValueError, match="empty"):
-            explain(model, FeatureVector({}, 3), vocab_of(3), n=10, k=2, seed=0)
+            explain(model, FeatureVector({}, 3), n=10, k=2, seed=0)
 
     @pytest.mark.parametrize("width", [0.0, -1.0, float("nan"), float("inf")])
     def test_kernel_width_must_be_finite_and_positive(self, width):
         x = FeatureVector({0: 1, 1: 1}, 3)
         with pytest.raises(ValueError, match="kernel width"):
-            explain(linear_model(np.ones(3)), x, vocab_of(3), n=10, k=2, kernel_width=width, seed=0)
+            explain(linear_model(np.ones(3)), x, n=10, k=2, kernel_width=width, seed=0)
 
     def test_saturated_predictions_give_empty_explanation(self):
         # every neighbor's probability clips at 1 - 1e-12: c is rounding noise of ~1e-14,
@@ -262,7 +247,7 @@ class TestExplain:
         masks, probs, weights = _surrogate_data(model, x, list(range(50)), 5000, RunConfig.lime_sigma, 0)
         assert np.all(probs == 1.0 - 1e-12)
         assert _k_lasso_arrays(masks, probs, weights, 100) == ({}, 0.0)
-        expl = explain(model, x, vocab_of(50), n=5000, k=100, seed=0)
+        expl = explain(model, x, n=5000, k=100, seed=0)
         assert expl.scores == {} and expl.fidelity_r2 == 0.0
 
 
@@ -271,12 +256,11 @@ class TestComposition:
         # generate_neighbors -> predict_proba -> kernel_weight -> k_lasso
         weights = np.array([1.2, -0.7, 0.4, 0.9])
         model = linear_model(weights, bias=-0.5)
-        vocab = vocab_of(4)
         x = FeatureVector({0: 2, 1: 1, 2: 1, 3: 1}, 4)
         seed, n, k, sigma = 21, 800, 4, 25.0
         samples = predict_neighbors(model, generate_neighbors(x, n, seed), sigma)
-        manual = k_lasso(samples, k, feature_names=[vocab.tokens[i] for i in sorted(x.entries)])
-        integrated = explain(model, x, vocab, n=n, k=k, kernel_width=sigma, seed=seed)
+        manual = k_lasso(samples, k, feature_names=[model.vocab.tokens[i] for i in sorted(x.entries)])
+        integrated = explain(model, x, n=n, k=k, kernel_width=sigma, seed=seed)
         assert set(manual) == set(integrated.scores)
         for token, value in manual.items():
             assert integrated.scores[token] == pytest.approx(value, rel=1e-9, abs=1e-12)
@@ -435,8 +419,8 @@ class TestLassoPathMatchesCoordinateDescent:
         # d (~50 distinct tokens) < k = 100, as in within-release CV
         train, test = planted_pair
         config = RunConfig(seed=1)
-        model, vocab = train_file_model(train)
-        predicted = predict_files(model, vocab, test)
+        model = train_file_model(train)
+        predicted = predict_files(model, test)
         assert len(predicted.defect_prone) >= 3
         for i in predicted.defect_prone[:3]:
             f, x = test.files[i], FeatureVector.from_row(predicted.design, i)
@@ -555,8 +539,8 @@ class TestLassoPathMatchesReference:
     def test_planted_corpus_files(self, planted_pair):
         train, test = planted_pair
         config = RunConfig(seed=1)
-        model, vocab = train_file_model(train)
-        predicted = predict_files(model, vocab, test)
+        model = train_file_model(train)
+        predicted = predict_files(model, test)
         for i in predicted.defect_prone:
             f, x = test.files[i], FeatureVector.from_row(predicted.design, i)
             indices = active_token_indices(x)
@@ -564,8 +548,8 @@ class TestLassoPathMatchesReference:
             masks, probs, weights = _surrogate_data(model, x, indices, config.lime_n, config.lime_sigma, seed)
             assert_matches_reference(masks, probs, weights, config.lime_k_features)
             coefs, r2 = reference_k_lasso_arrays(masks, probs, weights, config.lime_k_features)
-            expl = explain(model, x, vocab, seed=seed)
-            assert hex_items(expl.scores) == hex_items({vocab.tokens[indices[j]]: v for j, v in coefs.items()})
+            expl = explain(model, x, seed=seed)
+            assert hex_items(expl.scores) == hex_items({model.vocab.tokens[indices[j]]: v for j, v in coefs.items()})
             assert expl.fidelity_r2 == pytest.approx(r2, abs=1e-12)
 
     @pytest.mark.parametrize("model_seed", [0, 31])

@@ -20,12 +20,19 @@ from linedefects.model import (
 from linedefects.synthetic import make_planted_release
 
 import reference_trainer
+from conftest import vocab_of
 from reference_corpus import features_to_csr
 
 
 def proba(model, x: FeatureVector) -> float:
     """``predict_proba`` of a single file."""
     return float(predict_proba(model, features_to_csr([x]))[0])
+
+
+def fit(X: list[FeatureVector], y: list[bool]) -> LogisticModel:
+    """``train_logistic`` on the design of ``X``, one made-up token per column."""
+    design = features_to_csr(X)
+    return train_logistic(design, y, vocab_of(design.shape[1]))
 
 
 def random_instances(rng, n=12, dim=5):
@@ -42,14 +49,14 @@ def random_instances(rng, n=12, dim=5):
 class TestTraining:
     def test_separable_toy(self):
         X = [FeatureVector({0: 1}, 1), FeatureVector({}, 1)]
-        model = train_logistic(features_to_csr(X), [True, False])
+        model = fit(X, [True, False])
         assert proba(model, X[0]) > proba(model, X[1])
 
     def test_identical_features_give_class_prior(self):
         # intercept-only optimum: constant prediction equal to the base rate
         X = [FeatureVector({0: 3, 1: 1}, 2) for _ in range(10)]
         y = [True] * 3 + [False] * 7
-        model = train_logistic(features_to_csr(X), y)
+        model = fit(X, y)
         assert proba(model, X[0]) == pytest.approx(0.3, abs=0.01)
 
     def test_gradient_matches_finite_differences(self):
@@ -129,16 +136,16 @@ class TestTraining:
         monkeypatch.setattr("linedefects.model._HessianProduct", Checked)
         release = make_planted_release("r", seed=4, n_files=20, n_defective=6)
         vocab = build_vocabulary(release)
-        model = train_logistic(vectorize(release, vocab), [f.file_label for f in release.files])
+        model = train_logistic(vectorize(release, vocab), [f.file_label for f in release.files], vocab)
         assert model.train_meta.converged
         assert len(set(calls)) > 1 and len(calls) > len(set(calls))
 
     def test_iteration_cap_reports_unconverged_fit(self, monkeypatch):
         rng = np.random.default_rng(9)
         X, y = random_instances(rng, n=20, dim=8)
-        assert train_logistic(features_to_csr(X), y).train_meta.converged
+        assert fit(X, y).train_meta.converged
         monkeypatch.setattr("linedefects.model.MAX_ITERS", 1)
-        meta = train_logistic(features_to_csr(X), y).train_meta
+        meta = fit(X, y).train_meta
         assert meta.iterations == 1
         assert not meta.converged
         assert meta.final_grad_norm > TOLERANCE
@@ -146,13 +153,19 @@ class TestTraining:
     def test_single_class_rejected(self):
         X = [FeatureVector({0: 1}, 1), FeatureVector({0: 2}, 1)]
         with pytest.raises(ValueError, match="single class"):
-            train_logistic(features_to_csr(X), [True, True])
+            fit(X, [True, True])
+
+    def test_vocabulary_size_must_match_the_design(self):
+        release = make_planted_release("r", seed=2, n_files=10, n_defective=4)
+        X = vectorize(release, build_vocabulary(release))
+        with pytest.raises(ValueError, match="vocabulary size"):
+            train_logistic(X, [f.file_label for f in release.files], Vocabulary(("alien",)))
 
     def test_training_is_bitwise_deterministic(self):
         rng = np.random.default_rng(9)
         X, y = random_instances(rng, n=20, dim=8)
-        m1 = train_logistic(features_to_csr(X), y)
-        m2 = train_logistic(features_to_csr(X), y)
+        m1 = fit(X, y)
+        m2 = fit(X, y)
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 
@@ -193,7 +206,7 @@ class TestAgainstReferenceTrainer:
         X, y = design
         Xm = features_to_csr(X)
         labels = np.asarray(y, dtype=float)
-        model = train_logistic(features_to_csr(X), y)
+        model = fit(X, y)
         f, g = _loss_and_gradient(np.append(model.weights, model.bias), Xm, Xm.T, labels)
         reference = reference_trainer._RawDesign(Xm)
         theta, _ = reference_trainer._minimize(reference, labels, reference_trainer.TrainConfig())
@@ -222,28 +235,14 @@ class TestAgainstReferenceTrainer:
 
 class TestPredictProba:
     def test_zero_model_gives_half(self):
-        model = train_logistic(
-            features_to_csr([FeatureVector({0: 1}, 1), FeatureVector({}, 1)]), [True, False]
-        )
-        zero = model.__class__(
-            weights=np.zeros(1),
-            bias=0.0,
-            vocab_fingerprint="",
-            train_meta=model.train_meta,
-        )
+        model = fit([FeatureVector({0: 1}, 1), FeatureVector({}, 1)], [True, False])
+        zero = LogisticModel(weights=np.zeros(1), bias=0.0, vocab=model.vocab, train_meta=model.train_meta)
         assert proba(zero, FeatureVector({0: 5}, 1)) == 0.5
         assert proba(zero, FeatureVector({}, 1)) == 0.5
 
     def test_strictly_inside_unit_interval_and_monotone(self):
-        model = train_logistic(
-            features_to_csr([FeatureVector({0: 1}, 1), FeatureVector({}, 1)]), [True, False]
-        )
-        big = model.__class__(
-            weights=np.array([100.0]),
-            bias=0.0,
-            vocab_fingerprint="",
-            train_meta=model.train_meta,
-        )
+        model = fit([FeatureVector({0: 1}, 1), FeatureVector({}, 1)], [True, False])
+        big = LogisticModel(weights=np.array([100.0]), bias=0.0, vocab=model.vocab, train_meta=model.train_meta)
         previous = 0.0
         for count in (0, 1, 2, 5):
             p = proba(big, FeatureVector({0: count} if count else {}, 1))
@@ -252,9 +251,7 @@ class TestPredictProba:
             previous = p
 
     def test_dimension_mismatch_rejected(self):
-        model = train_logistic(
-            features_to_csr([FeatureVector({0: 1}, 1), FeatureVector({}, 1)]), [True, False]
-        )
+        model = fit([FeatureVector({0: 1}, 1), FeatureVector({}, 1)], [True, False])
         with pytest.raises(ValueError, match="dimension"):
             proba(model, FeatureVector({0: 1}, 3))
 
@@ -326,20 +323,29 @@ class TestPersistence:
         y = [f.file_label for f in release.files]
         model = train_logistic(X, y, vocab=vocab)
         path = tmp_path / "model.json"
-        save_model(model, vocab, path)
-        loaded, loaded_vocab = load_model(path)
+        save_model(model, path)
+        loaded = load_model(path)
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
-        assert loaded_vocab.token_to_index == vocab.token_to_index
+        assert loaded.vocab.token_to_index == vocab.token_to_index
         assert predict_proba(loaded, X).tobytes() == predict_proba(model, X).tobytes()
         doc = json.loads(path.read_text())
         assert "scaler" not in doc
         # format-1 documents may still carry a null "scaler" entry
         doc["scaler"] = None
         path.write_text(json.dumps(doc))
-        reloaded, _ = load_model(path)
+        reloaded = load_model(path)
         assert np.array_equal(reloaded.weights, model.weights)
         assert reloaded.bias == model.bias
+
+    def test_saving_a_loaded_model_writes_the_same_bytes(self, tmp_path):
+        release = make_planted_release("r", seed=2, n_files=10, n_defective=4)
+        vocab = build_vocabulary(release)
+        model = train_logistic(vectorize(release, vocab), [f.file_label for f in release.files], vocab)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_fingerprint_mismatch_detected(self, tmp_path):
         import json
@@ -349,7 +355,7 @@ class TestPersistence:
         X = vectorize(release, vocab)
         model = train_logistic(X, [f.file_label for f in release.files], vocab=vocab)
         path = tmp_path / "model.json"
-        save_model(model, vocab, path)
+        save_model(model, path)
         doc = json.loads(path.read_text())
         doc["tokens"][0] = doc["tokens"][0] + "_tampered"
         path.write_text(json.dumps(doc))
@@ -364,11 +370,10 @@ class TestPersistence:
         weights = model.weights.copy()
         if field == "weights":
             weights[0] = value
-        broken = LogisticModel(weights, value if field == "bias" else model.bias, model.vocab_fingerprint,
-                               model.train_meta)
+        broken = LogisticModel(weights, value if field == "bias" else model.bias, model.vocab, model.train_meta)
         path = tmp_path / "model.json"
         with pytest.raises(ValueError, match="non-finite"):
-            save_model(broken, vocab, path)
+            save_model(broken, path)
         assert not path.exists()
 
     def test_unknown_version_rejected(self, tmp_path):
@@ -378,12 +383,3 @@ class TestPersistence:
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
-
-    def test_wrong_vocab_rejected_at_predict_time(self):
-        release = make_planted_release("r", seed=2, n_files=10, n_defective=4)
-        vocab = build_vocabulary(release)
-        X = vectorize(release, vocab)
-        model = train_logistic(X, [f.file_label for f in release.files], vocab=vocab)
-        other = Vocabulary(("alien",))
-        with pytest.raises(ValueError, match="fingerprint"):
-            model.check_vocab(other)

@@ -60,13 +60,13 @@ def _predict(data, model_path, release_id, out) -> bytes:
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_identify_lines_ignores_file_order(trained, data):
-    _, _, _, (model, vocab), test = trained
+    _, _, _, model, test = trained
     config = RunConfig(seed=5, lime_n=200, lime_k_features=20)
     files = data.draw(st.permutations(test.files))
     reordered = ReleaseDataset(test.release_id, test.release_date, tuple(files))
-    expected = identify_lines(model, vocab, test, config, predict_files(model, vocab, test))
+    expected = identify_lines(model, test, predict_files(model, test), config)
     assert expected.ranked
-    assert identify_lines(model, vocab, reordered, config, predict_files(model, vocab, reordered)).ranked == expected.ranked
+    assert identify_lines(model, reordered, predict_files(model, reordered), config).ranked == expected.ranked
 
 
 @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -146,10 +146,10 @@ class TestVocabularyAndVectors:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_training_design_and_weights_equal_oracle(self, seed):
         train = make_release_series(seed=seed)[0]
-        model, vocab = train_file_model(train)
+        model = train_file_model(train)
         X = oracle_design(train.files, reference_corpus.build_vocabulary(list(train.files)))
-        assert_same_csr(vectorize(train, vocab), X)
-        oracle = train_logistic(X, [f.file_label for f in train.files], vocab=vocab)
+        assert_same_csr(vectorize(train, model.vocab), X)
+        oracle = train_logistic(X, [f.file_label for f in train.files], model.vocab)
         assert model.weights.tobytes() == oracle.weights.tobytes()
         assert model.bias == oracle.bias
 
@@ -164,10 +164,8 @@ class TestPredictProba:
     def test_accumulates_bias_first_then_ascending_indices(self):
         rng = np.random.default_rng(0)
         release = make_release_series(seed=2)[0]
-        model, vocab = train_file_model(release)
-        model = model.__class__(
-            weights=rng.normal(scale=3.0, size=len(vocab)), bias=0.1, vocab_fingerprint="", train_meta=model.train_meta
-        )
+        vocab = build_vocabulary(release)
+        model = LogisticModel(rng.normal(scale=3.0, size=len(vocab)), 0.1, vocab, TrainMeta(0, True, 0.0))
         for f, p in zip(release.files, predict_proba(model, vectorize(release, vocab)).tolist()):
             z = model.bias
             for idx, count in reference_corpus.vectorize(f, vocab).entries.items():
@@ -238,7 +236,7 @@ class TestRandomBaselineCandidates:
         except ValueError:
             return
         # a large bias makes every test file defect-prone
-        model = LogisticModel(np.ones(len(vocab)), 5.0, "", TrainMeta(0, True, 0.0))
+        model = LogisticModel(np.ones(len(vocab)), 5.0, vocab, TrainMeta(0, True, 0.0))
         seen = []
         original = RiskyTokenSet.top_positive
 
@@ -249,7 +247,7 @@ class TestRandomBaselineCandidates:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(RiskyTokenSet, "top_positive", record)
-            random_baseline(test, vocab, predict_files(model, vocab, test))
+            random_baseline(test, vocab, predict_files(model, test))
         expected = [
             sorted({t for t in reference_corpus.token_stream(f) if t in vocab.token_to_index}) for f in test.files
         ]
@@ -291,9 +289,9 @@ class TestBuildOnlyWhatIsUsed:
 
     def test_random_tokenises_only_the_test_release_of_an_uncached_dataset(self, monkeypatch):
         train, test = make_release_series(system="u", seed=5, n_files=20, n_defective=6)
-        model, vocab = train_file_model(train)
+        model = train_file_model(train)
         calls = []
         real = corpus.tokenize
         monkeypatch.setattr(corpus, "tokenize", lambda text: calls.append(text) or real(text))
-        random_baseline(test, vocab, predict_files(model, vocab, test))
+        random_baseline(test, model.vocab, predict_files(model, test))
         assert len(calls) == sum(len(f.lines) for f in test.files)
