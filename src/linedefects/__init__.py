@@ -12,6 +12,7 @@ from .corpus import (
     DatasetError,
     FeatureVector,
     LineRecord,
+    Lines,
     ReleaseDataset,
     SourceFile,
     TokenTable,
@@ -49,6 +50,7 @@ __all__ = [
     "Explanation",
     "FeatureVector",
     "LineRecord",
+    "Lines",
     "LogisticModel",
     "MethodResult",
     "RankedLine",

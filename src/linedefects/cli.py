@@ -12,9 +12,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments, miner, pipeline
 from .config import FIELD_TYPES, RunConfig, make_config
-from .corpus import defect_density, load_dataset, write_dataset
+from .corpus import load_dataset, write_dataset
 from .evaluation import write_metrics_csv, write_stats_csv
 from .model import load_model, save_model
 from .util import write_csv
@@ -113,11 +115,11 @@ def cmd_mine(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _config_from_args(args)  # training reads no setting, but a bad --config is still a data error
     releases = _load_releases(args)
     if args.releases:
         wanted = args.releases.split(",")
         releases = [_pick_release(releases, r) for r in wanted]
-    _config_from_args(args)  # training reads no setting, but a bad --config is still a data error
     model = pipeline.train_file_model(releases)
     save_model(model, args.out)
     status = "converged" if model.train_meta.converged else "NOT converged (warning)"
@@ -126,8 +128,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    releases = _load_releases(args)
-    test = _pick_release(releases, args.release)
+    # the settings and the model are read first: a bad one is reported before the dataset is loaded
     config = _config_from_args(args)
     method = args.method
     inputs = experiments.METHOD_INPUTS[method]
@@ -136,9 +137,11 @@ def cmd_predict(args) -> int:
         if args.model is None:
             raise ValueError(f"method {method} needs --model")
         model = load_model(args.model)
+    if "train" in inputs and args.train_release is None:
+        raise ValueError(f"method {method} needs --train-release")
+    releases = _load_releases(args)
+    test = _pick_release(releases, args.release)
     if "train" in inputs:
-        if args.train_release is None:
-            raise ValueError(f"method {method} needs --train-release")
         train = _pick_release(releases, args.train_release)
     [result] = experiments.run_methods(
         (method,), train, test, model, config, config.entropy_threshold_cross, config.seed
@@ -149,7 +152,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    releases = _load_releases(args)
     methods = tuple(args.methods.split(","))
     unknown = set(methods) - set(experiments.ALL_METHODS)
     if unknown:
@@ -158,6 +160,7 @@ def cmd_evaluate(args) -> int:
     if repeated:
         raise ValueError(f"repeated methods: {sorted(repeated)}")
     config = _config_from_args(args)
+    releases = _load_releases(args)
     if args.setting == "within":
         output = experiments.within_release_eval(releases, methods, config)
     else:
@@ -170,10 +173,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    config = _config_from_args(args)
     releases = _load_releases(args)
     train = _pick_release(releases, args.train_release)
     test = _pick_release(releases, args.test_release)
-    config = _config_from_args(args)
     if args.target == "k_risky":
         rows = experiments.sensitivity_k(train, test, config=config)
     else:
@@ -186,11 +189,12 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_density(args) -> int:
     releases = _load_releases(args)
-    rows = [
-        (ds.release_id, f.path, len(f.lines), sum(line.is_defective for line in f.lines), defect_density(f))
-        for ds in releases
-        for f in ds.files
-    ]
+    rows = []
+    for ds in releases:
+        for f in ds.files:
+            # one pass over the labels, and no line record built; a loaded file has at least one line
+            defective = int(np.count_nonzero(f.lines.labels))
+            rows.append((ds.release_id, f.path, len(f.lines), defective, defective / len(f.lines)))
     write_csv(args.out, ("release", "file_path", "loc", "defective_lines", "density"), rows)
     print(f"{len(rows)} files; wrote {args.out}")
     return EXIT_OK

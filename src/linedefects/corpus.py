@@ -10,24 +10,27 @@ and any error report read the same bytes. Loading a dataset leaves its
 parse and its releases' token tables beside the CSV, in the hidden file
 :func:`cache_path` names, keyed by that hash; the next load of the same
 bytes rebuilds the releases and their tables from it without parsing the
-CSV or tokenising a line again.
+CSV or tokenising a line again. A loaded dataset keeps its lines packed,
+as the cache stores them: a file's :class:`Lines` reads one text, its
+offsets and the labels, and makes a :class:`LineRecord` only on demand.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import io
 from bisect import bisect_left
 from collections import Counter, defaultdict
+from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
-from itertools import chain
+from itertools import chain, pairwise
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,20 +64,98 @@ class LineRecord(NamedTuple):
     is_defective: bool
 
 
-@dataclass(frozen=True)
-class SourceFile:
-    release_id: str
-    path: str
-    lines: tuple[LineRecord, ...]
-    file_label: bool
-
-
 def _pointer(counts) -> np.ndarray:
     """The CSR pointer of rows holding ``counts`` entries: 0, then the running totals."""
     counts = np.asarray(counts, dtype=np.int64)
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     return ptr
+
+
+def _offsets(texts: Sequence[str]) -> np.ndarray:
+    """Where each of ``texts`` starts in their concatenation, in characters, then its end."""
+    return _pointer(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)))
+
+
+def _line_numbers(file_ptr: np.ndarray) -> np.ndarray:
+    """Each line's number in its file, 1..n, for the files whose lines ``file_ptr`` bounds."""
+    return np.arange(file_ptr[-1], dtype=np.int64) - np.repeat(file_ptr[:-1], np.diff(file_ptr)) + 1
+
+
+class Lines(Sequence[LineRecord]):
+    """A file's lines, read-only: a view over packed columns, which may hold other files' lines too.
+
+    Line i is numbered i + 1, its content is ``text[offsets[i]:offsets[i + 1]]``
+    and its defect label ``labels[i]``. A :class:`LineRecord` is made only when
+    a line is indexed or iterated; ``labels`` and :meth:`contents` read a
+    column without making one. It equals, and hashes as, the tuple of its
+    records.
+    """
+
+    __slots__ = ("_text", "_offsets", "labels")
+
+    def __init__(self, text: str, offsets: np.ndarray, labels: np.ndarray):
+        self._text, self._offsets = text, offsets
+        self.labels = labels.view()
+        self.labels.flags.writeable = False
+
+    @classmethod
+    def of(cls, records: Iterable[LineRecord]) -> "Lines":
+        """The lines ``records`` hold, packed; they must be numbered 1, 2, ... in order."""
+        numbers, contents, labels = tuple(zip(*records)) or ((), (), ())
+        if numbers != tuple(range(1, len(numbers) + 1)):
+            raise ValueError("a file's lines must be numbered 1, 2, ... in order")
+        return cls("".join(contents), _offsets(contents), np.array(labels, dtype=np.bool_))
+
+    def with_labels(self, labels: np.ndarray) -> "Lines":
+        """These lines with the defect labels ``labels`` in place of theirs."""
+        return Lines(self._text, self._offsets, np.asarray(labels, dtype=np.bool_))
+
+    def contents(self) -> list[str]:
+        """Each line's content, in line order."""
+        return [self._text[start:end] for start, end in pairwise(self._offsets.tolist())]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[LineRecord]:
+        return map(LineRecord, range(1, len(self) + 1), self.contents(), self.labels.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        i = range(len(self))[index]  # a negative index counts from the end; out of range raises IndexError
+        return LineRecord(i + 1, self._text[self._offsets[i] : self._offsets[i + 1]], bool(self.labels[i]))
+
+    def __eq__(self, other):
+        if isinstance(other, (Lines, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Lines({tuple(self)!r})"
+
+    def __reduce__(self):
+        # only this file's text and columns, not the packed text of every file it shares
+        first, last = self._offsets[0], self._offsets[-1]
+        return Lines, (self._text[first:last], self._offsets - first, self.labels)
+
+
+@dataclass(frozen=True)
+class SourceFile:
+    """A source file of a release: its lines are given as any sequence of :class:`LineRecord`, held as :class:`Lines`."""
+
+    release_id: str
+    path: str
+    lines: Lines
+    file_label: bool
+
+    def __post_init__(self):
+        if not isinstance(self.lines, Lines):
+            object.__setattr__(self, "lines", Lines.of(self.lines))
 
 
 def _row_positions(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +203,7 @@ class TokenTable:
         line_lengths: list[int] = []
 
         def file_tokens(f: SourceFile) -> Iterator[str]:
-            per_line = [tokenize(line.content) for line in f.lines]
+            per_line = list(map(tokenize, f.lines.contents()))
             line_lengths.extend(map(len, per_line))
             return chain.from_iterable(per_line)
 
@@ -134,8 +215,8 @@ class TokenTable:
         rank = dict(zip(tokens, range(len(tokens))))
         # ``seen`` iterates in order of first sight, so this maps each first-seen id to its rank
         ids = np.fromiter(map(rank.__getitem__, seen), dtype=np.int64, count=len(seen))[first_seen]
-        numbers = np.fromiter((line.number for f in files for line in f.lines), dtype=np.int64, count=len(line_lengths))
-        return cls(tokens, ids, _pointer(line_lengths), numbers, _pointer([len(f.lines) for f in files]))
+        file_ptr = _pointer([len(f.lines) for f in files])
+        return cls(tokens, ids, _pointer(line_lengths), _line_numbers(file_ptr), file_ptr)
 
     def select(self, indices: Sequence[int]) -> "TokenTable":
         """The table of files ``indices``, in that order: their rows of this table, under the same ids."""
@@ -326,10 +407,10 @@ def vectorize(train: ReleaseDataset | list[ReleaseDataset], vocab: Vocabulary) -
 
 def defect_density(file: SourceFile) -> float:
     """Fraction of the file's lines that are defective."""
-    if not file.lines:
+    labels = file.lines.labels
+    if not len(labels):
         raise ValueError(f"{file.path}: cannot compute defect density of a zero-line file")
-    defective = sum(1 for line in file.lines if line.is_defective)
-    return defective / len(file.lines)
+    return int(np.count_nonzero(labels)) / len(labels)
 
 
 def _parse_bool(value: str, where: str) -> bool:
@@ -483,20 +564,52 @@ def _grouped_rows(path: Path, raw: bytes) -> _Rows:
 _Releases = list[tuple[str, tuple[SourceFile, ...]]]
 
 
-def _checked_files(path: Path, rows_by_file: _Rows) -> _Releases:
-    """The files of :func:`_grouped_rows`, each checked as a whole, grouped into releases."""
-    files_by_release: dict[str, list[SourceFile]] = {}
+class _Packed(NamedTuple):
+    """Every line of a dataset, file after file: the contents as one text with character offsets, and the labels."""
+
+    text: str
+    offsets: np.ndarray
+    labels: np.ndarray
+
+
+def _assembled(
+    release_ids: list[str], release_files: list[int], paths: list[str], file_labels: list[bool],
+    file_lines: list[int], packed: _Packed,
+) -> _Releases:
+    """The releases, of ``release_files`` files each, and the files, of ``file_lines`` lines each, over ``packed``."""
+    line_bounds, file_bounds = _pointer(file_lines).tolist(), _pointer(release_files).tolist()
+    releases = []
+    for r, release_id in enumerate(release_ids):
+        files = []
+        for f in range(file_bounds[r], file_bounds[r + 1]):
+            first, last = line_bounds[f], line_bounds[f + 1]
+            lines = Lines(packed.text, packed.offsets[first : last + 1], packed.labels[first:last])
+            files.append(SourceFile(release_id, paths[f], lines, file_labels[f]))
+        releases.append((release_id, tuple(files)))
+    return releases
+
+
+def _checked_files(path: Path, rows_by_file: _Rows) -> tuple[_Releases, _Packed]:
+    """The files of :func:`_grouped_rows`, each checked as a whole, grouped into releases; and their lines, packed."""
+    release_ids: list[str] = []
+    release_files: list[int] = []
+    paths: list[str] = []
+    file_labels: list[bool] = []
+    file_lines: list[int] = []
+    contents: list[str] = []
+    labels: list[bool] = []
+    # sorted by (release, path): a release's files are consecutive, in path order
     for (release_id, file_path), file_rows in sorted(rows_by_file.items()):
         if not release_id:
             raise DatasetError(f"{path}: empty release id for file {file_path!r}")
         file_rows.sort(key=itemgetter(0))
-        numbers, contents, file_labels, line_labels = zip(*file_rows)
+        numbers, file_contents, file_label_column, line_labels = zip(*file_rows)
         if numbers != tuple(range(1, len(numbers) + 1)):
             raise DatasetError(
                 f"{path}: {release_id}/{file_path}: line numbers are not contiguous from 1 "
                 f"(got {list(numbers[:5])}{'...' if len(numbers) > 5 else ''})"
             )
-        file_label_set = set(file_labels)
+        file_label_set = set(file_label_column)
         if len(file_label_set) != 1:
             raise DatasetError(f"{path}: {release_id}/{file_path}: inconsistent file_label across rows")
         file_label = file_label_set.pop()
@@ -506,12 +619,17 @@ def _checked_files(path: Path, rows_by_file: _Rows) -> _Releases:
                 f"{path}: {release_id}/{file_path}: file_label={file_label} but "
                 f"defective-line presence={any_defective}"
             )
-        lines = tuple(map(LineRecord, numbers, contents, line_labels))
-        files_by_release.setdefault(release_id, []).append(
-            SourceFile(release_id=release_id, path=file_path, lines=lines, file_label=file_label)
-        )
-    # the items were sorted by (release, path), so each release's files are already in path order
-    return [(release_id, tuple(files_by_release[release_id])) for release_id in sorted(files_by_release)]
+        if not release_ids or release_ids[-1] != release_id:
+            release_ids.append(release_id)
+            release_files.append(0)
+        release_files[-1] += 1
+        paths.append(file_path)
+        file_labels.append(file_label)
+        file_lines.append(len(numbers))
+        contents += file_contents
+        labels += line_labels
+    packed = _Packed("".join(contents), _offsets(contents), np.array(labels, dtype=np.bool_))
+    return _assembled(release_ids, release_files, paths, file_labels, file_lines, packed), packed
 
 
 def cache_path(path: str | Path) -> Path:
@@ -546,26 +664,30 @@ _CACHE_DTYPES = {
 def _packed(name: str, texts: list[str]) -> dict[str, np.ndarray]:
     return {
         f"{name}_text": np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8),
-        f"{name}_offsets": _pointer(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))),
+        f"{name}_offsets": _offsets(texts),
     }
 
 
-def _unpacked(arrays: dict[str, np.ndarray], name: str, count: int) -> list[str]:
+def _joined(arrays: dict[str, np.ndarray], name: str, count: int) -> tuple[str, np.ndarray]:
+    """The text of ``count`` packed strings and their offsets; raises unless the offsets bound them."""
     text = str(memoryview(arrays[f"{name}_text"]), "utf-8")
     offsets = arrays[f"{name}_offsets"]
     if len(offsets) != count + 1 or offsets[0] != 0 or offsets[-1] != len(text) or (np.diff(offsets) < 0).any():
         raise ValueError(f"inconsistent {name} offsets")
-    bounds = offsets.tolist()
-    return [text[start:end] for start, end in zip(bounds, bounds[1:])]
+    return text, offsets
 
 
-def _write_cache(target: Path, digest: bytes, releases: _Releases, tables: list[TokenTable]) -> None:
-    """Store ``releases`` and their ``tables``, parsed from the CSV whose sha256 is ``digest``, at ``target``.
+def _unpacked(arrays: dict[str, np.ndarray], name: str, count: int) -> list[str]:
+    text, offsets = _joined(arrays, name, count)
+    return [text[start:end] for start, end in pairwise(offsets.tolist())]
+
+
+def _write_cache(target: Path, digest: bytes, releases: _Releases, packed: _Packed, tables: list[TokenTable]) -> None:
+    """Store ``releases``, their ``packed`` lines and their ``tables``, parsed from the CSV whose sha256 is ``digest``.
 
     Nothing is written, and nothing is said, if ``target`` cannot be written.
     """
     files = [f for _, release_files in releases for f in release_files]
-    lines = [line for f in files for line in f.lines]
     arrays = {
         "version": np.array([CACHE_FORMAT_VERSION], dtype=np.int64),
         "key": np.frombuffer(digest, dtype=np.uint8),
@@ -574,8 +696,9 @@ def _write_cache(target: Path, digest: bytes, releases: _Releases, tables: list[
         **_packed("path", [f.path for f in files]),
         "file_label": np.array([f.file_label for f in files], dtype=np.bool_),
         "file_lines": np.array([len(f.lines) for f in files], dtype=np.int64),
-        **_packed("content", [line.content for line in lines]),
-        "line_label": np.array([line.is_defective for line in lines], dtype=np.bool_),
+        "content_text": np.frombuffer(packed.text.encode("utf-8"), dtype=np.uint8),
+        "content_offsets": packed.offsets,
+        "line_label": packed.labels,
         **_packed("token", [token for table in tables for token in table.tokens]),
         "release_tokens": np.array([len(table.tokens) for table in tables], dtype=np.int64),
         "line_tokens": np.concatenate([np.diff(table.line_ptr) for table in tables]),
@@ -617,29 +740,43 @@ def _cached_tables(arrays: dict[str, np.ndarray], file_ptr: np.ndarray, line_ptr
         if not all(map(str.__lt__, words, words[1:])):
             raise ValueError("tokens out of text order")
         first_line, last_line = release_line_ptr[r], release_line_ptr[r + 1]
-        file_lines = np.diff(line_ptr[file_ptr[r] : file_ptr[r + 1] + 1])
-        table_file_ptr = _pointer(file_lines)
-        # a file's lines are numbered 1..n
-        rows = np.arange(last_line - first_line, dtype=np.int64)
-        numbers = rows - np.repeat(table_file_ptr[:-1], file_lines) + 1
+        table_file_ptr = _pointer(np.diff(line_ptr[file_ptr[r] : file_ptr[r + 1] + 1]))
         first_id, last_id = id_ptr[first_line], id_ptr[last_line]
         line_ids = id_ptr[first_line : last_line + 1] - first_id
+        numbers = _line_numbers(table_file_ptr)
         tables.append(TokenTable(tuple(words), token_ids[first_id:last_id], line_ids, numbers, table_file_ptr))
     return tables
 
 
-def _read_cache(target: Path, digest: bytes) -> tuple[_Releases, list[TokenTable]]:
-    """The releases stored at ``target`` for the CSV whose sha256 is ``digest``, and their token tables.
+def _cached_array(archive, name: str) -> np.ndarray:
+    """Array ``name`` of an open cache; raises unless it has the dtype :data:`_CACHE_DTYPES` gives and one dimension."""
+    array = archive[name]
+    if array.dtype != _CACHE_DTYPES[name] or array.ndim != 1:
+        raise ValueError("unexpected array type")
+    return array
 
-    Raises if the file is missing, unreadable, of another format version or
-    CSV, or inconsistent in itself.
+
+@contextmanager
+def _open_cache(target: Path, digest: bytes) -> Iterator:
+    """The cache at ``target``, open, if this format version wrote it for the CSV whose sha256 is ``digest``.
+
+    Raises if the file is missing or unreadable, or holds another version or CSV;
+    only those two arrays are read.
     """
     with np.load(target, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in _CACHE_DTYPES}
-    if any(array.dtype != _CACHE_DTYPES[name] or array.ndim != 1 for name, array in arrays.items()):
-        raise ValueError("unexpected array type")
-    if arrays["version"].tolist() != [CACHE_FORMAT_VERSION] or arrays["key"].tobytes() != digest:
-        raise ValueError("stale cache")
+        if _cached_array(archive, "version").tolist() != [CACHE_FORMAT_VERSION]:
+            raise ValueError("cache of another format version")
+        if _cached_array(archive, "key").tobytes() != digest:
+            raise ValueError("stale cache")
+        yield archive
+
+
+def _read_cache(archive) -> tuple[_Releases, list[TokenTable]]:
+    """The releases stored in ``archive``, a cache that :func:`_open_cache` opened, and their token tables.
+
+    Raises if the cache is inconsistent in itself.
+    """
+    arrays = {name: _cached_array(archive, name) for name in _CACHE_DTYPES if name not in ("version", "key")}
     release_files, file_lines = arrays["release_files"], arrays["file_lines"]
     n_files, n_lines = len(file_lines), len(arrays["line_label"])
     if (
@@ -651,29 +788,12 @@ def _read_cache(target: Path, digest: bytes) -> tuple[_Releases, list[TokenTable
         or len(arrays["file_label"]) != n_files
     ):
         raise ValueError("inconsistent lengths")
-    file_ptr, line_ptr = _pointer(release_files), _pointer(file_lines)
-    tables = _cached_tables(arrays, file_ptr, line_ptr)
-    release_ids = _unpacked(arrays, "release", len(release_files))
-    file_labels, line_labels = arrays["file_label"].tolist(), arrays["line_label"].tolist()
-    file_bounds, line_bounds = file_ptr.tolist(), line_ptr.tolist()
-    releases = []
-    # the rebuilt releases hold only tuples of strings, numbers and booleans: no cycle for the collector to find
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        paths = _unpacked(arrays, "path", n_files)
-        contents = _unpacked(arrays, "content", n_lines)
-        for r, release_id in enumerate(release_ids):
-            files = []
-            for f in range(file_bounds[r], file_bounds[r + 1]):
-                first, last = line_bounds[f], line_bounds[f + 1]
-                numbers = range(1, last - first + 1)
-                lines = tuple(map(LineRecord, numbers, contents[first:last], line_labels[first:last]))
-                files.append(SourceFile(release_id=release_id, path=paths[f], lines=lines, file_label=file_labels[f]))
-            releases.append((release_id, tuple(files)))
-    finally:
-        if collecting:
-            gc.enable()
+    tables = _cached_tables(arrays, _pointer(release_files), _pointer(file_lines))
+    packed = _Packed(*_joined(arrays, "content", n_lines), arrays["line_label"])
+    releases = _assembled(
+        _unpacked(arrays, "release", len(release_files)), release_files.tolist(), _unpacked(arrays, "path", n_files),
+        arrays["file_label"].tolist(), file_lines.tolist(), packed,
+    )
     return releases, tables
 
 
@@ -689,36 +809,46 @@ def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> l
     The file is read once, whole: the sha256 of those bytes is the cache
     key, and the parse and any error report read the same bytes, so a pipe
     or a device such as ``/dev/stdin`` loads like a regular file. Every
-    returned release already holds its token table. The parse of a CSV that
-    loads is kept beside it (:func:`cache_path`), keyed by that sha256 and
+    returned release already holds its token table, and each file's lines
+    as a :class:`Lines` view. The parse of a CSV that loads is kept beside
+    it (:func:`cache_path`), keyed by that sha256 and
     :data:`CACHE_FORMAT_VERSION`, together with each release's token table.
     A later load of the same bytes rebuilds the releases and their tables
     from that file without parsing the CSV or tokenising a line; a missing,
-    stale or damaged cache is parsed around and rewritten. The dates are
-    read from ``metadata_path`` on every load. Only a regular file's parse
-    is written to a cache.
+    stale or damaged cache is parsed around and rewritten. A regular file's
+    bytes are freed once the cache's version and key match; should the
+    cache then prove damaged, the file is read and hashed again. The dates
+    are read from ``metadata_path`` on every load. Only a regular file's
+    parse is written to a cache.
     """
     path = Path(path)
     raw = path.read_bytes()
     key = hashlib.sha256(raw).digest()
     try:
-        releases, tables = _read_cache(cache_path(path), key)
+        with _open_cache(cache_path(path), key) as archive:
+            # the cache is of these bytes: a regular file can be read again if the cache proves unsound, a pipe not
+            if path.is_file():
+                raw = None
+            releases, tables = _read_cache(archive)
     # The cache is a file anyone may have damaged, and numpy's and zipfile's readers raise many
     # kinds of errors on one; whatever the cause, the CSV is parsed and the cache rewritten.
     except Exception:
         releases = None
     if releases is None:
+        if raw is None:  # freed for a cache that then proved unsound: parse, and key the cache by, what is read now
+            raw = path.read_bytes()
+            key = hashlib.sha256(raw).digest()
         rows_by_file = _grouped_rows(path, raw)
     del raw  # the bytes are not read again: free them before the files are checked and the tables built
     # the dates are read after the rows are parsed and before the files are checked, and errors come in that order
     dates = load_metadata(metadata_path) if metadata_path is not None else {}
     if releases is None:
-        releases = _checked_files(path, rows_by_file)
+        releases, packed = _checked_files(path, rows_by_file)
         del rows_by_file  # the parsed rows are not read again: free them before the tables are built
         tables = [TokenTable.build(files) for _, files in releases]
         # the name of a pipe or a device such as /dev/stdin names no stored bytes to keep a parse beside
         if path.is_file():
-            _write_cache(cache_path(path), key, releases, tables)
+            _write_cache(cache_path(path), key, releases, packed, tables)
     return [
         _with_table(ReleaseDataset(release_id, dates.get(release_id), files), table)
         for (release_id, files), table in zip(releases, tables)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -176,8 +177,8 @@ def line_truth(test: ReleaseDataset) -> dict[tuple[str, int], bool]:
     """Map (path, line_number) -> defective for every line of the test release."""
     truth: dict[tuple[str, int], bool] = {}
     for f in test.files:
-        for line in f.lines:
-            truth[(f.path, line.number)] = line.is_defective
+        labels = f.lines.labels.tolist()
+        truth.update(zip(zip(repeat(f.path), range(1, len(labels) + 1)), labels))
     return truth
 
 

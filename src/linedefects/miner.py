@@ -19,7 +19,9 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import LineRecord, ReleaseDataset, SourceFile
+import numpy as np
+
+from .corpus import ReleaseDataset, SourceFile
 from .util import decode_utf8
 
 # how far a pre-change line number may drift from the release snapshot
@@ -181,12 +183,10 @@ def label_defective_lines(
     files = []
     for f in snapshot.files:
         hits = defective.get(f.path, set())
-        lines = tuple(
-            LineRecord(number=line.number, content=line.content, is_defective=line.number in hits)
-            for line in f.lines
-        )
+        labels = np.zeros(len(f.lines), dtype=np.bool_)
+        labels[[number - 1 for number in hits]] = True
         files.append(
-            SourceFile(release_id=f.release_id, path=f.path, lines=lines, file_label=bool(hits))
+            SourceFile(release_id=f.release_id, path=f.path, lines=f.lines.with_labels(labels), file_label=bool(hits))
         )
     labeled = ReleaseDataset(
         release_id=snapshot.release_id,

@@ -536,6 +536,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["model", "config"])
+    def test_bad_model_or_config_is_reported_before_the_dataset_is_loaded(self, tmp_path, capsys, bad):
+        data = tmp_path / "data.csv"
+        write_dataset(make_release_series(n_releases=2, seed=4, n_files=6, n_defective=2), data)
+        (tmp_path / bad).write_bytes(b"\xff{}")
+        argv = {
+            "model": ["predict", "--model", str(tmp_path / "model"), "--release", "demo-1.0"],
+            "config": ["train", "--config", str(tmp_path / "config")],
+        }[bad]
+        assert main(argv + ["--dataset", str(data), "--out", str(tmp_path / "out")]) == 2
+        assert "not UTF-8 text" in capsys.readouterr().err
+        assert not cache_path(data).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["data.csv", bad])
+
     @pytest.mark.parametrize(
         "command",
         [["density"], ["predict", "--release", "cli-2.0", "--method", "ngram", "--train-release", "cli-1.0"]],

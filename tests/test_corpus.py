@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import re
 
 import numpy as np
@@ -9,6 +10,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from linedefects.corpus import (
     DatasetError,
     FeatureVector,
+    LineRecord,
+    Lines,
+    SourceFile,
     Vocabulary,
     build_vocabulary,
     defect_density,
@@ -151,11 +155,86 @@ class TestDefectDensity:
         assert defect_density(release.files[0]) == 1.0
 
     def test_zero_lines_error(self):
-        from linedefects.corpus import SourceFile
-
         empty = SourceFile(release_id="r", path="A.java", lines=(), file_label=False)
         with pytest.raises(ValueError):
             defect_density(empty)
+
+
+LINE_TEXT = st.text(st.one_of(st.sampled_from(',"\n\r\t é'), st.characters(codec="utf-8")), max_size=6)
+LINE_ROWS = st.lists(st.tuples(LINE_TEXT, st.booleans()), max_size=6)
+
+
+@st.composite
+def packed_file(draw):
+    """A file's records, and its :class:`Lines` as a load makes it: a view into the packed lines of several files."""
+    files = draw(st.lists(LINE_ROWS, min_size=1, max_size=4))
+    rows = [row for file_rows in files for row in file_rows]
+    offsets = np.cumsum([0] + [len(content) for content, _ in rows], dtype=np.int64)
+    labels = np.array([label for _, label in rows], dtype=np.bool_)
+    k = draw(st.integers(0, len(files) - 1))
+    first = sum(map(len, files[:k]))
+    last = first + len(files[k])
+    view = Lines("".join(content for content, _ in rows), offsets[first : last + 1], labels[first:last])
+    return tuple(LineRecord(i, content, label) for i, (content, label) in enumerate(files[k], start=1)), view
+
+
+class TestLines:
+    @settings(max_examples=200, deadline=None)
+    @given(packed_file(), st.data())
+    def test_view_behaves_as_the_tuple_of_its_records(self, packed, data):
+        records, view = packed
+        n = len(records)
+        assert len(view) == n and bool(view) == bool(records)
+        for i in range(-n - 2, n + 2):
+            if -n <= i < n:
+                line = view[i]
+                assert line == records[i]
+                assert type(line) is LineRecord
+                assert [type(value) for value in line] == [int, str, bool]
+            else:
+                with pytest.raises(IndexError):
+                    view[i]
+        bounds = st.none() | st.integers(-n - 2, n + 2)
+        window = slice(data.draw(bounds), data.draw(bounds), data.draw(st.none() | st.integers(-3, 3).filter(bool)))
+        assert view[window] == records[window]
+        assert type(view[window]) is tuple
+        assert list(view) == list(records)
+        assert view.contents() == [line.content for line in records]
+        assert view.labels.tolist() == [line.is_defective for line in records]
+        assert view == records and records == view
+        assert not (view != records) and not (records != view)
+        other = records[:-1] if records else (LineRecord(1, "x", False),)
+        assert view != other and other != view
+        assert not (view == other) and not (other == view)
+        assert view != list(records)
+        assert view == Lines.of(records)
+        assert hash(view) == hash(records)
+        again = pickle.loads(pickle.dumps(view))
+        assert again == records and hash(again) == hash(records)
+        assert not again.labels.flags.writeable
+
+    def test_labels_are_read_only(self):
+        view = Lines.of([LineRecord(1, "x", False), LineRecord(2, "y", True)])
+        with pytest.raises(ValueError):
+            view.labels[0] = True
+
+    def test_pickle_holds_only_the_file_s_own_text(self):
+        text = "x" * 100_000 + "mine"
+        view = Lines(text, np.array([100_000, 100_004]), np.array([True]))
+        assert len(pickle.dumps(view)) < 1_000
+        assert pickle.loads(pickle.dumps(view)) == (LineRecord(1, "mine", True),)
+
+    def test_source_file_packs_its_records(self):
+        records = (LineRecord(1, "a b", False), LineRecord(2, "c", True))
+        f = SourceFile("r", "A.java", records, True)
+        assert isinstance(f.lines, Lines)
+        assert f.lines == records and f == SourceFile("r", "A.java", f.lines, True)
+        assert hash(f) == hash(SourceFile("r", "A.java", f.lines, True))
+
+    @pytest.mark.parametrize("numbers", [(2, 3), (1, 3), (2, 1)], ids=["from-2", "gap", "reversed"])
+    def test_source_file_rejects_lines_not_numbered_from_one(self, numbers):
+        with pytest.raises(ValueError, match="numbered"):
+            SourceFile("r", "A.java", tuple(LineRecord(n, "x", False) for n in numbers), False)
 
 
 class TestDatasetIO:

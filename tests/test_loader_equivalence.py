@@ -11,9 +11,11 @@ loader under test raises :class:`DatasetError` naming the short row.
 Every generated CSV is loaded twice, the second time from the cache the
 first load left, and must give the same outcome; a load that fails leaves
 no cache. Both loads return releases that already hold their token tables,
-equal to tokenising the files afresh. A damaged, stale or unwritable cache
-falls back to the CSV. A load opens the CSV once, so a pipe, named or not,
-loads, and reports the row of a bad byte, as a file does.
+equal to tokenising the files afresh, and every file's lines as a
+:class:`Lines` view. A damaged, stale or unwritable cache falls back to the
+CSV. A load opens the CSV once, so a pipe, named or not, loads, and reports
+the row of a bad byte, as a file does; only a regular file is read again,
+when its cache proves unsound after its key matched.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ import reference_loader
 from conftest import assert_same_table, release_of_files
 from linedefects import corpus, util
 from linedefects.cli import main
-from linedefects.corpus import DATASET_COLUMNS, DatasetError, TokenTable, cache_path, load_dataset, write_dataset
+from linedefects.corpus import (
+    DATASET_COLUMNS, DatasetError, Lines, TokenTable, cache_path, load_dataset, write_dataset,
+)
 from linedefects.synthetic import make_release_series
 
 FILE_KEYS = [("r1", "A.java"), ("r1", "B,x.java"), ("r2", "A.java"), ("", "C.java")]
@@ -119,6 +123,15 @@ def metadata_texts(draw):
     return "\n".join(rows) + "\n"
 
 
+def assert_same_line_views(cold, warm) -> None:
+    """Both loads hold every file's lines as a :class:`Lines` view, with equal lines."""
+    assert [len(ds.files) for ds in cold] == [len(ds.files) for ds in warm]
+    for cold_release, warm_release in zip(cold, warm):
+        for cold_file, warm_file in zip(cold_release.files, warm_release.files):
+            assert isinstance(cold_file.lines, Lines) and isinstance(warm_file.lines, Lines)
+            assert tuple(cold_file.lines) == tuple(warm_file.lines)
+
+
 def assert_tables_cached(releases) -> None:
     """Each release came with its token table, equal to one built from its files."""
     for release in releases:
@@ -160,6 +173,7 @@ def test_loader_matches_reference(tmp_path, dataset, metadata):
     if actual[0] == "ok":
         assert_tables_cached(actual[1])
         assert_tables_cached(warm[1])
+        assert_same_line_views(actual[1], warm[1])
     if first_short is None:
         if expected[0] == "crash":
             assert actual[0] == "error"
@@ -434,6 +448,43 @@ class TestParseCache:
         assert load_dataset(path) == releases
         assert opened.count(str(path)) == 1
         assert len(calls) == (0 if warm else 1)
+
+    def test_a_cache_that_proves_unsound_after_its_key_matched_rereads_the_csv(self, cached, monkeypatch):
+        path, releases = cached
+        # the first file claims one line more: found only after the version and key have matched
+        _edited("file_lines", lambda lines: np.r_[lines[0] + 1, lines[1:]])(cache_path(path))
+        other = make_release_series(n_releases=1, seed=9, n_files=5, n_defective=1)
+        real_read_cache = corpus._read_cache
+
+        def rewritten_meanwhile(archive):
+            write_dataset(other, path)  # the CSV changes after its first read
+            return real_read_cache(archive)
+
+        monkeypatch.setattr(corpus, "_read_cache", rewritten_meanwhile)
+        reads = []
+        real_read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or real_read_bytes(self))
+        assert load_dataset(path) == reference_loader.load_dataset(path) != releases
+        assert reads == [path, path]
+        # the parse was cached under the bytes read the second time: the next load is warm
+        monkeypatch.setattr(corpus, "_read_cache", real_read_cache)
+        calls = _parses(monkeypatch)
+        warm = load_dataset(path)
+        assert calls == []
+        assert warm == reference_loader.load_dataset(path)
+
+    def test_a_pipe_keeps_its_bytes_for_a_cache_that_proves_unsound(self, cached, tmp_path, monkeypatch):
+        path, releases = cached
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        # a cache of the same bytes beside the pipe, damaged past its version and key
+        cache_path(fifo).write_bytes(cache_path(path).read_bytes())
+        _edited("file_lines", lambda lines: np.r_[lines[0] + 1, lines[1:]])(cache_path(fifo))
+        # the pipe's bytes, served without a writer; a second read would find none
+        data, reads = path.read_bytes(), []
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or data)
+        assert load_dataset(fifo) == releases
+        assert reads == [fifo]
 
     def test_unwritable_directory_skips_the_cache(self, tmp_path, monkeypatch):
         path = tmp_path / "data.csv"
