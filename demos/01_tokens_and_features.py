@@ -22,7 +22,7 @@ print("\n== vocabulary over a small release ==")
 release = make_planted_release("demo-1.0", seed=1, n_files=8, n_defective=3)
 vocab = build_vocabulary(release)
 table = release.token_table
-print(f"token table: {len(table.numbers)} lines tokenised once, {len(table.ids)} tokens, {len(table.tokens)} distinct")
+print(f"token table: {table.file_ptr[-1]} lines tokenised once, {len(table.ids)} tokens, {len(table.tokens)} distinct")
 print(f"{len(release.files)} files, vocabulary size {len(vocab)}")
 print("first tokens by index:", vocab.tokens[:8])
 counts = dict(zip(table.tokens, np.bincount(table.ids, minlength=len(table.tokens)).tolist()))

@@ -119,6 +119,9 @@ def cmd_train(args) -> int:
     releases = _load_releases(args)
     if args.releases:
         wanted = args.releases.split(",")
+        repeated = {release for release in wanted if wanted.count(release) > 1}
+        if repeated:
+            raise ValueError(f"repeated releases: {sorted(repeated)}")
         releases = [_pick_release(releases, r) for r in wanted]
     model = pipeline.train_file_model(releases)
     save_model(model, args.out)

@@ -24,12 +24,14 @@ class RunConfig:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("k_risky", "lime_n", "lime_k_features", "folds", "repeats", "parallelism"):
+        for name in ("k_risky", "lime_n", "lime_k_features", "repeats", "parallelism"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         for name in ("lime_sigma", "entropy_threshold_within", "entropy_threshold_cross"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if self.folds < 2:
+            raise ValueError("folds must be >= 2: with one fold, within-release validation has no training files")
         if self.lime_n < 2:
             raise ValueError("lime_n must be >= 2: the surrogate needs at least two neighbor samples")
         if self.lime_k_features < self.k_risky:

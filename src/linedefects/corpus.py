@@ -180,16 +180,14 @@ class TokenTable:
     """Every line of a release's files tokenised once, its tokens interned to int ids.
 
     ``tokens[i]`` is the text of id i. Ids follow ascending token text, so an
-    id is also its token's lexicographic rank. Table line r is line
-    ``numbers[r]`` of its file and holds the ids
+    id is also its token's lexicographic rank. Table line r holds the ids
     ``ids[line_ptr[r]:line_ptr[r + 1]]`` in source order; file j owns the
-    lines ``file_ptr[j]:file_ptr[j + 1]``.
+    lines ``file_ptr[j]:file_ptr[j + 1]``, numbered 1, 2, ... in order.
     """
 
     tokens: tuple[str, ...]
     ids: np.ndarray
     line_ptr: np.ndarray
-    numbers: np.ndarray
     file_ptr: np.ndarray
 
     @classmethod
@@ -215,15 +213,14 @@ class TokenTable:
         rank = dict(zip(tokens, range(len(tokens))))
         # ``seen`` iterates in order of first sight, so this maps each first-seen id to its rank
         ids = np.fromiter(map(rank.__getitem__, seen), dtype=np.int64, count=len(seen))[first_seen]
-        file_ptr = _pointer([len(f.lines) for f in files])
-        return cls(tokens, ids, _pointer(line_lengths), _line_numbers(file_ptr), file_ptr)
+        return cls(tokens, ids, _pointer(line_lengths), _pointer([len(f.lines) for f in files]))
 
     def select(self, indices: Sequence[int]) -> "TokenTable":
         """The table of files ``indices``, in that order: their rows of this table, under the same ids."""
         indices = np.asarray(indices, dtype=np.int64)
         file_ptr, lines = _row_positions(self.file_ptr, indices)
         line_ptr, positions = _row_positions(self.line_ptr, lines)
-        return TokenTable(self.tokens, self.ids[positions], line_ptr, self.numbers[lines], file_ptr)
+        return TokenTable(self.tokens, self.ids[positions], line_ptr, file_ptr)
 
     @cached_property
     def file_counts(self) -> sp.csr_matrix:
@@ -240,11 +237,12 @@ class TokenTable:
         """The lines of files ``first..last-1``."""
         line_first, line_last = self.file_ptr[first], self.file_ptr[last]
         lengths = np.diff(self.line_ptr[line_first : line_last + 1])
+        file_ptr = self.file_ptr[first : last + 1] - line_first
         return TableLines(
             ids=self.ids[self.line_ptr[line_first] : self.line_ptr[line_last]],
             line_of=np.repeat(np.arange(line_last - line_first), lengths),
-            numbers=self.numbers[line_first:line_last],
-            file_of=np.repeat(np.arange(last - first), np.diff(self.file_ptr[first : last + 1])),
+            numbers=_line_numbers(file_ptr),
+            file_of=np.repeat(np.arange(last - first), np.diff(file_ptr)),
         )
 
     def distinct_tokens(self, index: int) -> list[str]:
@@ -743,8 +741,7 @@ def _cached_tables(arrays: dict[str, np.ndarray], file_ptr: np.ndarray, line_ptr
         table_file_ptr = _pointer(np.diff(line_ptr[file_ptr[r] : file_ptr[r + 1] + 1]))
         first_id, last_id = id_ptr[first_line], id_ptr[last_line]
         line_ids = id_ptr[first_line : last_line + 1] - first_id
-        numbers = _line_numbers(table_file_ptr)
-        tables.append(TokenTable(tuple(words), token_ids[first_id:last_id], line_ids, numbers, table_file_ptr))
+        tables.append(TokenTable(tuple(words), token_ids[first_id:last_id], line_ids, table_file_ptr))
     return tables
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -66,24 +65,13 @@ class StatTestResult:
     magnitude: str
 
 
-def confusion_counts(predicted: set, truth: dict) -> ConfusionCounts:
-    """Confusion over the full line universe given the predicted-defective line set.
-
-    ``truth`` maps every line key in the universe to its actual label;
-    ``predicted`` holds the keys of lines a method flagged.
-    """
-    tp = fp = tn = fn = 0
-    for key, defective in truth.items():
-        flagged = key in predicted
-        if defective and flagged:
-            tp += 1
-        elif defective:
-            fn += 1
-        elif flagged:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+def confusion_counts(positions: np.ndarray, labels: np.ndarray) -> ConfusionCounts:
+    """Confusion over the full line universe ``labels``, which marks the defective lines, given the flagged ``positions``."""
+    flagged = np.bincount(positions, minlength=len(labels)) > 0
+    tp = int(np.count_nonzero(flagged & labels))
+    fp = int(np.count_nonzero(flagged)) - tp
+    fn = int(np.count_nonzero(labels)) - tp
+    return ConfusionCounts(tp=tp, fp=fp, tn=len(labels) - tp - fp - fn, fn=fn)
 
 
 def recall(c: ConfusionCounts) -> float | None:
@@ -118,68 +106,76 @@ def mcc(c: ConfusionCounts) -> float:
     return (c.tp * c.tn - c.fp * c.fn) / math.sqrt(denom_sq)
 
 
-def _ranking_keys(ranked: Iterable) -> list[tuple[str, int]]:
-    return [(line.file_path, line.line_number) for line in ranked]
+def line_labels(test: ReleaseDataset) -> np.ndarray:
+    """Every line's defect label, file after file: the label column that positions index."""
+    return np.concatenate([f.lines.labels for f in test.files])
 
 
-def recall_at_top_kloc(
-    ranked: Sequence,
-    truth: dict[tuple[str, int], bool],
-    file_probs: dict[str, float] | None = None,
-    k_pct: float = 20.0,
-) -> float | None:
-    """Fraction of defective lines inside a budget of k% of total lines.
+def _file_starts(test: ReleaseDataset) -> np.ndarray:
+    """The position of each file's first line, then the count of all lines."""
+    return np.cumsum([0, *(len(f.lines) for f in test.files)], dtype=np.int64)
 
-    The inspection order is the ranking; once the ranking is exhausted, the
-    remaining budget is filled with unranked lines ordered by file
-    probability (descending), then path and line number.
+
+def line_positions(ranked: Sequence, test: ReleaseDataset) -> np.ndarray:
+    """Each ranked line's position in :func:`line_labels`: the lines of the files before its file, plus its number - 1.
+
+    Raises ValueError for a line numbered outside its file, which would
+    otherwise land in a neighbouring file.
     """
-    total_loc = len(truth)
+    index = {f.path: j for j, f in enumerate(test.files)}
+    files = np.array([index[line.file_path] for line in ranked], dtype=np.int64)
+    numbers = np.array([line.line_number for line in ranked], dtype=np.int64)
+    starts = _file_starts(test)
+    outside = np.flatnonzero((numbers < 1) | (numbers > starts[files + 1] - starts[files]))
+    if len(outside):
+        line = ranked[int(outside[0])]
+        raise ValueError(f"ranked line {line.line_number} of {line.file_path!r} is outside the file")
+    return starts[files] + numbers - 1
+
+
+def inspection_order(
+    positions: np.ndarray, test: ReleaseDataset, file_probs: dict[str, float] | None = None
+) -> np.ndarray:
+    """The order an effort-aware inspection reads ``test``'s lines in, as positions.
+
+    First the ranked ``positions``; then every line not among them, ordered
+    by file probability (descending), then path and line number.
+    """
+    probs = file_probs or {}
+    starts = _file_starts(test)
+    files = sorted(range(len(test.files)), key=lambda j: (-probs.get(test.files[j].path, 0.0), test.files[j].path))
+    rest = np.concatenate([np.arange(starts[j], starts[j + 1]) for j in files])
+    return np.concatenate([positions, rest[np.isin(rest, positions, invert=True)]])
+
+
+def recall_at_top_kloc(order: np.ndarray, labels: np.ndarray, k_pct: float = 20.0) -> float | None:
+    """Fraction of defective lines among the first k% of all lines in inspection ``order``.
+
+    ``order`` holds positions in ``labels``, such as :func:`inspection_order`
+    gives; with fewer than the budget, only those are inspected.
+    """
+    total_loc = len(labels)
     if total_loc == 0:
         raise ValueError("empty line universe")
-    total_defective = sum(1 for v in truth.values() if v)
+    total_defective = int(np.count_nonzero(labels))
     if total_defective == 0:
         return None
     budget = int(k_pct / 100.0 * total_loc)
     if budget <= 0:
         return 0.0
-    order = _ranking_keys(ranked)
-    if budget > len(order):
-        probs = file_probs or {}
-        ranked_set = set(order)
-        rest = sorted(
-            (key for key in truth if key not in ranked_set),
-            key=lambda key: (-probs.get(key[0], 0.0), key[0], key[1]),
-        )
-        order = order + rest
-    hits = sum(1 for key in order[:budget] if truth.get(key, False))
-    return hits / total_defective
+    return int(np.count_nonzero(labels[order[:budget]])) / total_defective
 
 
-def ifa(ranked: Sequence, truth: dict[tuple[str, int], bool]) -> int | None:
-    """Clean lines inspected before the first defective line in the ranking.
+def ifa(positions: np.ndarray, labels: np.ndarray) -> int | None:
+    """Clean lines inspected before the first defective line among the ranked ``positions``.
 
     Returns None for an empty ranking. If no ranked line is defective the
     count saturates at the ranking length.
     """
-    order = _ranking_keys(ranked)
-    if not order:
+    if not len(positions):
         return None
-    clean_seen = 0
-    for key in order:
-        if truth.get(key, False):
-            return clean_seen
-        clean_seen += 1
-    return len(order)
-
-
-def line_truth(test: ReleaseDataset) -> dict[tuple[str, int], bool]:
-    """Map (path, line_number) -> defective for every line of the test release."""
-    truth: dict[tuple[str, int], bool] = {}
-    for f in test.files:
-        labels = f.lines.labels.tolist()
-        truth.update(zip(zip(repeat(f.path), range(1, len(labels) + 1)), labels))
-    return truth
+    defective = np.flatnonzero(labels[positions])
+    return int(defective[0]) if len(defective) else len(positions)
 
 
 def evaluate_ranking(
@@ -190,16 +186,16 @@ def evaluate_ranking(
     file_probs: dict[str, float] | None = None,
 ) -> MetricsReport:
     """All six measures for one method run on one test release."""
-    truth = line_truth(test)
-    predicted = set(_ranking_keys(ranked))
-    c = confusion_counts(predicted, truth)
+    labels = line_labels(test)
+    positions = line_positions(ranked, test)
+    c = confusion_counts(positions, labels)
     return MetricsReport(
         method=method,
         unit_id=unit_id,
         **detection_rates(c),
         mcc=mcc(c),
-        recall_top20loc=recall_at_top_kloc(ranked, truth, file_probs),
-        ifa=ifa(ranked, truth),
+        recall_top20loc=recall_at_top_kloc(inspection_order(positions, test, file_probs), labels),
+        ifa=ifa(positions, labels),
     )
 
 

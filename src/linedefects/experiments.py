@@ -19,7 +19,8 @@ from .evaluation import (
     cross_release_pairs,
     detection_rates,
     evaluate_ranking,
-    line_truth,
+    line_labels,
+    line_positions,
     performance_diff,
     stratified_kfold,
     wilcoxon_one_sided,
@@ -258,11 +259,11 @@ def _compare_methods(observed: _Observed, methods: tuple[str, ...], setting: str
 
 def _sweep(key: str, grid: Sequence, flagged_at: Callable, test: ReleaseDataset) -> list[dict]:
     """One row per grid value: the value under ``key``, then recall, FAR and d2h of the lines ``flagged_at(value)``."""
-    truth = line_truth(test)
+    labels = line_labels(test)
     rows = []
     for value in grid:
-        predicted = {(line.file_path, line.line_number) for line in flagged_at(value)}
-        rows.append({key: value, **detection_rates(confusion_counts(predicted, truth))})
+        positions = line_positions(flagged_at(value), test)
+        rows.append({key: value, **detection_rates(confusion_counts(positions, labels))})
     return rows
 
 
@@ -308,4 +309,4 @@ def sensitivity_entropy_threshold(
     recall and FAR are non-increasing in the threshold.
     """
     scored = ngram_entropy_baseline(train, test, min(thresholds, default=0.0)).ranked
-    return _sweep("threshold", thresholds, lambda t: (line for line in scored if line.score_sum > t), test)
+    return _sweep("threshold", thresholds, lambda t: [line for line in scored if line.score_sum > t], test)

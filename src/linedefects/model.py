@@ -65,10 +65,6 @@ class LogisticModel:
     vocab: Vocabulary  # the training tokens; weight i belongs to vocab.tokens[i]
     train_meta: TrainMeta
 
-    @property
-    def dimension(self) -> int:
-        return self.weights.shape[0]
-
 
 def _loss_and_gradient(
     theta: np.ndarray, X: sp.csr_matrix, XT: sp.spmatrix, y: np.ndarray
@@ -155,10 +151,8 @@ def predict_proba(model: LogisticModel, X: sp.csr_matrix) -> np.ndarray:
     row's vocabulary indices in ascending order, so a file's probability
     does not depend on the other rows.
     """
-    if X.shape[1] != model.dimension:
-        raise ValueError(
-            f"feature dimension {X.shape[1]} does not match model dimension {model.dimension}"
-        )
+    if X.shape[1] != len(model.vocab):
+        raise ValueError(f"feature dimension {X.shape[1]} does not match model dimension {len(model.vocab)}")
     terms = model.weights[X.indices] * X.data
     # cumsum adds in sequence (a sum may add pairwise), so its last entry is the running sum
     z = np.array(

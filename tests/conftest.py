@@ -41,7 +41,7 @@ def vocab_of(n: int) -> Vocabulary:
 def assert_same_table(actual: TokenTable, expected: TokenTable) -> None:
     """The two tables hold the same tokens, and arrays of equal values and dtypes."""
     assert actual.tokens == expected.tokens
-    for name in ("ids", "line_ptr", "numbers", "file_ptr"):
+    for name in ("ids", "line_ptr", "file_ptr"):
         a, e = getattr(actual, name), getattr(expected, name)
         assert a.dtype == e.dtype, name
         assert np.array_equal(a, e), name

@@ -38,7 +38,6 @@ def token_table(files: list[SourceFile]) -> TokenTable:
         tokens=tokens,
         ids=np.array([index[token] for token in flat], dtype=np.int64),
         line_ptr=np.cumsum([0] + [len(words) for words in per_line], dtype=np.int64),
-        numbers=np.array([line.number for f in files for line in f.lines], dtype=np.int64),
         file_ptr=np.cumsum([0] + [len(f.lines) for f in files], dtype=np.int64),
     )
 

@@ -29,7 +29,8 @@ from linedefects.evaluation import (
     evaluate_ranking,
     far,
     ifa,
-    line_truth,
+    line_labels,
+    line_positions,
     mcc,
     recall,
     wilcoxon_one_sided,
@@ -52,13 +53,13 @@ def test_criterion_1_metric_oracle_suite():
     start = time.perf_counter()
     for _ in range(1000):
         total = int(rng.integers(1, 501))
-        truth = {("f", i): bool(rng.random() < rng.uniform(0.02, 0.5)) for i in range(1, total + 1)}
-        predicted = {key for key in truth if rng.random() < rng.uniform(0.05, 0.6)}
-        c = confusion_counts(predicted, truth)
+        labels = [bool(rng.random() < rng.uniform(0.02, 0.5)) for _ in range(total)]
+        predicted = {i for i in range(total) if rng.random() < rng.uniform(0.05, 0.6)}
+        c = confusion_counts(np.array(sorted(predicted), dtype=np.int64), np.array(labels))
         # brute force from first principles on the raw sets
-        tp = sum(1 for k in predicted if truth[k])
+        tp = sum(1 for i in predicted if labels[i])
         fp = len(predicted) - tp
-        fn = sum(1 for k, v in truth.items() if v) - tp
+        fn = sum(labels) - tp
         tn = total - tp - fp - fn
         assert (c.tp, c.fp, c.tn, c.fn) == (tp, fp, tn, fn)
         expected_recall = None if tp + fn == 0 else tp / (tp + fn)
@@ -167,10 +168,12 @@ def test_criterion_6_planted_corpus_end_to_end():
     assert sum(1 for f in test.files if f.file_label) == 15
     config = RunConfig(seed=5)
     result = run_linedp(train, test, config)
-    truth = line_truth(test)
-    defective = {key for key, bad in truth.items() if bad}
-    flagged = {(r.file_path, r.line_number) for r in result.ranked}
-    linedp_recall = len(defective & flagged) / len(defective)
+    labels = line_labels(test)
+
+    def line_recall(ranked) -> float:
+        return recall(confusion_counts(line_positions(ranked, test), labels))
+
+    linedp_recall = line_recall(result.ranked)
     assert linedp_recall >= 0.8, f"pipeline line recall {linedp_recall:.3f}"
 
     model = train_file_model(train)
@@ -178,8 +181,7 @@ def test_criterion_6_planted_corpus_end_to_end():
     random_recalls = []
     for seed in range(50):
         rand = random_baseline(test, model.vocab, predicted, k_risky=config.k_risky, seed=seed)
-        hit = {(r.file_path, r.line_number) for r in rand.ranked}
-        random_recalls.append(len(defective & hit) / len(defective))
+        random_recalls.append(line_recall(rand.ranked))
     random_median = float(np.median(random_recalls))
     assert linedp_recall > random_median, (linedp_recall, random_median)
 
@@ -263,14 +265,13 @@ def test_criterion_8_runtime_budget():
 
 
 def test_criterion_9_ifa_convention():
-    truth = {("f", 1): True, ("f", 2): False, ("f", 3): True}
     release = release_of_files("r", {"f": [("a", True), ("b", False), ("c", True)]})
     from linedefects.pipeline import RankedLine, rank_lines_global
 
     ranked = rank_lines_global(
         [RankedLine("r", "f", 1, 2, 1.0, 0.9), RankedLine("r", "f", 2, 1, 0.5, 0.9)]
     )
-    assert ifa(ranked, truth) == 0
+    assert ifa(line_positions(ranked, release), line_labels(release)) == 0
     report = evaluate_ranking("linedp", "u", ranked, release)
     assert report.ifa == 0
     print(_PASS.format(n=9, text="ranking starting with a defective line has IFA = 0"))

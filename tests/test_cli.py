@@ -108,6 +108,15 @@ class TestTrainPredict:
         assert rc == 2
         assert "train-release" in capsys.readouterr().err
 
+    def test_repeated_release_is_data_error(self, dataset_paths, tmp_path, capsys):
+        # training on a release twice would double its files and every token count
+        root, data, meta = dataset_paths
+        model_path = tmp_path / "model.json"
+        rc = main(["train", "--dataset", str(data), "--releases", "cli-1.0,cli-2.0,cli-1.0", "--out", str(model_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: repeated releases: ['cli-1.0']\n"
+        assert not model_path.exists()
+
     def test_unconverged_training_is_reported(self, dataset_paths, tmp_path, capsys, monkeypatch):
         root, data, meta = dataset_paths
         train = ["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(tmp_path / "m.json")] + FAST_FLAGS
@@ -246,6 +255,17 @@ class TestEvaluate:
         assert capsys.readouterr().err == "error: repeated methods: ['linedp']\n"
         assert not out_dir.exists()
 
+
+    def test_one_fold_is_data_error_naming_the_setting(self, dataset_paths, tmp_path, capsys):
+        root, data, meta = dataset_paths
+        out_dir = tmp_path / "within"
+        rc = main(["evaluate", "--dataset", str(data), "--setting", "within", "--folds", "1",
+                   "--out-dir", str(out_dir)] + FAST_FLAGS)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: bad configuration: folds must be >= 2: with one fold, within-release validation has no training files\n"
+        )
+        assert not out_dir.exists()
 
     def test_cross_setting_with_one_release_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "one.csv"

@@ -24,6 +24,9 @@ from linedefects.evaluation import (
     d2h,
     far,
     ifa,
+    inspection_order,
+    line_labels,
+    line_positions,
     mcc,
     performance_diff,
     recall,
@@ -33,6 +36,8 @@ from linedefects.evaluation import (
 )
 from linedefects.pipeline import RankedLine
 from linedefects.synthetic import make_release_series
+
+from conftest import release_of_files
 
 
 class TestBasicMeasures:
@@ -77,14 +82,15 @@ class TestBasicMeasures:
         rng = np.random.default_rng(17)
         for _ in range(200):
             n = int(rng.integers(1, 120))
-            truth = {("f", i): bool(rng.random() < 0.3) for i in range(1, n + 1)}
-            predicted = {key for key in truth if rng.random() < 0.4}
-            c = confusion_counts(predicted, truth)
-            # independent brute force from the raw sets
-            tp = sum(1 for k, v in truth.items() if v and k in predicted)
-            fn = sum(1 for k, v in truth.items() if v and k not in predicted)
-            fp = sum(1 for k, v in truth.items() if not v and k in predicted)
-            tn = sum(1 for k, v in truth.items() if not v and k not in predicted)
+            labels = [bool(rng.random() < 0.3) for _ in range(n)]
+            flagged = [bool(rng.random() < 0.4) for _ in range(n)]
+            c = confusion_counts(np.flatnonzero(flagged), np.array(labels))
+            # independent brute force from the raw columns
+            pairs = list(zip(labels, flagged))
+            tp = sum(1 for v, f in pairs if v and f)
+            fn = sum(1 for v, f in pairs if v and not f)
+            fp = sum(1 for v, f in pairs if not v and f)
+            tn = sum(1 for v, f in pairs if not v and not f)
             assert (c.tp, c.fp, c.tn, c.fn) == (tp, fp, tn, fn)
             assert recall(c) == (tp / (tp + fn) if tp + fn else None)
             assert far(c) == (fp / (fp + tn) if fp + tn else None)
@@ -115,60 +121,88 @@ class TestMeasureNames:
         assert METRICS_CSV_COLUMNS[3:] == tuple(METRIC_DIRECTIONS)
 
 
+def column(values) -> np.ndarray:
+    return np.array(values, dtype=np.bool_)
+
+
+def positions(*values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
 class TestEffortMeasures:
     def test_recall_at_budget_enumeration(self):
         # 10 lines, 2 defective; ranking places 1 defective inside the top-2 budget
-        truth = {("f", i): i in (3, 9) for i in range(1, 11)}
-        ranked = ranked_of([("f", 3), ("f", 1)])
-        assert recall_at_top_kloc(ranked, truth, k_pct=20) == pytest.approx(0.5)
+        labels = column([i in (3, 9) for i in range(1, 11)])
+        assert recall_at_top_kloc(positions(2, 0), labels, k_pct=20) == pytest.approx(0.5)
 
     def test_all_defective_ranked_first(self):
-        truth = {("f", i): i <= 2 for i in range(1, 11)}
-        ranked = ranked_of([("f", 1), ("f", 2)])
-        assert recall_at_top_kloc(ranked, truth, k_pct=20) == 1.0
+        labels = column([i <= 2 for i in range(1, 11)])
+        assert recall_at_top_kloc(positions(0, 1), labels, k_pct=20) == 1.0
 
     def test_zero_budget(self):
-        truth = {("f", 1): True, ("f", 2): False}
-        assert recall_at_top_kloc(ranked_of([("f", 1)]), truth, k_pct=20) == 0.0
+        assert recall_at_top_kloc(positions(0), column([True, False]), k_pct=20) == 0.0
 
     def test_padding_after_ranking_uses_file_probability_order(self):
-        truth = {("hot", 1): False, ("hot", 2): True, ("cold", 1): True, ("cold", 2): False,
-                 ("x", 1): False, ("x", 2): False, ("x", 3): False, ("x", 4): False,
-                 ("x", 5): False, ("x", 6): False}
-        ranked = ranked_of([("x", 1)])
+        release = release_of_files(
+            "r",
+            {
+                "hot": [("a", False), ("b", True)],
+                "cold": [("c", True), ("d", False)],
+                "x": [("e", False)] * 6,
+            },
+        )
+        ranked = line_positions(ranked_of([("x", 1)]), release)
         probs = {"hot": 0.9, "cold": 0.2, "x": 0.1}
+        order = inspection_order(ranked, release, probs)
+        # files sort by path: cold at 0-1, hot at 2-3, x at 4-9
+        assert order.tolist() == [4, 2, 3, 0, 1, 5, 6, 7, 8, 9]
         # budget 3: ranked (x,1), then padding (hot,1), (hot,2): one of two defective found
-        value = recall_at_top_kloc(ranked, truth, file_probs=probs, k_pct=30)
+        value = recall_at_top_kloc(order, line_labels(release), k_pct=30)
         assert value == pytest.approx(0.5)
 
     def test_no_defective_lines_is_missing(self):
-        truth = {("f", 1): False}
-        assert recall_at_top_kloc(ranked_of([]), truth, k_pct=20) is None
+        assert recall_at_top_kloc(positions(), column([False]), k_pct=20) is None
 
     def test_non_decreasing_in_budget(self):
         rng = np.random.default_rng(4)
-        truth = {("f", i): bool(rng.random() < 0.3) for i in range(1, 60)}
-        order = list(truth)
-        rng.shuffle(order)
-        ranked = ranked_of(order[:30])
-        values = [recall_at_top_kloc(ranked, truth, k_pct=k) for k in (5, 10, 20, 40, 80, 100)]
+        release = release_of_files("r", {"f": [("a", bool(rng.random() < 0.3)) for _ in range(1, 60)]})
+        order = rng.permutation(59)
+        full = inspection_order(order[:30], release)
+        values = [recall_at_top_kloc(full, line_labels(release), k_pct=k) for k in (5, 10, 20, 40, 80, 100)]
         assert values == sorted(values)
 
     def test_ifa_counts_leading_clean_lines(self):
-        truth = {("f", 1): False, ("f", 2): False, ("f", 3): True}
-        assert ifa(ranked_of([("f", 1), ("f", 2), ("f", 3)]), truth) == 2
+        assert ifa(positions(0, 1, 2), column([False, False, True])) == 2
 
     def test_ifa_zero_when_first_is_defective(self):
-        truth = {("f", 1): True, ("f", 2): False}
-        assert ifa(ranked_of([("f", 1), ("f", 2)]), truth) == 0
+        assert ifa(positions(0, 1), column([True, False])) == 0
 
     def test_ifa_saturates_without_defective(self):
-        truth = {("f", 1): False, ("f", 2): False}
-        ranked = ranked_of([("f", 1), ("f", 2)])
-        assert ifa(ranked, truth) == len(ranked)
+        ranked = positions(0, 1)
+        assert ifa(ranked, column([False, False])) == len(ranked)
 
     def test_ifa_empty_ranking_missing(self):
-        assert ifa([], {("f", 1): True}) is None
+        assert ifa(positions(), column([True])) is None
+
+
+class TestLinePositions:
+    def test_lines_are_numbered_file_after_file(self):
+        release = release_of_files("r", {"a": [("x", True), ("y", False)], "b": [("z", False)] * 3})
+        assert line_labels(release).tolist() == [True, False, False, False, False]
+        ranked = ranked_of([("b", 3), ("a", 1), ("b", 1), ("a", 2)])
+        assert line_positions(ranked, release).tolist() == [4, 0, 2, 1]
+
+    @pytest.mark.parametrize("key", [("a", 3), ("a", 0), ("b", 4), ("b", -1)])
+    def test_line_outside_its_file_raises(self, key):
+        # a's line 3 would otherwise be b's line 1
+        release = release_of_files("r", {"a": [("x", True), ("y", False)], "b": [("z", False)] * 3})
+        with pytest.raises(ValueError, match=f"ranked line {key[1]} of {key[0]!r} is outside the file"):
+            line_positions(ranked_of([("a", 1), key]), release)
+
+    def test_line_of_another_file_raises(self):
+        release = release_of_files("r", {"a": [("x", True)]})
+        with pytest.raises(KeyError):
+            line_positions(ranked_of([("elsewhere", 1)]), release)
 
 
 class TestStratifiedKfold:
