@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, miner, pipeline
-from .config import FIELD_TYPES, RunConfig, make_config
+from .config import FIELD_TYPES, RunConfig, load_config_file
 from .corpus import load_dataset, write_dataset
 from .evaluation import write_metrics_csv, write_stats_csv
 from .model import load_model, save_model
@@ -35,14 +35,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-# settings whose flag is not the field's name: field -> (flag, help)
-_RENAMED_FLAGS = {
-    "parallelism": (
-        "--workers",
-        "worker processes: evaluate spreads CV splits or release pairs, predict and sensitivity "
-        "spread per-file explanations (default: all cores)",
-    ),
-}
+_WORKERS_HELP = (
+    "worker processes: evaluate spreads CV splits or release pairs, predict and sensitivity "
+    "spread per-file explanations (default: all cores)"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,10 +57,6 @@ def _write_ranked_csv(path: str, ranked, method: str | None = None) -> None:
     write_csv(path, RANKED_CSV_COLUMNS + (() if method is None else ("method",)), rows)
 
 
-def _load_releases(args) -> list:
-    return load_dataset(args.dataset, getattr(args, "metadata", None))
-
-
 def _pick_release(releases, release_id: str):
     for ds in releases:
         if ds.release_id == release_id:
@@ -78,21 +70,36 @@ def _needed_for(needed: str) -> str:
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {name: getattr(args, name) for name in FIELD_TYPES}
+    """The settings of a command: each field it has a flag for from that flag, else ``--config``, else the default."""
+    given = vars(args)
+    fields = [name for name in FIELD_TYPES if name in given]
     # all cores, unless the config file or --workers sets the worker count
-    defaults = {"parallelism": max(1, os.cpu_count() or 1)}
+    values = {"parallelism": max(1, os.cpu_count() or 1)} if "parallelism" in fields else {}
     try:
-        return make_config(getattr(args, "config", None), defaults, **overrides)
+        if args.config is not None:  # every key of the file is checked, but only the command's fields apply
+            values.update((key, value) for key, value in load_config_file(args.config).items() if key in fields)
+        values.update((name, given[name]) for name in fields if given[name] is not None)
+        return RunConfig(**values)
     except (OSError, ValueError) as exc:
         raise ValueError(f"bad configuration: {exc}") from exc
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per RunConfig field, named after it, except ``--workers`` for ``parallelism``."""
-    parser.add_argument("--config", help="key=value config file; explicit flags win")
-    for name, kind in FIELD_TYPES.items():
-        flag, help_text = _RENAMED_FLAGS.get(name, ("--" + name.replace("_", "-"), None))
-        parser.add_argument(flag, dest=name, type=kind, default=None, help=help_text)
+def _add_config_flags(parser: argparse.ArgumentParser, fields) -> None:
+    """One flag per RunConfig field the command reads, named after it, except ``--workers`` for ``parallelism``."""
+    parser.add_argument("--config", help="key=value config file; keys for this command's flags apply, explicit flags win")
+    for name in fields:
+        flag = "--workers" if name == "parallelism" else "--" + name.replace("_", "-")
+        help_text = _WORKERS_HELP if name == "parallelism" else None
+        parser.add_argument(flag, dest=name, type=FIELD_TYPES[name], help=help_text)
+
+
+def _id_list(text: str, what: str) -> tuple[str, ...]:
+    """The comma-separated ids of ``text``; an id given twice is an error naming it."""
+    ids = tuple(text.split(","))
+    repeated = {i for i in ids if ids.count(i) > 1}
+    if repeated:
+        raise ValueError(f"repeated {what}: {sorted(repeated)}")
+    return ids
 
 
 def cmd_mine(args) -> int:
@@ -115,14 +122,9 @@ def cmd_mine(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _config_from_args(args)  # training reads no setting, but a bad --config is still a data error
-    releases = _load_releases(args)
+    releases = load_dataset(args.dataset)
     if args.releases:
-        wanted = args.releases.split(",")
-        repeated = {release for release in wanted if wanted.count(release) > 1}
-        if repeated:
-            raise ValueError(f"repeated releases: {sorted(repeated)}")
-        releases = [_pick_release(releases, r) for r in wanted]
+        releases = [_pick_release(releases, r) for r in _id_list(args.releases, "releases")]
     model = pipeline.train_file_model(releases)
     save_model(model, args.out)
     status = "converged" if model.train_meta.converged else "NOT converged (warning)"
@@ -142,7 +144,7 @@ def cmd_predict(args) -> int:
         model = load_model(args.model)
     if "train" in inputs and args.train_release is None:
         raise ValueError(f"method {method} needs --train-release")
-    releases = _load_releases(args)
+    releases = load_dataset(args.dataset)
     test = _pick_release(releases, args.release)
     if "train" in inputs:
         train = _pick_release(releases, args.train_release)
@@ -155,15 +157,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    methods = tuple(args.methods.split(","))
+    methods = _id_list(args.methods, "methods")
     unknown = set(methods) - set(experiments.ALL_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
-    repeated = {method for method in methods if methods.count(method) > 1}
-    if repeated:
-        raise ValueError(f"repeated methods: {sorted(repeated)}")
     config = _config_from_args(args)
-    releases = _load_releases(args)
+    releases = load_dataset(args.dataset, args.metadata)
     if args.setting == "within":
         output = experiments.within_release_eval(releases, methods, config)
     else:
@@ -177,7 +176,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     config = _config_from_args(args)
-    releases = _load_releases(args)
+    releases = load_dataset(args.dataset)
     train = _pick_release(releases, args.train_release)
     test = _pick_release(releases, args.test_release)
     if args.target == "k_risky":
@@ -191,7 +190,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_density(args) -> int:
-    releases = _load_releases(args)
+    releases = load_dataset(args.dataset)
     rows = []
     for ds in releases:
         for f in ds.files:
@@ -216,41 +215,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the file-level defect model")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--metadata", default=None)
     p.add_argument("--releases", default=None, help="comma-separated release ids (default: all)")
     p.add_argument("--out", required=True, help="model JSON path")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="rank defect-prone lines of one release")
     p.add_argument("--model", default=None, help=f"model JSON (needed for {_needed_for('model')})")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--metadata", default=None)
     p.add_argument("--release", required=True)
     p.add_argument("--method", choices=experiments.ALL_METHODS, default="linedp")
     p.add_argument("--train-release", default=None, help=f"training release (needed for {_needed_for('train')})")
     p.add_argument("--out", required=True, help="ranked lines CSV")
     p.add_argument("--method-column", action="store_true", help="append a method column")
-    _add_config_flags(p)
+    _add_config_flags(p, ("seed", "k_risky", "lime_n", "lime_sigma", "lime_k_features", "entropy_threshold_cross",
+                          "parallelism"))
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="run a validation protocol and emit metrics + stats CSVs")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--metadata", default=None)
+    p.add_argument("--metadata", default=None, help="release dates, which order the cross-release pairs")
     p.add_argument("--setting", choices=("within", "cross"), required=True)
     p.add_argument("--methods", default=",".join(experiments.ALL_METHODS))
     p.add_argument("--out-dir", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, FIELD_TYPES)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sensitivity", help="sweep the risky-token budget or the entropy threshold")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--metadata", default=None)
     p.add_argument("--target", choices=("k_risky", "entropy_threshold"), required=True)
     p.add_argument("--train-release", required=True)
     p.add_argument("--test-release", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    # the k sweep sets k_risky from its grid, and lime_k_features only floors the grid's largest k
+    _add_config_flags(p, ("seed", "lime_n", "lime_sigma", "lime_k_features", "parallelism"))
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("density", help="per-file defect density CSV")

@@ -54,14 +54,9 @@ def load_config_file(path: str | Path) -> dict[str, object]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in FIELD_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = FIELD_TYPES[key](value)
+        kind = FIELD_TYPES[key]
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} must be {kind.__name__}, got {value!r}") from None
     return values
-
-
-def make_config(file_path: str | Path | None = None, defaults: dict | None = None, **overrides) -> RunConfig:
-    """Build a RunConfig from ``defaults``, then an optional config file, then the overrides; later ones win."""
-    values: dict[str, object] = dict(defaults or {})
-    if file_path is not None:
-        values.update(load_config_file(file_path))
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    return RunConfig(**values)

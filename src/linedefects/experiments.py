@@ -91,11 +91,15 @@ def _method_reports(
 ) -> list[MetricsReport]:
     """Run the requested methods on one train/test unit, sharing the file-level model and its prediction.
 
-    Returns one metrics row per method, in ``methods`` order.
+    Returns one metrics row per method, in ``methods`` order. A ValueError
+    raised on the way names ``unit`` in front of its message.
     """
-    model = train_file_model(train) if _needs_model(methods) else None
-    results = run_methods(methods, train, test, model, config, entropy_threshold, seed)
-    return [evaluate_ranking(r.method, unit, r.ranked, test, r.file_probabilities) for r in results]
+    try:
+        model = train_file_model(train) if _needs_model(methods) else None
+        results = run_methods(methods, train, test, model, config, entropy_threshold, seed)
+        return [evaluate_ranking(r.method, unit, r.ranked, test, r.file_probabilities) for r in results]
+    except ValueError as exc:
+        raise ValueError(f"{unit}: {exc}") from exc
 
 
 def _split_reports(
@@ -185,15 +189,14 @@ def within_release_eval(
     comparison first averages the per-split values within each release,
     then pairs releases between the pipeline and each baseline.
     """
-    fold_plans = [
-        stratified_kfold(
-            [f.file_label for f in release.files],
-            config.folds,
-            config.repeats,
-            seed=derive_seed(config.seed, "folds", release.release_id),
-        )
-        for release in releases
-    ]
+    fold_plans = []
+    for release in releases:
+        labels = [f.file_label for f in release.files]
+        seed = derive_seed(config.seed, "folds", release.release_id)
+        try:
+            fold_plans.append(stratified_kfold(labels, config.folds, config.repeats, seed))
+        except ValueError as exc:
+            raise ValueError(f"{release.release_id}: {exc}") from exc
     tasks = [(index, split) for index, splits in enumerate(fold_plans) for split in splits]
     _build_token_tables(releases)
     groups = [index for index, _ in tasks]

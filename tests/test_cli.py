@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import stat
 from dataclasses import asdict
+from datetime import date
 
 import pytest
 
@@ -49,7 +50,7 @@ class TestTrainPredict:
     def test_train_then_predict_twice_byte_identical(self, dataset_paths, tmp_path):
         root, data, meta = dataset_paths
         model_path = tmp_path / "model.json"
-        rc = main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(model_path)] + FAST_FLAGS)
+        rc = main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(model_path)])
         assert rc == 0
         assert json.loads(model_path.read_text())["format_version"] == 1
 
@@ -69,7 +70,7 @@ class TestTrainPredict:
     def test_method_column_flag(self, dataset_paths, tmp_path):
         root, data, meta = dataset_paths
         model_path = tmp_path / "model.json"
-        main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(model_path)] + FAST_FLAGS)
+        main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(model_path)])
         out = tmp_path / "ranked.csv"
         main(
             ["predict", "--model", str(model_path), "--dataset", str(data), "--release", "cli-2.0",
@@ -82,7 +83,7 @@ class TestTrainPredict:
     def test_baseline_methods_emit_rankings(self, dataset_paths, tmp_path):
         root, data, meta = dataset_paths
         model_path = tmp_path / "model.json"
-        main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(model_path)] + FAST_FLAGS)
+        main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(model_path)])
         for method, extra in (
             ("random", ["--model", str(model_path)]),
             ("tmi_lr", ["--model", str(model_path), "--train-release", "cli-1.0"]),
@@ -119,7 +120,7 @@ class TestTrainPredict:
 
     def test_unconverged_training_is_reported(self, dataset_paths, tmp_path, capsys, monkeypatch):
         root, data, meta = dataset_paths
-        train = ["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(tmp_path / "m.json")] + FAST_FLAGS
+        train = ["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(tmp_path / "m.json")]
         assert main(train) == 0
         assert ", converged;" in capsys.readouterr().out
         monkeypatch.setattr("linedefects.model.MAX_ITERS", 1)
@@ -131,7 +132,7 @@ class TestTrainPredict:
 def trained_model(dataset_paths, tmp_path_factory):
     root, data, meta = dataset_paths
     path = tmp_path_factory.mktemp("cli-model") / "model.json"
-    assert main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(path)] + FAST_FLAGS) == 0
+    assert main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(path)]) == 0
     return path, json.loads(path.read_text())
 
 
@@ -267,6 +268,32 @@ class TestEvaluate:
         )
         assert not out_dir.exists()
 
+    def test_too_few_defective_files_for_the_folds_names_the_release(self, tmp_path, capsys):
+        big = make_release_series(system="big", n_releases=1, seed=1, n_files=60, n_defective=20)
+        small = make_release_series(system="small", n_releases=1, seed=2, n_files=12, n_defective=3)
+        data = tmp_path / "data.csv"
+        write_dataset(big + small, data)
+        out_dir = tmp_path / "within"
+        rc = main(["evaluate", "--dataset", str(data), "--setting", "within", "--out-dir", str(out_dir)] + FAST_FLAGS)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: small-1.0: the defective class has 3 files, fewer than folds=10\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_single_class_training_release_names_its_pair(self, tmp_path, capsys, workers):
+        # two pairs on two workers share a pool, so the pair's name must come back from a worker
+        first, last = make_release_series(n_releases=2, seed=3, n_files=12, n_defective=4)
+        clean = release_of_files("demo-1.5", {"A.java": [("bug bug", False)], "B.java": [("spark", False)]},
+                                 release_date=date(2024, 3, 1))
+        data, meta = tmp_path / "data.csv", tmp_path / "releases.csv"
+        write_dataset([first, clean, last], data, meta)
+        out_dir = tmp_path / "cross"
+        rc = main(["evaluate", "--dataset", str(data), "--metadata", str(meta), "--setting", "cross",
+                   "--out-dir", str(out_dir)] + FAST_FLAGS + ["--workers", workers])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: demo-1.5->demo-2.0: training labels contain a single class")
+        assert not out_dir.exists()
+
     def test_cross_setting_with_one_release_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         write_dataset([release_of_files("r1", {"A.java": [("bug", True)], "B.java": [("calm", False)]})], data)
@@ -314,7 +341,8 @@ class TestParallelEvaluate:
         for workers in (1, 2):
             assert self._evaluate(three_release_paths, setting, workers, tmp_path / str(workers)) == 2
             errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1] == "error: boom\n"
+        unit = "demo-1.0:r0f0" if setting == "within" else "demo-1.0->demo-2.0"
+        assert errors[0] == errors[1] == f"error: {unit}: boom\n"
         assert not (tmp_path / "2" / "metrics.csv").exists()
 
 
@@ -353,7 +381,7 @@ class TestUnexplainableFile:
         data, meta = tmp_path / "data.csv", tmp_path / "releases.csv"
         write_dataset([train, test], data, meta)
         model_path = tmp_path / "model.json"
-        assert main(["train", "--dataset", str(data), "--releases", "t", "--out", str(model_path)] + FAST_FLAGS) == 0
+        assert main(["train", "--dataset", str(data), "--releases", "t", "--out", str(model_path)]) == 0
         out = tmp_path / "ranked.csv"
         rc = main(["predict", "--model", str(model_path), "--dataset", str(data), "--release", "s",
                    "--out", str(out)] + FAST_FLAGS)
@@ -475,13 +503,13 @@ class TestExitCodes:
     def test_malformed_dataset_is_data_error(self, tmp_path, capsys, dataset, metadata, where):
         data = tmp_path / "data.csv"
         data.write_bytes(dataset)
-        argv = ["--dataset", str(data), "--out", str(tmp_path / "out.csv")]
         if metadata is None:
-            argv = ["density"] + argv
+            argv = ["density", "--out", str(tmp_path / "out.csv")]
         else:
             (tmp_path / "meta.csv").write_bytes(metadata)
-            argv = ["train", "--metadata", str(tmp_path / "meta.csv")] + argv
-        assert main(argv) == 2
+            argv = ["evaluate", "--setting", "cross", "--out-dir", str(tmp_path / "out"),
+                    "--metadata", str(tmp_path / "meta.csv")]
+        assert main(argv + ["--dataset", str(data)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert where in err
@@ -548,7 +576,7 @@ class TestExitCodes:
             "model": ["predict", "--model", str(paths["model"]), "--dataset", str(data), "--release", "cli-2.0"],
             "commits": mine,
             "issues": mine,
-            "config": ["train", "--dataset", str(data), "--config", str(paths["config"])],
+            "config": ["predict", "--dataset", str(data), "--release", "cli-2.0", "--config", str(paths["config"])],
         }
         assert main(argv[bad] + ["--out", str(out)]) == 2
         prefix = "bad configuration: " if bad == "config" else ""
@@ -563,7 +591,7 @@ class TestExitCodes:
         (tmp_path / bad).write_bytes(b"\xff{}")
         argv = {
             "model": ["predict", "--model", str(tmp_path / "model"), "--release", "demo-1.0"],
-            "config": ["train", "--config", str(tmp_path / "config")],
+            "config": ["predict", "--config", str(tmp_path / "config"), "--release", "demo-1.0"],
         }[bad]
         assert main(argv + ["--dataset", str(data), "--out", str(tmp_path / "out")]) == 2
         assert "not UTF-8 text" in capsys.readouterr().err
@@ -588,7 +616,7 @@ class TestExitCodes:
         cfg.write_text("seed = 1\nlime_n = 150\nk_risky = 5\n# comment\n")
         out = tmp_path / "out.csv"
         model_path = tmp_path / "model.json"
-        main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(model_path), "--config", str(cfg)])
+        assert main(["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(model_path)]) == 0
         rc = main(
             ["predict", "--model", str(model_path), "--dataset", str(data), "--release", "cli-2.0",
              "--out", str(out), "--config", str(cfg), "--lime-n", "200"]
@@ -601,7 +629,7 @@ class TestExitCodes:
         data = tmp_path / "data.csv"
         write_dataset([train, single, test], data)
         model_path = tmp_path / "model.json"
-        assert main(["train", "--dataset", str(data), "--releases", "t", "--out", str(model_path)] + FAST_FLAGS) == 0
+        assert main(["train", "--dataset", str(data), "--releases", "t", "--out", str(model_path)]) == 0
         capsys.readouterr()
         for argv in (
             ["predict", "--model", str(model_path), "--method", "tmi_lr", "--release", "s", "--train-release", "o"],
@@ -619,15 +647,16 @@ class TestExitCodes:
 
         for where in ("linedefects.pipeline.train_file_model", "linedefects.experiments.train_file_model"):
             monkeypatch.setattr(where, no_training)
-        model_path = tmp_path / "m.json"
+        out = tmp_path / "sens.csv"
         for argv in (
-            ["train", "--releases", "cli-1.0", "--out", str(model_path)],
+            ["sensitivity", "--target", "k_risky", "--train-release", "cli-1.0", "--test-release", "cli-2.0",
+             "--out", str(out)],
             ["evaluate", "--setting", "within", "--methods", "linedp", "--out-dir", str(tmp_path / "ev")],
         ):
             rc = main(argv + ["--dataset", str(data), "--lime-n", "1"])
             assert rc == 2, argv[0]
             assert "lime_n must be >= 2" in capsys.readouterr().err
-        assert not model_path.exists()
+        assert not out.exists()
 
     def test_training_release_without_tokens_is_named_data_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -664,43 +693,112 @@ class TestExitCodes:
         root, data, meta = dataset_paths
         cfg = tmp_path / "run.cfg"
         cfg.write_text("unknown_key = 3\n")
-        rc = main(["train", "--dataset", str(data), "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
+        rc = main(["predict", "--dataset", str(data), "--release", "cli-2.0", "--method", "ngram",
+                   "--train-release", "cli-1.0", "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
         assert rc == 2
+        assert capsys.readouterr().err == f"error: bad configuration: {cfg}:1: unknown config key 'unknown_key'\n"
 
 
 class TestConfigFlags:
     # a valid value unlike the default for every RunConfig field
     VALUES = {
-        "seed": "7", "k_risky": "3", "lime_n": "11", "lime_sigma": "2.5", "lime_k_features": "13",
+        "seed": "7", "k_risky": "3", "lime_n": "11", "lime_sigma": "2.5", "lime_k_features": "23",
         "entropy_threshold_within": "0.3", "entropy_threshold_cross": "0.4", "folds": "4", "repeats": "5",
         "parallelism": "2",
     }
     REQUIRED = {
+        "train": ["--dataset", "d.csv", "--out", "m.json"],
         "predict": ["--dataset", "d.csv", "--release", "r", "--out", "o.csv"],
         "evaluate": ["--dataset", "d.csv", "--setting", "within", "--out-dir", "o"],
         "sensitivity": ["--dataset", "d.csv", "--target", "k_risky", "--train-release", "a",
                         "--test-release", "b", "--out", "o.csv"],
     }
+    # the RunConfig fields each command reads
+    FIELDS = {
+        "train": set(),
+        "predict": {"seed", "k_risky", "lime_n", "lime_sigma", "lime_k_features", "entropy_threshold_cross",
+                    "parallelism"},
+        "evaluate": set(FIELD_TYPES),
+        "sensitivity": {"seed", "lime_n", "lime_sigma", "lime_k_features", "parallelism"},
+    }
+    # every flag of every command, besides --help
+    OPTIONS = {
+        "mine": {"--commits", "--issues", "--snapshot", "--out"},
+        "train": {"--dataset", "--releases", "--out"},
+        "predict": {"--model", "--dataset", "--release", "--method", "--train-release", "--out", "--method-column",
+                    "--config", "--seed", "--k-risky", "--lime-n", "--lime-sigma", "--lime-k-features",
+                    "--entropy-threshold-cross", "--workers"},
+        "evaluate": {"--dataset", "--metadata", "--setting", "--methods", "--out-dir", "--config", "--seed",
+                     "--k-risky", "--lime-n", "--lime-sigma", "--lime-k-features", "--entropy-threshold-within",
+                     "--entropy-threshold-cross", "--folds", "--repeats", "--workers"},
+        "sensitivity": {"--dataset", "--target", "--train-release", "--test-release", "--out", "--config", "--seed",
+                        "--lime-n", "--lime-sigma", "--lime-k-features", "--workers"},
+        "density": {"--dataset", "--out"},
+    }
+
+    @staticmethod
+    def _subparsers():
+        return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+    def test_each_command_takes_exactly_its_flags(self):
+        options = {
+            command: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+            for command, parser in self._subparsers().items()
+        }
+        assert options == self.OPTIONS
 
     @pytest.mark.parametrize("command", sorted(REQUIRED))
     def test_flags_map_one_to_one_onto_run_config_fields(self, command):
         assert list(self.VALUES) == list(FIELD_TYPES)
-        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
         flags = {
             action.option_strings[0]: action.dest
-            for action in subparsers.choices[command]._actions
+            for action in self._subparsers()[command]._actions
             if action.dest in FIELD_TYPES
         }
-        # one flag per field, named after it, except --workers for parallelism
+        # one flag per field the command reads, named after it, except --workers for parallelism
         assert flags == {
-            ("--workers" if name == "parallelism" else "--" + name.replace("_", "-")): name for name in FIELD_TYPES
+            ("--workers" if name == "parallelism" else "--" + name.replace("_", "-")): name
+            for name in self.FIELDS[command]
         }
         argv = [command] + self.REQUIRED[command]
         for flag, name in flags.items():
             argv += [flag, self.VALUES[name]]
         args = build_parser().parse_args(argv)
-        expected = RunConfig(**{name: kind(self.VALUES[name]) for name, kind in FIELD_TYPES.items()})
-        assert _config_from_args(args) == expected
+        if command != "train":
+            expected = RunConfig(**{name: FIELD_TYPES[name](self.VALUES[name]) for name in self.FIELDS[command]})
+            assert _config_from_args(args) == expected
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("train", "--seed", "5"), ("train", "--workers", "8"), ("train", "--config", "run.cfg"),
+         ("train", "--metadata", "releases.csv"), ("predict", "--folds", "3"),
+         ("predict", "--entropy-threshold-within", "0.5"), ("sensitivity", "--k-risky", "5"),
+         ("sensitivity", "--entropy-threshold-cross", "0.5")],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command] + self.REQUIRED[command] + [flag, value])
+        assert err.value.code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "sensitivity"])
+    def test_config_keys_the_command_does_not_read_are_checked_but_not_applied(self, command, tmp_path):
+        # each key holds a value its RunConfig would reject, so applying one would fail the command
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\nfolds = 1\nrepeats = 0\nentropy_threshold_within = 0\n"
+                       + ("k_risky = 150\n" if command == "sensitivity" else ""))
+        args = build_parser().parse_args([command] + self.REQUIRED[command] + ["--config", str(cfg)])
+        assert _config_from_args(args).seed == 7
+
+    def test_predict_ignores_a_config_file_holding_one_fold(self, dataset_paths, tmp_path):
+        root, data, meta = dataset_paths
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("folds = 1\n")
+        argv = ["predict", "--dataset", str(data), "--release", "cli-2.0", "--method", "ngram",
+                "--train-release", "cli-1.0"]
+        assert main(argv + ["--out", str(tmp_path / "plain.csv")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "config.csv"), "--config", str(cfg)]) == 0
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "file_text, flags, expected",
@@ -721,6 +819,7 @@ class TestConfigFlags:
         built = []
         original = cli._config_from_args
         monkeypatch.setattr(cli, "_config_from_args", lambda args: built.append(original(args)) or built[-1])
-        argv = ["train", "--dataset", str(data), "--releases", "cli-1.0", "--out", str(tmp_path / "m.json")]
+        argv = ["predict", "--dataset", str(data), "--release", "cli-2.0", "--method", "ngram",
+                "--train-release", "cli-1.0", "--out", str(tmp_path / "o.csv")]
         assert main(argv + ["--config", str(cfg)] + flags) == 0
         assert built == [RunConfig(seed=7, parallelism=expected)]

@@ -49,18 +49,18 @@ FLAGS = ["--lime-n", "50", "--workers", "1"]
 
 
 def _commands(data: Path, meta: Path, out: Path, last: str):
-    dataset = ["--dataset", str(data), "--metadata", str(meta)]
+    dataset = ["--dataset", str(data)]
     model = str(out / "model.json")
     yield ["train", "--releases", "r1", "--out", model] + dataset
     for method in ALL_METHODS:
         yield ["predict", "--model", model, "--release", last, "--train-release", "r1", "--method", method,
-               "--out", str(out / f"{method}.csv")] + dataset
+               "--out", str(out / f"{method}.csv")] + dataset + FLAGS
     for setting in ("within", "cross"):
-        yield ["evaluate", "--setting", setting, "--folds", "2", "--repeats", "1",
-               "--out-dir", str(out / setting)] + dataset
+        yield ["evaluate", "--setting", setting, "--folds", "2", "--repeats", "1", "--metadata", str(meta),
+               "--out-dir", str(out / setting)] + dataset + FLAGS
     for target in ("k_risky", "entropy_threshold"):
         yield ["sensitivity", "--target", target, "--train-release", "r1", "--test-release", last,
-               "--out", str(out / f"{target}.csv")] + dataset
+               "--out", str(out / f"{target}.csv")] + dataset + FLAGS
 
 
 @settings(
@@ -83,7 +83,7 @@ def test_training_commands_exit_zero_or_data_error(tmp_path, releases):
         data, meta = out / "data.csv", out / "meta.csv"
         write_dataset(built, data, meta)
         for argv in _commands(data, meta, out, built[-1].release_id):
-            assert main(argv + FLAGS) in (0, 2), argv[0]
+            assert main(argv) in (0, 2), argv[0]
 
 
 # half of the drawn values are NaN or an infinity, which Python's json reads and writes
@@ -159,11 +159,13 @@ def input_files(trained, tmp_path_factory):
         return ["mine", "--commits", str(commits_path), "--issues", str(issues_path), "--snapshot", str(snapshot)]
 
     predict = ["predict", "--dataset", str(dataset), "--release", "demo-2.0"] + FLAGS
+    ngram = predict + ["--method", "ngram", "--train-release", "demo-1.0"]
     return {
         "model": (json.dumps(doc).encode(), lambda path: predict + ["--model", str(path)]),
         "commits": (commits.read_bytes(), lambda path: mine(path, issues)),
         "issues": (issues.read_bytes(), lambda path: mine(commits, path)),
-        "config": (b"seed = 3\nk_risky = 5\n", lambda path: ["train", "--dataset", str(dataset), "--config", str(path)]),
+        # ngram reads no worker count, so a corrupted parallelism starts no process
+        "config": (b"seed = 3\nk_risky = 5\n", lambda path: ngram + ["--config", str(path)]),
     }
 
 

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from linedefects.config import RunConfig, load_config_file, make_config
+from linedefects.cli import _config_from_args, build_parser
+from linedefects.config import RunConfig, load_config_file
 
 
 class TestRunConfig:
@@ -47,7 +48,8 @@ class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 9\nfolds = 3\n")
-        cfg = make_config(path, seed=42)
+        argv = ["evaluate", "--dataset", "d.csv", "--setting", "within", "--out-dir", "o", "--config", str(path)]
+        cfg = _config_from_args(build_parser().parse_args(argv + ["--seed", "42"]))
         assert cfg.seed == 42
         assert cfg.folds == 3
 
@@ -62,3 +64,12 @@ class TestConfigFile:
         path.write_text("just some words\n")
         with pytest.raises(ValueError, match="key=value"):
             load_config_file(path)
+
+    @pytest.mark.parametrize("text, kind", [("seed = abc", "int"), ("lime_sigma = wide", "float")])
+    def test_mistyped_value_names_its_file_line_and_key(self, tmp_path, text, kind):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# run settings\n{text}\n")
+        key, value = text.split(" = ")
+        with pytest.raises(ValueError) as err:
+            load_config_file(path)
+        assert str(err.value) == f"{path}:2: {key} must be {kind}, got {value!r}"

@@ -406,7 +406,8 @@ class TestParseCache:
         bad = texts[flag].replace(b"?", b"\xff")
         (tmp_path / "good.csv").write_bytes(texts[other].replace(b"?", b"2"))
         name = "/dev/stdin" if source == "stdin" else str(tmp_path / "bad.csv")
-        argv = ["train", "--out", str(tmp_path / "model.json"), flag, name, other, str(tmp_path / "good.csv")]
+        argv = ["evaluate", "--setting", "cross", "--out-dir", str(tmp_path / "out"), flag, name, other,
+                str(tmp_path / "good.csv")]
         if source == "stdin":
             done = _run_cli(argv, input=bad)
         else:
