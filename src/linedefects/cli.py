@@ -79,6 +79,9 @@ def _config_from_args(args) -> RunConfig:
         if args.config is not None:  # every key of the file is checked, but only the command's fields apply
             values.update((key, value) for key, value in load_config_file(args.config).items() if key in fields)
         values.update((name, given[name]) for name in fields if given[name] is not None)
+        if "k_risky" not in fields and "lime_k_features" in values:
+            # a command that never reads k_risky must not fail the lime_k_features >= k_risky check over it
+            values["k_risky"] = max(1, min(RunConfig.k_risky, values["lime_k_features"]))
         return RunConfig(**values)
     except (OSError, ValueError) as exc:
         raise ValueError(f"bad configuration: {exc}") from exc

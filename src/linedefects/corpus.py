@@ -30,12 +30,14 @@ from functools import cached_property
 from itertools import chain, pairwise
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .util import atomic_replace, write_csv
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DATASET_COLUMNS = ("release", "file_path", "line_number", "line_content", "file_label", "line_label")
 METADATA_COLUMNS = ("release", "release_date")
@@ -225,6 +227,8 @@ class TokenTable:
     @cached_property
     def file_counts(self) -> sp.csr_matrix:
         """Files x ids matrix of occurrence counts, column indices ascending in each row; built on first use."""
+        import scipy.sparse as sp
+
         n_files, n_tokens = len(self.file_ptr) - 1, len(self.tokens)
         token_ptr = self.line_ptr[self.file_ptr]
         file_of = np.repeat(np.arange(n_files), np.diff(token_ptr))
@@ -384,6 +388,8 @@ def vectorize(train: ReleaseDataset | list[ReleaseDataset], vocab: Vocabulary) -
     Each release's per-file token counts pass through one table-id to
     vocabulary-index remap. Column indices ascend within every row.
     """
+    import scipy.sparse as sp
+
     blocks = []
     for ds in as_release_list(train):
         counts = ds.token_table.file_counts

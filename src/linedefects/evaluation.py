@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .config import RunConfig
 from .corpus import ReleaseDataset
@@ -315,6 +314,8 @@ def wilcoxon_one_sided(
     None (a missing value) when fewer than five non-zero differences remain.
     The effect size is r = Z / sqrt(n).
     """
+    from scipy.special import ndtr
+
     if direction not in ("greater", "less"):
         raise ValueError("direction must be 'greater' or 'less'")
     if len(a) != len(b):

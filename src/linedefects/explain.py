@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit
 
 from .config import RunConfig
 from .corpus import FeatureVector
@@ -71,8 +69,8 @@ def _neighbor_masks(n: int, n_active: int, rng: np.random.Generator) -> np.ndarr
     return masks
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of a for ``dpotrs``; the same LAPACK call ``scipy.linalg.cho_factor`` makes."""
+def _cholesky(dpotrf, a: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of a for ``dpotrs``; the same LAPACK ``dpotrf`` call ``scipy.linalg.cho_factor`` makes."""
     factor, info = dpotrf(a, lower=0, clean=0)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
@@ -103,6 +101,8 @@ def _lasso_select(
     and ``G_rows[:m].T`` has the column-major layout of ``G[:, active]``,
     which makes BLAS sum ``G_A @ u`` in the same order.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
     d = c.size
     diag = G.diagonal()
     # columns that may enter now: a large enough variance and not active
@@ -120,7 +120,7 @@ def _lasso_select(
             idx, s = active[:m], signs[:m]
             if m:
                 G_A = G_rows[:m].T
-                factor = _cholesky(G_A[idx])
+                factor = _cholesky(dpotrf, G_A[idx])
                 u, v = dpotrs(factor, np.column_stack((c[idx], s)))[0].T
                 a = c - G_A @ u
                 e = G_A @ v
@@ -251,6 +251,8 @@ def _surrogate_data(
     model: LogisticModel, x: FeatureVector, indices: list[int], n: int, kernel_width: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Neighbor masks over ``indices``, their predicted probabilities and kernel weights."""
+    from scipy.special import expit
+
     d = len(indices)
     rng = np.random.default_rng(seed)
     masks = _neighbor_masks(n, d, rng)

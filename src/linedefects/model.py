@@ -18,15 +18,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .corpus import Vocabulary
 from .util import atomic_write_text, decode_utf8
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MODEL_FORMAT_VERSION = 1
 
@@ -70,6 +70,8 @@ def _loss_and_gradient(
     theta: np.ndarray, X: sp.csr_matrix, XT: sp.spmatrix, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """The objective and its gradient at ``theta = (w, b)``; ``XT`` is ``X.T``."""
+    from scipy.special import expit
+
     w, b = theta[:-1], theta[-1]
     z = X @ w + b
     # log(1 + e^z) - y*z, computed stably
@@ -100,6 +102,8 @@ class _HessianProduct:
         self, theta: np.ndarray, v: np.ndarray, X: sp.csr_matrix, XT: sp.spmatrix, y: np.ndarray
     ) -> np.ndarray:
         if self._theta is None or not np.array_equal(theta, self._theta):
+            from scipy.special import expit
+
             mu = expit(X @ theta[:-1] + theta[-1])
             self._theta, self._curvature = theta.copy(), mu * (1.0 - mu)
         u = self._curvature * (X @ v[:-1] + v[-1])
@@ -110,6 +114,8 @@ class _HessianProduct:
 
 
 def _minimize(X: sp.csr_matrix, y: np.ndarray) -> tuple[np.ndarray, TrainMeta]:
+    from scipy.optimize import minimize
+
     result = minimize(
         _loss_and_gradient,
         np.zeros(X.shape[1] + 1),
@@ -151,6 +157,8 @@ def predict_proba(model: LogisticModel, X: sp.csr_matrix) -> np.ndarray:
     row's vocabulary indices in ascending order, so a file's probability
     does not depend on the other rows.
     """
+    from scipy.special import expit
+
     if X.shape[1] != len(model.vocab):
         raise ValueError(f"feature dimension {X.shape[1]} does not match model dimension {len(model.vocab)}")
     terms = model.weights[X.indices] * X.data
@@ -170,6 +178,8 @@ def standardized_coefficients(X: sp.csr_matrix, y: list[bool]) -> tuple[np.ndarr
     centring a column would only shift the intercept and leaves the optimal
     weights unchanged. Constant columns have zero std and are divided by 1.
     """
+    import scipy.sparse as sp
+
     labels = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
     _validate_labels(n, labels)

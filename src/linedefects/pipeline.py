@@ -9,10 +9,9 @@ contains a risky token, and rank all flagged lines globally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import RunConfig
 from .corpus import (
@@ -26,6 +25,9 @@ from .corpus import (
 from .explain import Explanation, explain
 from .model import LogisticModel, predict_proba, train_logistic
 from .util import derive_seed, pool_map, pool_workers
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import io
 import multiprocessing
@@ -37,10 +38,46 @@ _POOL_CONTEXT = (
 # set in each pool worker by its initializer: (function, shared arguments)
 _worker_job: tuple[Callable, tuple] | None = None
 
+# OpenBLAS's thread-count setter under the names its builds export: plain, 64-bit
+# integer, and the scipy-openblas wheels' prefixed ones
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process; none where ``/proc/self/maps`` is missing."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    paths = {f[5].rstrip("\n") for f in fields if len(f) == 6 and f[5].startswith("/")}
+    return sorted(p for p in paths if "openblas" in os.path.basename(p))
+
+
+def _one_blas_thread() -> None:
+    """Set every loaded OpenBLAS to one thread; a library without a known setter is left alone."""
+    for path in _loaded_openblas():
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
 
 def _start_worker(fn: Callable, shared: tuple) -> None:
     global _worker_job
     _worker_job = (fn, shared)
+    # the pool spreads the work over the cores; BLAS threads in every worker on top of it oversubscribe them
+    _one_blas_thread()
 
 
 def _run_task(task):
@@ -63,6 +100,11 @@ def pool_map(fn: Callable, tasks: Sequence, shared: tuple, workers: int) -> list
     """
     if workers < 2:
         return [fn(*shared, task) for task in tasks]
+    # A forked worker inherits the modules loaded here, but a module first imported
+    # inside a task is imported again by every worker of every pool. The pooled tasks
+    # (explanations, CV splits and release pairs) call these scipy modules.
+    import scipy.linalg.lapack, scipy.optimize, scipy.sparse, scipy.special  # noqa: E401, F401
+
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=_POOL_CONTEXT, initializer=_start_worker, initargs=(fn, shared)
     ) as pool:

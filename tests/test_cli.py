@@ -361,6 +361,18 @@ class TestSensitivity:
         assert len(rows) - 1 == 8
         assert [r[0] for r in rows[1:]] == ["10", "20", "30", "40", "50", "100", "150", "200"]
 
+    def test_k_sweep_takes_a_feature_budget_below_the_default_k(self, dataset_paths, tmp_path):
+        # the sweep sets k from its grid and widens the budget to the grid's largest k, so 10 and 20 run alike
+        root, data, meta = dataset_paths
+        for budget in ("10", "20"):
+            rc = main(
+                ["sensitivity", "--dataset", str(data), "--target", "k_risky", "--train-release", "cli-1.0",
+                 "--test-release", "cli-2.0", "--out", str(tmp_path / f"{budget}.csv"), "--lime-n", "200",
+                 "--workers", "1", "--lime-k-features", budget]
+            )
+            assert rc == 0
+        assert (tmp_path / "10.csv").read_bytes() == (tmp_path / "20.csv").read_bytes()
+
     def test_entropy_grid_has_twenty_rows(self, dataset_paths, tmp_path):
         root, data, meta = dataset_paths
         out = tmp_path / "sens_t.csv"

@@ -379,12 +379,6 @@ class TestAverageRanks:
         values = np.abs(np.array(values))
         assert average_ranks(values).tobytes() == rankdata(values).astype(np.float64).tobytes()
 
-    def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
-        code = "import sys, linedefects.cli; print('scipy.stats' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(linedefects.__file__).resolve().parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env)
-        assert out.stdout.strip() == "False"
-
 
 def test_importing_the_pipeline_and_baselines_leaves_evaluation_unloaded():
     code = "import sys, linedefects.pipeline, linedefects.baselines; print('linedefects.evaluation' in sys.modules)"
