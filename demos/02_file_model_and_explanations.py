@@ -5,7 +5,7 @@ explains a predicted-defective file: perturbed neighbors, kernel weights,
 and the sparse surrogate whose positive coefficients mark risky tokens.
 """
 
-from linedefects import FeatureVector, explain, predict_proba, select_risky_tokens, vectorize
+from linedefects import FeatureVector, RiskyTokenSet, explain, predict_proba, vectorize
 from linedefects.config import RunConfig
 from linedefects.pipeline import train_file_model
 from linedefects.synthetic import make_release_series
@@ -41,5 +41,5 @@ print(f"{target.path}: p={prob:.3f}, surrogate R^2 = {expl.fidelity_r2:.3f}")
 for token, score in sorted(expl.scores.items(), key=lambda kv: -kv[1])[:8]:
     print(f"  {token:20} {score:+.4f}")
 
-risky = select_risky_tokens(expl, k_risky=10)
+risky = RiskyTokenSet.top_positive(expl.scores.items(), 10)
 print("\nrisky tokens (positive scores, top 10):", [t for t, _ in risky.tokens])

@@ -19,13 +19,13 @@ defect_prone = sum(1 for p in result.file_probabilities.values() if p > 0.5)
 print(f"{defect_prone} files predicted defect-prone, {len(result.ranked)} lines flagged")
 
 print("\n== top of the global ranking ==")
-truth = {(f.path, l.number): l.is_defective for f in test.files for l in f.lines}
-for rank, line in enumerate(result.ranked[:10], start=1):
-    actual = "DEFECTIVE" if truth[(line.file_path, line.line_number)] else "clean"
-    print(
-        f"  #{rank:<3} {line.file_path}:{line.line_number:<4} "
-        f"hits={line.hit_count} score={line.score_sum:.3f} [{actual}]"
-    )
+# a ranking is five columns, one row per flagged line in rank order; its files index test.files
+top = result.ranked.take(slice(10))
+rows = zip(top.files.tolist(), top.lines.tolist(), top.hits.tolist(), top.scores.tolist())
+for rank, (file_index, number, hits, score) in enumerate(rows, start=1):
+    f = test.files[file_index]
+    actual = "DEFECTIVE" if f.lines[number - 1].is_defective else "clean"
+    print(f"  #{rank:<3} {f.path}:{number:<4} hits={hits} score={score:.3f} [{actual}]")
 
 print("\n== the six evaluation measures for this run ==")
 report = evaluate_ranking("linedp", test.release_id, result.ranked, test, result.file_probabilities)

@@ -3,8 +3,8 @@
 Random guessing reuses the file-level model's prediction but scores tokens
 uniformly at random; TMI-LR applies one global standardized-coefficient
 risky set to all files; the n-gram baseline flags lines whose mean token
-surprisal exceeds a threshold. All emit the same ranked-line records, so one evaluator compares
-them.
+surprisal exceeds a threshold. All emit the same `Ranking` (flagged lines of the test release in
+rank order), so one evaluator compares them.
 """
 
 from linedefects.baselines import ngram_entropy_baseline, random_baseline, tmi_lr_baseline

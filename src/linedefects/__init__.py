@@ -35,12 +35,11 @@ from .model import (
 )
 from .pipeline import (
     MethodResult,
-    RankedLine,
+    Ranking,
     RiskyTokenSet,
     flag_lines,
     rank_lines_global,
     run_linedp,
-    select_risky_tokens,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +52,7 @@ __all__ = [
     "Lines",
     "LogisticModel",
     "MethodResult",
-    "RankedLine",
+    "Ranking",
     "ReleaseDataset",
     "RiskyTokenSet",
     "RunConfig",
@@ -70,7 +69,6 @@ __all__ = [
     "rank_lines_global",
     "run_linedp",
     "save_model",
-    "select_risky_tokens",
     "sensitivity_k",
     "standardized_coefficients",
     "tokenize",

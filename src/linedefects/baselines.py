@@ -1,8 +1,8 @@
 """Baseline line-level predictors: random guessing, global standardized
 coefficients (TMI-LR), and n-gram naturalness entropy.
 
-All three emit the same ranked-line records as the main pipeline so one
-evaluation harness covers every method.
+All three emit the same ``Ranking`` as the main pipeline so one evaluation
+harness covers every method.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from .model import standardized_coefficients
 from .pipeline import (
     FilePredictions,
     MethodResult,
-    RankedLine,
+    Ranking,
     RiskyTokenSet,
     as_release_list,
     flag_lines,
+    path_ranks,
     predict_files,  # noqa: F401  (the benchmark's traced run wraps this name)
     rank_lines_global,
 )
@@ -60,7 +61,7 @@ def random_baseline(
     uniform shuffle.
     """
     file_probs = predicted.probabilities
-    flagged: list[RankedLine] = []
+    parts = []
     for i in predicted.defect_prone:
         f = test.files[i]
         distinct = [t for t in test.token_table.distinct_tokens(i) if t in vocab.token_to_index]
@@ -69,13 +70,12 @@ def random_baseline(
         rng = np.random.default_rng(derive_seed(seed, "random", f.release_id, f.path))
         scores = rng.uniform(-1.0, 1.0, size=len(distinct))
         risky = RiskyTokenSet.top_positive(zip(distinct, scores.tolist()), k_risky)
-        flagged.extend(flag_lines(test, i, risky, file_probs[f.path]))
-    flagged.sort(key=lambda f: (f.release_id, f.file_path, f.line_number))
+        parts.append(flag_lines(test, i, risky, file_probs[f.path]))
+    flagged = Ranking.concatenate(parts)
+    by_path = np.lexsort((flagged.lines, path_ranks(test)[flagged.files]))
     rng = np.random.default_rng(derive_seed(seed, "random-rank", test.release_id))
-    order = rng.permutation(len(flagged))
-    return MethodResult(
-        method="random", ranked=[flagged[i] for i in order], file_probabilities=file_probs
-    )
+    shuffled = by_path[rng.permutation(len(flagged))]
+    return MethodResult(method="random", ranked=flagged.take(shuffled), file_probabilities=file_probs)
 
 
 def global_risky_tokens(
@@ -114,14 +114,12 @@ def tmi_lr_baseline(
     """
     risky = global_risky_tokens(train, vocab, k_risky)
     file_probs = predicted.probabilities
-    flagged = [
-        line
-        for i in predicted.defect_prone
-        for line in flag_lines(test, i, risky, file_probs[test.files[i].path])
-    ]
+    flagged = Ranking.concatenate(
+        [flag_lines(test, i, risky, file_probs[test.files[i].path]) for i in predicted.defect_prone]
+    )
     return MethodResult(
         method="tmi_lr",
-        ranked=rank_lines_global(flagged),
+        ranked=rank_lines_global(flagged, test),
         file_probabilities=file_probs,
         risky_tokens={"*": risky},
     )
@@ -348,15 +346,15 @@ def ngram_entropy_baseline(
     """Flag lines whose mean token surprisal exceeds the threshold; rank by surprisal.
 
     The n-gram model needs no file-level classifier, so every test file is
-    scored; ranked rows carry the line's mean entropy in score_sum and a
-    file probability of 0.
+    scored; ranked rows carry the line's mean entropy as their score, no
+    hits and a file probability of 0. Ties in entropy break on path, then
+    line number.
     """
     model = NgramModel().fit(train)
-    flagged = [
-        RankedLine(f.release_id, f.path, line_number, hit_count=0, score_sum=score, file_probability=0.0)
-        for i, f in enumerate(test.files)
-        for line_number, score in line_entropies(model, test, i).items()
-        if score > threshold
-    ]
-    flagged.sort(key=lambda line: (-line.score_sum, line.file_path, line.line_number))
-    return MethodResult(method="ngram", ranked=flagged, file_probabilities={})
+    per_file = [line_entropies(model, test, i) for i in range(len(test.files))]
+    files = np.array([i for i, entropies in enumerate(per_file) for _ in entropies], dtype=np.int64)
+    lines = np.array([number for entropies in per_file for number in entropies], dtype=np.int64)
+    scores = np.array([score for entropies in per_file for score in entropies.values()], dtype=np.float64)
+    scored = Ranking(files, lines, np.zeros_like(files), scores, np.zeros(len(files))).take(scores > threshold)
+    order = np.lexsort((scored.lines, path_ranks(test)[scored.files], -scored.scores))
+    return MethodResult(method="ngram", ranked=scored.take(order), file_probabilities={})

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments, miner, pipeline
 from .config import FIELD_TYPES, RunConfig, load_config_file
-from .corpus import load_dataset, write_dataset
+from .corpus import ReleaseDataset, load_dataset, write_dataset
 from .evaluation import write_metrics_csv, write_stats_csv
 from .model import load_model, save_model
 from .util import write_csv
@@ -47,14 +48,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_ranked_csv(path: str, ranked, method: str | None = None) -> None:
-    extra = () if method is None else (method,)
-    rows = (
-        (rank, line.release_id, line.file_path, line.line_number, line.hit_count,
-         line.score_sum, line.file_probability) + extra
-        for rank, line in enumerate(ranked, start=1)
-    )
-    write_csv(path, RANKED_CSV_COLUMNS + (() if method is None else ("method",)), rows)
+def _write_ranked_csv(path: str, ranking: pipeline.Ranking, test: ReleaseDataset, method: str | None = None) -> None:
+    paths = [test.files[j].path for j in ranking.files.tolist()]
+    columns = [range(1, len(ranking) + 1), repeat(test.release_id), paths]
+    columns += [column.tolist() for column in (ranking.lines, ranking.hits, ranking.scores, ranking.probabilities)]
+    if method is not None:
+        columns.append(repeat(method))
+    write_csv(path, RANKED_CSV_COLUMNS + (() if method is None else ("method",)), zip(*columns))
 
 
 def _pick_release(releases, release_id: str):
@@ -154,7 +154,7 @@ def cmd_predict(args) -> int:
     [result] = experiments.run_methods(
         (method,), train, test, model, config, config.entropy_threshold_cross, config.seed
     )
-    _write_ranked_csv(args.out, result.ranked, method=method if args.method_column else None)
+    _write_ranked_csv(args.out, result.ranked, test, method=method if args.method_column else None)
     print(f"{method}: {len(result.ranked)} flagged lines; wrote {args.out}")
     return EXIT_OK
 

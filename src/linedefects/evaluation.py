@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .config import RunConfig
 from .corpus import ReleaseDataset
 from .util import write_csv
+
+if TYPE_CHECKING:
+    from .pipeline import Ranking
 
 # the six measures, in report and CSV order -> direction of the one-sided test when "ours" should be better
 METRIC_DIRECTIONS = {
@@ -115,20 +118,18 @@ def _file_starts(test: ReleaseDataset) -> np.ndarray:
     return np.cumsum([0, *(len(f.lines) for f in test.files)], dtype=np.int64)
 
 
-def line_positions(ranked: Sequence, test: ReleaseDataset) -> np.ndarray:
+def line_positions(ranking: Ranking, test: ReleaseDataset) -> np.ndarray:
     """Each ranked line's position in :func:`line_labels`: the lines of the files before its file, plus its number - 1.
 
     Raises ValueError for a line numbered outside its file, which would
     otherwise land in a neighbouring file.
     """
-    index = {f.path: j for j, f in enumerate(test.files)}
-    files = np.array([index[line.file_path] for line in ranked], dtype=np.int64)
-    numbers = np.array([line.line_number for line in ranked], dtype=np.int64)
+    files, numbers = ranking.files, ranking.lines
     starts = _file_starts(test)
     outside = np.flatnonzero((numbers < 1) | (numbers > starts[files + 1] - starts[files]))
     if len(outside):
-        line = ranked[int(outside[0])]
-        raise ValueError(f"ranked line {line.line_number} of {line.file_path!r} is outside the file")
+        row = int(outside[0])
+        raise ValueError(f"ranked line {numbers[row]} of {test.files[files[row]].path!r} is outside the file")
     return starts[files] + numbers - 1
 
 
@@ -180,13 +181,13 @@ def ifa(positions: np.ndarray, labels: np.ndarray) -> int | None:
 def evaluate_ranking(
     method: str,
     unit_id: str,
-    ranked: Sequence,
+    ranking: Ranking,
     test: ReleaseDataset,
     file_probs: dict[str, float] | None = None,
 ) -> MetricsReport:
     """All six measures for one method run on one test release."""
     labels = line_labels(test)
-    positions = line_positions(ranked, test)
+    positions = line_positions(ranking, test)
     c = confusion_counts(positions, labels)
     return MetricsReport(
         method=method,

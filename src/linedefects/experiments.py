@@ -26,7 +26,7 @@ from .evaluation import (
     wilcoxon_one_sided,
 )
 from .model import LogisticModel
-from .pipeline import MethodResult, RankedLine, RiskyTokenSet, flag_lines, identify_lines, run_linedp, train_file_model
+from .pipeline import MethodResult, Ranking, RiskyTokenSet, flag_lines, identify_lines, run_linedp, train_file_model
 from .util import derive_seed, pool_map, pool_workers
 
 # method -> the inputs it needs besides the test release: the file-level model, a training release
@@ -164,6 +164,8 @@ def _evaluate(
     """
     workers = pool_workers(config.parallelism, len(tasks), min_tasks)
     inner = config if workers < 2 else replace(config, parallelism=1)
+    if workers > 1:  # loaded here, the modules a unit calls reach every forked worker (see pool_map)
+        import scipy.linalg.lapack, scipy.optimize, scipy.sparse, scipy.special  # noqa: E401, F401
     reports: list[MetricsReport] = []
     observed: _Observed = {method: {metric: {} for metric in METRIC_DIRECTIONS} for method in methods}
     for group, unit in zip(groups, pool_map(unit_reports, tasks, (data, methods, inner), workers)):
@@ -288,13 +290,14 @@ def sensitivity_k(
     widest = replace(config, k_risky=max(k_grid), lime_k_features=max(config.lime_k_features, max(k_grid)))
     risky = run_linedp(train, test, widest).risky_tokens
 
-    def flagged_at(k: int) -> list[RankedLine]:
-        return [
-            line
-            for i, file in enumerate(test.files)
-            if file.path in risky
-            for line in flag_lines(test, i, RiskyTokenSet(risky[file.path].tokens[:k]))
-        ]
+    def flagged_at(k: int) -> Ranking:
+        return Ranking.concatenate(
+            [
+                flag_lines(test, i, RiskyTokenSet(risky[file.path].tokens[:k]))
+                for i, file in enumerate(test.files)
+                if file.path in risky
+            ]
+        )
 
     return _sweep("k", k_grid, flagged_at, test)
 
@@ -312,4 +315,4 @@ def sensitivity_entropy_threshold(
     recall and FAR are non-increasing in the threshold.
     """
     scored = ngram_entropy_baseline(train, test, min(thresholds, default=0.0)).ranked
-    return _sweep("threshold", thresholds, lambda t: [line for line in scored if line.score_sum > t], test)
+    return _sweep("threshold", thresholds, lambda t: scored.take(scored.scores > t), test)

@@ -8,8 +8,8 @@ contains a risky token, and rank all flagged lines globally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -44,16 +44,33 @@ class RiskyTokenSet:
         return cls(tokens=tuple(positive[:k]))
 
 
-@dataclass(frozen=True)
-class RankedLine:
-    """One flagged line; a ranking's list order is its rank."""
+@dataclass(frozen=True, eq=False)
+class Ranking:
+    """Flagged lines of one test release, one row per line in rank order: a line's rank is its row + 1."""
 
-    release_id: str
-    file_path: str
-    line_number: int
-    hit_count: int
-    score_sum: float
-    file_probability: float
+    files: np.ndarray  # int64, the line's file as an index into the release's files
+    lines: np.ndarray  # int64, the 1-based line number
+    hits: np.ndarray  # int64, distinct risky tokens on the line
+    scores: np.ndarray  # float64, their score sum, or the line's mean entropy for the n-gram baseline
+    probabilities: np.ndarray  # float64, the file's defect probability
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def take(self, order) -> "Ranking":
+        """The rows that ``order``, an index array, a boolean mask or a slice, selects, in its order."""
+        return Ranking(*(getattr(self, f.name)[order] for f in fields(self)))
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["Ranking"]) -> "Ranking":
+        """The rows of ``parts``, one part after another; no parts give no rows."""
+        dtypes = (np.int64, np.int64, np.int64, np.float64, np.float64)
+        return cls(
+            *(
+                np.concatenate([np.zeros(0, dtype), *(getattr(part, f.name) for part in parts)])
+                for f, dtype in zip(fields(cls), dtypes)
+            )
+        )
 
 
 @dataclass
@@ -61,20 +78,15 @@ class MethodResult:
     """Uniform output of the pipeline and every baseline."""
 
     method: str
-    ranked: list[RankedLine]
+    ranked: Ranking
     file_probabilities: dict[str, float]
     risky_tokens: dict[str, RiskyTokenSet] | None = None
 
 
-def select_risky_tokens(expl: Explanation, k_risky: int = RunConfig.k_risky) -> RiskyTokenSet:
-    """Keep the k largest strictly positive scores; ties break on token text."""
-    return RiskyTokenSet.top_positive(expl.scores.items(), k_risky)
-
-
 def flag_lines(
     release: ReleaseDataset, index: int, risky: RiskyTokenSet, file_probability: float = 1.0
-) -> list[RankedLine]:
-    """Flag every line of ``release.files[index]`` containing at least one risky token (unranked records).
+) -> Ranking:
+    """Flag every line of ``release.files[index]`` containing at least one risky token; rows in line order, unranked.
 
     The hit count is the number of DISTINCT risky tokens present in the
     line; repeated occurrences of the same token do not accumulate. The
@@ -85,38 +97,26 @@ def flag_lines(
     flagged, slot, hit_counts = np.unique(numbers, return_inverse=True, return_counts=True)
     # bincount adds each line's scores in the order of the occurrences, the tokens' text order
     score_sums = np.bincount(slot, weights=np.array([score for _, score in risky.tokens])[words], minlength=len(flagged))
-    file = release.files[index]
-    return [
-        RankedLine(
-            release_id=file.release_id,
-            file_path=file.path,
-            line_number=number,
-            hit_count=count,
-            score_sum=score,
-            file_probability=file_probability,
-        )
-        for number, count, score in zip(flagged.tolist(), hit_counts.tolist(), score_sums.tolist())
-    ]
+    files = np.full(len(flagged), index, dtype=np.int64)
+    return Ranking(files, flagged, hit_counts, score_sums, np.full(len(flagged), file_probability))
 
 
-def rank_lines_global(flagged: list[RankedLine]) -> list[RankedLine]:
-    """Total order over all flagged lines of all predicted-defective files.
+def path_ranks(release: ReleaseDataset) -> np.ndarray:
+    """Each file's rank among the release's paths, which may come in any order: the inverse of the path order.
 
-    A line's rank is its 1-based position in the returned list. Keys: hit
-    count desc, score sum desc, file probability desc, then (path, line
-    number) asc as the final deterministic tie break.
+    Paths compare as Python strings: a numpy string array would drop their trailing NULs.
     """
-    return sorted(
-        flagged,
-        key=lambda f: (
-            -f.hit_count,
-            -f.score_sum,
-            -f.file_probability,
-            f.release_id,
-            f.file_path,
-            f.line_number,
-        ),
-    )
+    return np.argsort(sorted(range(len(release.files)), key=lambda j: release.files[j].path))
+
+
+def rank_lines_global(flagged: Ranking, release: ReleaseDataset) -> Ranking:
+    """Total order over all flagged lines of the defect-prone files of ``release``.
+
+    Keys: hit count desc, score sum desc, file probability desc, then
+    (path, line number) asc as the final deterministic tie break.
+    """
+    keys = (flagged.lines, path_ranks(release)[flagged.files], -flagged.probabilities, -flagged.scores, -flagged.hits)
+    return flagged.take(np.lexsort(keys))
 
 
 def train_file_model(train: ReleaseDataset | list[ReleaseDataset]) -> LogisticModel:
@@ -176,16 +176,17 @@ def identify_lines(
         for i in files
     ]
     workers = pool_workers(config.parallelism, len(tasks), min_tasks=4)
+    if workers > 1:  # loaded here, the modules an explanation calls reach every forked worker (see pool_map)
+        import scipy.linalg.lapack, scipy.special  # noqa: E401, F401
     explanations = pool_map(_explain_file, tasks, (model, config), workers)
     risky_sets = {
-        test.files[i].path: select_risky_tokens(expl, config.k_risky) for i, expl in zip(files, explanations)
+        test.files[i].path: RiskyTokenSet.top_positive(expl.scores.items(), config.k_risky)
+        for i, expl in zip(files, explanations)
     }
-    flagged = [
-        line
-        for i in files
-        for line in flag_lines(test, i, risky_sets[test.files[i].path], file_probs[test.files[i].path])
-    ]
-    return MethodResult("linedp", rank_lines_global(flagged), file_probs, risky_tokens=risky_sets)
+    flagged = Ranking.concatenate(
+        [flag_lines(test, i, risky_sets[test.files[i].path], file_probs[test.files[i].path]) for i in files]
+    )
+    return MethodResult("linedp", rank_lines_global(flagged, test), file_probs, risky_tokens=risky_sets)
 
 
 def run_linedp(

@@ -96,15 +96,12 @@ def pool_map(fn: Callable, tasks: Sequence, shared: tuple, workers: int) -> list
     Runs in this process when ``workers`` is below 2. Otherwise ``fn`` and
     ``shared`` reach each worker once, through the pool's initializer, and
     only the tasks are sent per call. Results come back in task order, and
-    an exception raised by ``fn`` is raised here.
+    an exception raised by ``fn`` is raised here. A forked worker inherits
+    the modules loaded here, but one first imported inside a task is imported
+    again by every worker of every pool: a caller imports what ``fn`` calls.
     """
     if workers < 2:
         return [fn(*shared, task) for task in tasks]
-    # A forked worker inherits the modules loaded here, but a module first imported
-    # inside a task is imported again by every worker of every pool. The pooled tasks
-    # (explanations, CV splits and release pairs) call these scipy modules.
-    import scipy.linalg.lapack, scipy.optimize, scipy.sparse, scipy.special  # noqa: E401, F401
-
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=_POOL_CONTEXT, initializer=_start_worker, initargs=(fn, shared)
     ) as pool:

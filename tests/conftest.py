@@ -7,6 +7,7 @@ import pytest
 
 from linedefects.config import RunConfig
 from linedefects.corpus import LineRecord, ReleaseDataset, SourceFile, TokenTable, Vocabulary
+from linedefects.pipeline import Ranking
 from linedefects.synthetic import make_release_series
 
 
@@ -50,6 +51,34 @@ def assert_same_table(actual: TokenTable, expected: TokenTable) -> None:
 def file_at(release: ReleaseDataset, path: str) -> SourceFile:
     """The file of ``release`` at ``path``."""
     return next(f for f in release.files if f.path == path)
+
+
+def ranking_rows(ranking: Ranking, release: ReleaseDataset) -> list[tuple[str, int, int, float, float]]:
+    """Each row of ``ranking`` as (path, line, hits, score, probability), in rank order."""
+    paths = [release.files[j].path for j in ranking.files.tolist()]
+    return list(
+        zip(
+            paths,
+            ranking.lines.tolist(),
+            ranking.hits.tolist(),
+            ranking.scores.tolist(),
+            ranking.probabilities.tolist(),
+        )
+    )
+
+
+def ranking_of(release: ReleaseDataset, rows) -> Ranking:
+    """A ranking of ``release``'s lines from (path, line, hits, score, probability) rows, in row order."""
+    index = {f.path: j for j, f in enumerate(release.files)}
+    rows = list(rows)
+    paths, lines, hits, scores, probabilities = zip(*rows) if rows else ((),) * 5
+    return Ranking(
+        np.array([index[path] for path in paths], dtype=np.int64),
+        np.array(lines, dtype=np.int64),
+        np.array(hits, dtype=np.int64),
+        np.array(scores, dtype=np.float64),
+        np.array(probabilities, dtype=np.float64),
+    )
 
 
 def defective_line_numbers(f: SourceFile) -> set[int]:

@@ -18,7 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from linedefects.corpus import FeatureVector, SourceFile, TokenTable, Vocabulary
-from linedefects.pipeline import RankedLine, RiskyTokenSet
+from linedefects.pipeline import RiskyTokenSet
+from reference_ranking import RankedLine
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 

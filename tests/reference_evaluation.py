@@ -1,7 +1,7 @@
 """Reference evaluation: the dict-based measures that ``linedefects.evaluation`` is checked against.
 
 Each line of the test release is a ``(path, line_number)`` key in a truth
-dict, the way ``linedefects.evaluation`` scored rankings before it read the
+dict, and a ranking is a list of such keys, the way ``linedefects.evaluation`` scored rankings before it read the
 release's label column by position. The positional measures must give the
 same :class:`MetricsReport`, field for field.
 """
@@ -9,7 +9,7 @@ same :class:`MetricsReport`, field for field.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from linedefects.corpus import ReleaseDataset
 from linedefects.evaluation import ConfusionCounts, MetricsReport, detection_rates, mcc
@@ -44,12 +44,8 @@ def confusion_counts(predicted: set, truth: dict) -> ConfusionCounts:
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def ranking_keys(ranked: Iterable) -> list[tuple[str, int]]:
-    return [(line.file_path, line.line_number) for line in ranked]
-
-
 def recall_at_top_kloc(
-    ranked: Sequence,
+    ranked: Sequence[tuple[str, int]],
     truth: dict[tuple[str, int], bool],
     file_probs: dict[str, float] | None = None,
     k_pct: float = 20.0,
@@ -69,7 +65,7 @@ def recall_at_top_kloc(
     budget = int(k_pct / 100.0 * total_loc)
     if budget <= 0:
         return 0.0
-    order = ranking_keys(ranked)
+    order = list(ranked)
     if budget > len(order):
         probs = file_probs or {}
         ranked_set = set(order)
@@ -82,33 +78,32 @@ def recall_at_top_kloc(
     return hits / total_defective
 
 
-def ifa(ranked: Sequence, truth: dict[tuple[str, int], bool]) -> int | None:
+def ifa(ranked: Sequence[tuple[str, int]], truth: dict[tuple[str, int], bool]) -> int | None:
     """Clean lines inspected before the first defective line in the ranking.
 
     Returns None for an empty ranking. If no ranked line is defective the
     count saturates at the ranking length.
     """
-    order = ranking_keys(ranked)
-    if not order:
+    if not ranked:
         return None
     clean_seen = 0
-    for key in order:
+    for key in ranked:
         if truth.get(key, False):
             return clean_seen
         clean_seen += 1
-    return len(order)
+    return len(ranked)
 
 
 def evaluate_ranking(
     method: str,
     unit_id: str,
-    ranked: Sequence,
+    ranked: Sequence[tuple[str, int]],
     test: ReleaseDataset,
     file_probs: dict[str, float] | None = None,
 ) -> MetricsReport:
-    """All six measures for one method run on one test release, from the truth dict."""
+    """All six measures for one method run on one test release, from the truth dict and (path, line) keys."""
     truth = line_truth(test)
-    c = confusion_counts(set(ranking_keys(ranked)), truth)
+    c = confusion_counts(set(ranked), truth)
     return MetricsReport(
         method=method,
         unit_id=unit_id,

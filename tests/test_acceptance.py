@@ -41,7 +41,7 @@ from linedefects.model import LogisticModel, TrainMeta
 from linedefects.pipeline import predict_files, run_linedp, train_file_model
 from linedefects.synthetic import PLANTED_TOKENS, make_release_series
 
-from conftest import release_of_files, vocab_of
+from conftest import ranking_of, release_of_files, vocab_of
 
 DATA_DIR = Path(os.environ.get("LINEDEFECTS_DATA", Path(__file__).parent.parent / "data" / "published"))
 
@@ -266,11 +266,9 @@ def test_criterion_8_runtime_budget():
 
 def test_criterion_9_ifa_convention():
     release = release_of_files("r", {"f": [("a", True), ("b", False), ("c", True)]})
-    from linedefects.pipeline import RankedLine, rank_lines_global
+    from linedefects.pipeline import rank_lines_global
 
-    ranked = rank_lines_global(
-        [RankedLine("r", "f", 1, 2, 1.0, 0.9), RankedLine("r", "f", 2, 1, 0.5, 0.9)]
-    )
+    ranked = rank_lines_global(ranking_of(release, [("f", 2, 1, 0.5, 0.9), ("f", 1, 2, 1.0, 0.9)]), release)
     assert ifa(line_positions(ranked, release), line_labels(release)) == 0
     report = evaluate_ranking("linedp", "u", ranked, release)
     assert report.ifa == 0

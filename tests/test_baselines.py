@@ -23,7 +23,7 @@ from linedefects.model import LogisticModel, TrainMeta
 from linedefects.pipeline import predict_files, train_file_model
 from linedefects.synthetic import PLANTED_TOKENS
 
-from conftest import file_at, release_of_files
+from conftest import file_at, ranking_rows, release_of_files
 
 
 @pytest.fixture(scope="module")
@@ -44,13 +44,13 @@ class TestRandomBaseline:
         train, test, model = trained
         a = random_baseline(test, model.vocab, predict_files(model, test), seed=5)
         b = random_baseline(test, model.vocab, predict_files(model, test), seed=5)
-        assert a.ranked == b.ranked
+        assert ranking_rows(a.ranked, test) == ranking_rows(b.ranked, test)
 
     def test_different_seeds_differ(self, trained):
         train, test, model = trained
         a = random_baseline(test, model.vocab, predict_files(model, test), seed=5)
         b = random_baseline(test, model.vocab, predict_files(model, test), seed=6)
-        assert a.ranked != b.ranked
+        assert ranking_rows(a.ranked, test) != ranking_rows(b.ranked, test)
 
     def test_tokenless_file_never_flagged(self):
         # one defect-prone file with no in-vocabulary tokens at all
@@ -58,7 +58,7 @@ class TestRandomBaseline:
         always_defective = LogisticModel(weights=np.zeros(1), bias=5.0, vocab=vocab, train_meta=TrainMeta(0, True, 0.0))
         test = release_of_files("r", {"Empty.java": [(";;;", False), ("###", False)]})
         result = random_baseline(test, vocab, predict_files(always_defective, test), seed=0)
-        assert result.ranked == []
+        assert len(result.ranked) == 0
 
     def test_risky_fraction_matches_binomial_oracle(self):
         # fraction of tokens marked risky ~ E[min(20, Binomial(D, 1/2))] / D
@@ -72,8 +72,8 @@ class TestRandomBaseline:
             for seed in range(1000):
                 result = random_baseline(release, vocab, predicted, k_risky=20, seed=seed)
                 # the single line holds every token, so its hit count equals |risky set|
-                if result.ranked:
-                    fractions.append(result.ranked[0].hit_count / d)
+                if len(result.ranked):
+                    fractions.append(result.ranked.hits[0] / d)
                 else:
                     fractions.append(0.0)
             expected = sum(
@@ -84,7 +84,7 @@ class TestRandomBaseline:
     def test_ranking_is_random_permutation_of_flagged(self, trained):
         train, test, model = trained
         result = random_baseline(test, model.vocab, predict_files(model, test), seed=11)
-        keys = [(r.file_path, r.line_number) for r in result.ranked]
+        keys = [(path, line) for path, line, *_ in ranking_rows(result.ranked, test)]
         assert len(set(keys)) == len(keys)
 
 
@@ -102,8 +102,8 @@ class TestTmiLrBaseline:
         global_set = {t for t, _ in result.risky_tokens["*"].tokens}
         from linedefects.corpus import tokenize
 
-        for r in result.ranked:
-            content = file_at(test, r.file_path).lines[r.line_number - 1].content
+        for path, line, *_ in ranking_rows(result.ranked, test):
+            content = file_at(test, path).lines[line - 1].content
             assert set(tokenize(content)) & global_set
 
     def test_all_negative_coefficients_flag_nothing(self):
@@ -120,7 +120,7 @@ class TestTmiLrBaseline:
         test = release_of_files("s", {"X.java": [("tok tok", False)]})
         model = train_file_model(train)
         result = tmi_lr_baseline(train, test, model.vocab, predict_files(model, test))
-        assert result.ranked == []
+        assert len(result.ranked) == 0
 
     def test_converged_fit_does_not_warn(self, trained):
         train, test, model = trained
@@ -165,7 +165,7 @@ class TestNgramModel:
         # not flagged at any positive threshold
         for threshold in (0.01, 0.1, 0.7, 2.0):
             result = ngram_entropy_baseline(train, test, threshold)
-            assert result.ranked == []
+            assert len(result.ranked) == 0
 
     def test_unseen_tokens_get_max_surprisal_and_rank_first(self):
         train = single_file_release("t", ["alpha beta gamma delta;"] * 20)
@@ -173,12 +173,12 @@ class TestNgramModel:
             "s", ["alpha beta gamma delta;", "qq ww ee rr;"], defective={2}
         )
         result = ngram_entropy_baseline(train, test, threshold=0.6)
-        assert result.ranked
-        assert result.ranked[0].line_number == 2
+        assert len(result.ranked)
+        assert result.ranked.lines[0] == 2
         floor_surprisal = -np.log2(
             (1 - JM_ML_WEIGHT) ** 6 / (len(NgramModel().fit(train).vocabulary) + 1)
         )
-        assert result.ranked[0].score_sum <= floor_surprisal + 1.0
+        assert result.ranked.scores[0] <= floor_surprisal + 1.0
 
     def test_empty_line_never_flagged(self):
         train = single_file_release("t", ["alpha beta;"] * 10)
@@ -229,6 +229,6 @@ class TestSharedResultSchema:
         ]
         assert [r.method for r in results] == ["linedp", "random", "tmi_lr", "ngram"]
         for result in results:
-            assert len({(line.file_path, line.line_number) for line in result.ranked}) == len(result.ranked)
-            for line in result.ranked:
-                assert line.line_number >= 1
+            keys = [(path, line) for path, line, *_ in ranking_rows(result.ranked, test)]
+            assert len(set(keys)) == len(keys)
+            assert all(line >= 1 for _, line in keys)

@@ -34,10 +34,10 @@ from linedefects.evaluation import (
     stratified_kfold,
     wilcoxon_one_sided,
 )
-from linedefects.pipeline import RankedLine
+from linedefects.pipeline import Ranking
 from linedefects.synthetic import make_release_series
 
-from conftest import release_of_files
+from conftest import ranking_of, release_of_files
 
 
 class TestBasicMeasures:
@@ -99,19 +99,9 @@ class TestBasicMeasures:
             assert mcc(c) == expected_mcc
 
 
-def ranked_of(keys, probs=None):
-    probs = probs or {}
-    return [
-        RankedLine(
-            release_id="r",
-            file_path=path,
-            line_number=line,
-            hit_count=1,
-            score_sum=0.0,
-            file_probability=probs.get(path, 0.5),
-        )
-        for path, line in keys
-    ]
+def ranked_of(release, keys):
+    """A ranking of ``release``'s (path, line) ``keys``, in their order."""
+    return ranking_of(release, [(path, line, 1, 0.0, 0.5) for path, line in keys])
 
 
 class TestMeasureNames:
@@ -151,7 +141,7 @@ class TestEffortMeasures:
                 "x": [("e", False)] * 6,
             },
         )
-        ranked = line_positions(ranked_of([("x", 1)]), release)
+        ranked = line_positions(ranked_of(release, [("x", 1)]), release)
         probs = {"hot": 0.9, "cold": 0.2, "x": 0.1}
         order = inspection_order(ranked, release, probs)
         # files sort by path: cold at 0-1, hot at 2-3, x at 4-9
@@ -189,7 +179,7 @@ class TestLinePositions:
     def test_lines_are_numbered_file_after_file(self):
         release = release_of_files("r", {"a": [("x", True), ("y", False)], "b": [("z", False)] * 3})
         assert line_labels(release).tolist() == [True, False, False, False, False]
-        ranked = ranked_of([("b", 3), ("a", 1), ("b", 1), ("a", 2)])
+        ranked = ranked_of(release, [("b", 3), ("a", 1), ("b", 1), ("a", 2)])
         assert line_positions(ranked, release).tolist() == [4, 0, 2, 1]
 
     @pytest.mark.parametrize("key", [("a", 3), ("a", 0), ("b", 4), ("b", -1)])
@@ -197,12 +187,13 @@ class TestLinePositions:
         # a's line 3 would otherwise be b's line 1
         release = release_of_files("r", {"a": [("x", True), ("y", False)], "b": [("z", False)] * 3})
         with pytest.raises(ValueError, match=f"ranked line {key[1]} of {key[0]!r} is outside the file"):
-            line_positions(ranked_of([("a", 1), key]), release)
+            line_positions(ranked_of(release, [("a", 1), key]), release)
 
-    def test_line_of_another_file_raises(self):
+    def test_file_outside_the_release_raises(self):
         release = release_of_files("r", {"a": [("x", True)]})
-        with pytest.raises(KeyError):
-            line_positions(ranked_of([("elsewhere", 1)]), release)
+        one = np.ones(1, dtype=np.int64)
+        with pytest.raises(IndexError):
+            line_positions(Ranking(one, one, one, np.zeros(1), np.zeros(1)), release)
 
 
 class TestStratifiedKfold:

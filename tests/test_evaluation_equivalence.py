@@ -18,18 +18,19 @@ from hypothesis import assume, given, settings, strategies as st
 from linedefects.config import RunConfig
 from linedefects.evaluation import MetricsReport, evaluate_ranking
 from linedefects.experiments import ALL_METHODS, run_methods
-from linedefects.pipeline import RankedLine, train_file_model
+from linedefects.pipeline import train_file_model
 from linedefects.synthetic import make_release_series
 
 import reference_evaluation
-from conftest import release_of_files
+from conftest import ranking_of, ranking_rows, release_of_files
 
 CONFIG = RunConfig(lime_n=300, parallelism=1)
 
 
-def assert_same_report(ranked, test, file_probs) -> None:
-    actual = evaluate_ranking("m", "u", ranked, test, file_probs)
-    expected = reference_evaluation.evaluate_ranking("m", "u", ranked, test, file_probs)
+def assert_same_report(ranking, test, file_probs) -> None:
+    actual = evaluate_ranking("m", "u", ranking, test, file_probs)
+    keys = [(path, line) for path, line, *_ in ranking_rows(ranking, test)]
+    expected = reference_evaluation.evaluate_ranking("m", "u", keys, test, file_probs)
     for field in fields(MetricsReport):
         a, e = getattr(actual, field.name), getattr(expected, field.name)
         assert type(a) is type(e) and a == e, (field.name, a, e)
@@ -47,7 +48,7 @@ def method_runs(request):
 def test_every_method_ranking_matches_oracle(method_runs, method):
     test, results = method_runs
     (result,) = [r for r in results if r.method == method]
-    assert result.ranked, "an empty ranking leaves the comparison untested"
+    assert len(result.ranked), "an empty ranking leaves the comparison untested"
     assert_same_report(result.ranked, test, result.file_probabilities)
 
 
@@ -56,8 +57,9 @@ def test_every_method_ranking_matches_oracle(method_runs, method):
 def test_truncated_ranking_matches_oracle(method_runs, method, length):
     test, results = method_runs
     (result,) = [r for r in results if r.method == method]
-    assert_same_report(result.ranked[:length], test, result.file_probabilities)
-    assert_same_report(result.ranked[:length], test, None)
+    truncated = result.ranked.take(slice(length))
+    assert_same_report(truncated, test, result.file_probabilities)
+    assert_same_report(truncated, test, None)
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
@@ -65,7 +67,7 @@ def test_shuffled_ranking_matches_oracle(method_runs, method):
     test, results = method_runs
     (result,) = [r for r in results if r.method == method]
     order = np.random.default_rng(len(result.ranked)).permutation(len(result.ranked))
-    assert_same_report([result.ranked[i] for i in order], test, result.file_probabilities)
+    assert_same_report(result.ranked.take(order), test, result.file_probabilities)
 
 
 @st.composite
@@ -77,7 +79,8 @@ def ranked_releases(draw):
         "r", {f"F{j}.java": [("x", draw(st.booleans())) for _ in range(n)] for j, n in enumerate(sizes)}
     )
     keys = [(f.path, line.number) for f in release.files for line in f.lines]
-    ranked = [RankedLine("r", path, number, 1, 0.0, 0.5) for path, number in draw(st.lists(st.sampled_from(keys)))]
+    drawn = draw(st.lists(st.sampled_from(keys)))
+    ranked = ranking_of(release, [(path, number, 1, 0.0, 0.5) for path, number in drawn])
     paths = [f.path for f in release.files]
     probs = draw(st.none() | st.dictionaries(st.sampled_from(paths), st.sampled_from([0.1, 0.5, 0.9])))
     return release, ranked, probs

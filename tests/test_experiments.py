@@ -14,6 +14,8 @@ from linedefects.experiments import ALL_METHODS, cross_release_eval, within_rele
 from linedefects.pipeline import train_file_model
 from linedefects.synthetic import make_release_series
 
+from conftest import ranking_rows
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -193,7 +195,8 @@ class TestOnePredictionPerUnit:
 
         def result(methods):
             results = experiments.run_methods(methods, train, test, model, quick_config, 0.6, seed=3)
-            return results[methods.index(method)]
+            r = results[methods.index(method)]
+            return r.method, ranking_rows(r.ranked, test), r.file_probabilities, r.risky_tokens
 
         alone = result((method,))
         assert result(ALL_METHODS) == alone

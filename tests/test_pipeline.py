@@ -3,46 +3,43 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from linedefects.corpus import tokenize
+from linedefects.corpus import ReleaseDataset, tokenize
 from linedefects.evaluation import evaluate_ranking
 from linedefects.experiments import sensitivity_k
 from linedefects.explain import Explanation
-from linedefects.pipeline import (
-    RankedLine,
-    RiskyTokenSet,
-    flag_lines,
-    rank_lines_global,
-    run_linedp,
-    select_risky_tokens,
-)
+from linedefects.pipeline import RiskyTokenSet, flag_lines, rank_lines_global, run_linedp
 from linedefects.synthetic import PLANTED_TOKENS
 
-from conftest import file_at, release_of_files, unseen_token_pair
+from conftest import file_at, ranking_of, ranking_rows, release_of_files, unseen_token_pair
 
 
 def explanation_of(scores: dict[str, float]) -> Explanation:
     return Explanation(scores=scores, fidelity_r2=0.0)
 
 
-class TestSelectRiskyTokens:
+def risky_of(expl: Explanation, k: int = 20) -> RiskyTokenSet:
+    return RiskyTokenSet.top_positive(expl.scores.items(), k)
+
+
+class TestTopPositive:
     def test_positive_scores_kept_in_order(self):
         expl = explanation_of({"node": 0.8, "current": 0.1})
-        risky = select_risky_tokens(expl)
+        risky = risky_of(expl)
         assert risky.tokens == (("node", 0.8), ("current", 0.1))
 
     def test_all_negative_gives_empty_set(self):
         expl = explanation_of({"a": -0.2, "b": -0.9})
-        assert select_risky_tokens(expl).tokens == ()
+        assert risky_of(expl).tokens == ()
 
     def test_truncates_to_largest_k(self):
         scores = {f"t{i:02d}": float(i + 1) for i in range(30)}
-        risky = select_risky_tokens(explanation_of(scores), k_risky=20)
+        risky = risky_of(explanation_of(scores), k=20)
         # sort oracle: the 20 largest by score
         expected = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:20]
         assert list(risky.tokens) == expected
 
     def test_tie_break_is_lexicographic(self):
-        risky = select_risky_tokens(explanation_of({"zz": 0.5, "aa": 0.5, "mm": 0.5}), k_risky=2)
+        risky = risky_of(explanation_of({"zz": 0.5, "aa": 0.5, "mm": 0.5}), k=2)
         assert [t for t, _ in risky.tokens] == ["aa", "mm"]
 
 
@@ -54,64 +51,63 @@ class TestFlagLines:
         )
         risky = RiskyTokenSet(tokens=(("A", 0.5), ("B", 0.4), ("E", 0.3)))
         flagged = flag_lines(release, 0, risky)
-        by_line = {f.line_number: f for f in flagged}
-        assert by_line[1].hit_count == 2
-        assert by_line[2].hit_count == 1
-        assert by_line[1].hit_count > by_line[2].hit_count
+        assert ranking_rows(flagged, release) == [("F.java", 1, 2, 0.5 + 0.4, 1.0), ("F.java", 2, 1, 0.3, 1.0)]
 
     def test_empty_risky_set_flags_nothing(self):
         release = release_of_files("r", {"F.java": [("a b", False)]})
-        assert flag_lines(release, 0, RiskyTokenSet(tokens=())) == []
+        assert len(flag_lines(release, 0, RiskyTokenSet(tokens=()))) == 0
 
     def test_repeated_token_counts_once(self):
         release = release_of_files("r", {"F.java": [("node node", False)]})
         risky = RiskyTokenSet(tokens=(("node", 0.9),))
-        (flagged,) = flag_lines(release, 0, risky)
-        assert flagged.hit_count == 1
-        assert flagged.score_sum == pytest.approx(0.9)
+        assert ranking_rows(flag_lines(release, 0, risky, 0.7), release) == [("F.java", 1, 1, 0.9, 0.7)]
 
     def test_matching_is_exact_and_case_sensitive(self):
         release = release_of_files("r", {"F.java": [("Node nodeFactory", False)]})
         risky = RiskyTokenSet(tokens=(("node", 0.9),))
-        assert flag_lines(release, 0, risky) == []
+        assert len(flag_lines(release, 0, risky)) == 0
 
 
-def flagged(path, line, hit, score=0.0, prob=0.5, release="r"):
-    return RankedLine(
-        release_id=release,
-        file_path=path,
-        line_number=line,
-        hit_count=hit,
-        score_sum=score,
-        file_probability=prob,
-    )
+# files out of path order, as a release built in memory may hold them
+_sorted = release_of_files("r", {path: [("x", False)] * 30 for path in ("a", "a\x00", "b", "f")})
+RELEASE = ReleaseDataset("r", _sorted.release_date, _sorted.files[::-1])
+
+
+def flagged(path, line, hit, score=0.0, prob=0.5):
+    return (path, line, hit, score, prob)
+
+
+def ranked(rows):
+    """``rows`` of RELEASE's lines, as ``flagged`` makes them, in rank order."""
+    return ranking_rows(rank_lines_global(ranking_of(RELEASE, rows), RELEASE), RELEASE)
 
 
 class TestRankLinesGlobal:
     def test_hit_count_dominates(self):
-        ranked = rank_lines_global([flagged("a", 1, 1), flagged("b", 2, 2)])
-        assert [r.file_path for r in ranked] == ["b", "a"]
+        assert [row[0] for row in ranked([flagged("a", 1, 1), flagged("b", 2, 2)])] == ["b", "a"]
 
     def test_score_sum_breaks_hit_ties(self):
-        ranked = rank_lines_global([flagged("a", 1, 2, score=0.5), flagged("b", 2, 2, score=0.9)])
-        assert ranked[0].file_path == "b"
+        assert ranked([flagged("a", 1, 2, score=0.5), flagged("b", 2, 2, score=0.9)])[0][0] == "b"
 
     def test_probability_breaks_score_ties(self):
-        ranked = rank_lines_global(
-            [flagged("a", 1, 2, score=0.5, prob=0.6), flagged("b", 2, 2, score=0.5, prob=0.9)]
-        )
-        assert ranked[0].file_path == "b"
+        rows = ranked([flagged("a", 1, 2, score=0.5, prob=0.6), flagged("b", 2, 2, score=0.5, prob=0.9)])
+        assert rows[0][0] == "b"
 
     def test_fully_tied_keys_order_by_path_then_line(self):
-        ranked = rank_lines_global(
-            [flagged("b", 9, 1), flagged("a", 7, 1), flagged("a", 3, 1)]
-        )
-        assert [(r.file_path, r.line_number) for r in ranked] == [("a", 3), ("a", 7), ("b", 9)]
+        rows = ranked([flagged("b", 9, 1), flagged("a", 7, 1), flagged("a", 3, 1)])
+        assert [row[:2] for row in rows] == [("a", 3), ("a", 7), ("b", 9)]
+
+    def test_paths_compare_as_python_strings(self):
+        # a numpy string array would drop the trailing NUL, tie the two paths and keep the release's file order
+        rows = ranked([flagged("a\x00", 1, 1), flagged("a", 2, 1)])
+        assert [row[0] for row in rows] == ["a", "a\x00"]
 
     def test_ranks_are_a_permutation(self):
         lines = [flagged("f", i, (i % 3) + 1, score=i * 0.1) for i in range(1, 30)]
-        ranked = rank_lines_global(lines)
-        assert sorted(ranked, key=lambda r: r.line_number) == lines
+        assert sorted(ranked(lines), key=lambda row: row[1]) == lines
+
+    def test_empty_ranking(self):
+        assert ranked([]) == []
 
 
 class TestRunPipeline:
@@ -127,7 +123,7 @@ class TestRunPipeline:
         )
         test = release_of_files("s", {"X.java": [("calm quiet", False), ("calm calm", False)]})
         result = run_linedp(train, test, fast_config)
-        assert result.ranked == []
+        assert len(result.ranked) == 0
 
     def test_planted_tokens_dominate_top_ranks(self, small_planted_pair, fast_config):
         from dataclasses import replace
@@ -135,13 +131,12 @@ class TestRunPipeline:
         train, test = small_planted_pair
         # a tight risky budget keeps only the strongest tokens, i.e. the planted ones
         result = run_linedp(train, test, replace(fast_config, k_risky=3))
-        assert result.ranked, "expected flagged lines"
-        top = result.ranked[: max(5, len(result.ranked) // 10)]
+        assert len(result.ranked), "expected flagged lines"
+        top = ranking_rows(result.ranked, test)[: max(5, len(result.ranked) // 10)]
         with_planted = sum(
             1
-            for r in top
-            if set(tokenize(file_at(test, r.file_path).lines[r.line_number - 1].content))
-            & set(PLANTED_TOKENS)
+            for path, line, *_ in top
+            if set(tokenize(file_at(test, path).lines[line - 1].content)) & set(PLANTED_TOKENS)
         )
         assert with_planted / len(top) >= 0.8
 
@@ -149,16 +144,16 @@ class TestRunPipeline:
         train, test = small_planted_pair
         a = run_linedp(train, test, fast_config)
         b = run_linedp(train, test, fast_config)
-        assert a.ranked == b.ranked
+        assert ranking_rows(a.ranked, test) == ranking_rows(b.ranked, test)
         assert a.file_probabilities == b.file_probabilities
 
     def test_flagged_lines_recheck_against_risky_tokens(self, small_planted_pair, fast_config):
         # every ranked line must contain >= 1 of its file's risky tokens
         train, test = small_planted_pair
         result = run_linedp(train, test, fast_config)
-        for r in result.ranked:
-            risky = {t for t, _ in result.risky_tokens[r.file_path].tokens}
-            content = file_at(test, r.file_path).lines[r.line_number - 1].content
+        for path, line, *_ in ranking_rows(result.ranked, test):
+            risky = {t for t, _ in result.risky_tokens[path].tokens}
+            content = file_at(test, path).lines[line - 1].content
             assert set(tokenize(content)) & risky
 
     def test_parallel_matches_sequential(self, small_planted_pair, fast_config):
@@ -169,7 +164,7 @@ class TestRunPipeline:
         serial = run_linedp(train, test, fast_config)
         parallel = run_linedp(train, test, parallel_config)
         assert sum(p > 0.5 for p in serial.file_probabilities.values()) >= 4  # enough files for the pool
-        assert serial.ranked == parallel.ranked
+        assert ranking_rows(serial.ranked, test) == ranking_rows(parallel.ranked, test)
         grid = (5, 10, 40)
         assert sensitivity_k(train, test, grid, fast_config) == sensitivity_k(train, test, grid, parallel_config)
 
@@ -178,7 +173,7 @@ class TestRunPipeline:
         result = run_linedp(train, test, fast_config)
         assert result.file_probabilities["X.java"] > 0.5
         assert result.risky_tokens["X.java"].tokens == ()
-        assert {r.file_path for r in result.ranked} == {"Y.java"}
+        assert {row[0] for row in ranking_rows(result.ranked, test)} == {"Y.java"}
         # X.java's defective line stays in the universe as a missed line
         report = evaluate_ranking("linedp", "u", result.ranked, test, result.file_probabilities)
         assert report.recall == pytest.approx(0.5)
@@ -214,15 +209,13 @@ class TestRiskySetNesting:
         expl = explanation_of(scores)
         previous: set[str] = set()
         for k in (1, 5, 10, 20, 40):
-            current = {t for t, _ in select_risky_tokens(expl, k).tokens}
+            current = {t for t, _ in risky_of(expl, k).tokens}
             assert previous <= current
             previous = current
 
     def test_positive_rescaling_preserves_selection_and_order(self):
         rng = np.random.default_rng(0)
         scores = {f"t{i:02d}": float(v) for i, v in enumerate(rng.normal(size=25))}
-        base = select_risky_tokens(explanation_of(scores), k_risky=10)
-        scaled = select_risky_tokens(
-            explanation_of({t: 3.7 * v for t, v in scores.items()}), k_risky=10
-        )
+        base = risky_of(explanation_of(scores), k=10)
+        scaled = risky_of(explanation_of({t: 3.7 * v for t, v in scores.items()}), k=10)
         assert [t for t, _ in base.tokens] == [t for t, _ in scaled.tokens]

@@ -7,6 +7,7 @@ about a second.
 
 from __future__ import annotations
 
+import csv
 import inspect
 import sys
 from pathlib import Path
@@ -15,7 +16,10 @@ import pytest
 
 import linedefects
 from linedefects.cli import main
-from linedefects.corpus import write_dataset
+from linedefects.config import RunConfig
+from linedefects.corpus import load_dataset, write_dataset
+from linedefects.model import load_model
+from linedefects.pipeline import identify_lines, predict_files
 from linedefects.synthetic import make_release_series
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -85,3 +89,21 @@ def test_traced_run_sees_every_method(trained, tmp_path, monkeypatch, method):
     assert main(argv) == 0
     assert METHOD_SPANS[method] in seen
     assert "corpus.load_dataset" in seen
+
+
+def test_identified_counts_the_run_that_predict_writes(trained, tmp_path):
+    # layers._identified reports pipeline.flagged_lines and pipeline.defect_prone_files from identify_lines' result
+    data, model_path = trained
+    out = tmp_path / "ranked.csv"
+    assert main(["predict", "--dataset", str(data), "--model", str(model_path), "--release", "probe-2.0",
+                 "--out", str(out), "--lime-n", "200", "--lime-k-features", "20", "--workers", "1"]) == 0
+    with open(out, newline="", encoding="utf-8") as handle:
+        rows = len(list(csv.reader(handle))) - 1
+    model = load_model(model_path)
+    [test] = [release for release in load_dataset(data) if release.release_id == "probe-2.0"]
+    predicted = predict_files(model, test)
+    config = RunConfig(lime_n=200, lime_k_features=20, parallelism=1)
+    counts = layers._identified((model, test, predicted, config), {}, identify_lines(model, test, predicted, config))
+    assert rows > 0
+    assert counts["flagged"] == rows
+    assert counts["defect_prone"] == len(predicted.defect_prone)

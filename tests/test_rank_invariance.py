@@ -11,28 +11,39 @@ from hypothesis import strategies as st
 from linedefects.cli import main
 from linedefects.config import RunConfig
 from linedefects.corpus import ReleaseDataset, write_dataset
-from linedefects.pipeline import RankedLine, identify_lines, predict_files, rank_lines_global, train_file_model
+from linedefects.pipeline import identify_lines, predict_files, rank_lines_global, train_file_model
 from linedefects.synthetic import make_release_series
 
-# few distinct values, so that every sort key ties often
+from conftest import ranking_of, ranking_rows, release_of_files
+
+PATHS = ["A.java", "B.java", "src/C.java", "src/C.java\x00"]
+
+# few distinct values, so that every sort key ties often; a line is flagged at most once
 flagged_lines = st.lists(
-    st.builds(
-        RankedLine,
-        release_id=st.sampled_from(["r1", "r2"]),
-        file_path=st.sampled_from(["A.java", "B.java", "src/C.java"]),
-        line_number=st.integers(1, 4),
-        hit_count=st.integers(1, 3),
-        score_sum=st.sampled_from([0.25, 0.5, 1.0, 1.5]),
-        file_probability=st.sampled_from([0.6, 0.75, 0.9]),
+    st.tuples(
+        st.sampled_from(PATHS),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.sampled_from([0.25, 0.5, 1.0, 1.5]),
+        st.sampled_from([0.6, 0.75, 0.9]),
     ),
     max_size=30,
+    unique_by=lambda row: row[:2],
 )
 
 
 @given(st.data(), flagged_lines)
 def test_rank_lines_global_ignores_input_order(data, lines):
+    # the release's files, as well as the flagged lines, may come in any order
+    release = release_of_files("r", {path: [("x", False)] * 4 for path in PATHS})
+    files = data.draw(st.permutations(release.files))
+    reordered = ReleaseDataset(release.release_id, release.release_date, tuple(files))
     shuffled = data.draw(st.permutations(lines))
-    assert rank_lines_global(shuffled) == rank_lines_global(lines)
+    expected = ranking_rows(rank_lines_global(ranking_of(release, lines), release), release)
+    assert ranking_rows(rank_lines_global(ranking_of(reordered, shuffled), reordered), reordered) == expected
+    assert [row[:2] for row in expected] == [
+        row[:2] for row in sorted(lines, key=lambda row: (-row[2], -row[3], -row[4], row[0], row[1]))
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +75,10 @@ def test_identify_lines_ignores_file_order(trained, data):
     config = RunConfig(seed=5, lime_n=200, lime_k_features=20)
     files = data.draw(st.permutations(test.files))
     reordered = ReleaseDataset(test.release_id, test.release_date, tuple(files))
-    expected = identify_lines(model, test, predict_files(model, test), config)
-    assert expected.ranked
-    assert identify_lines(model, reordered, predict_files(model, reordered), config).ranked == expected.ranked
+    expected = ranking_rows(identify_lines(model, test, predict_files(model, test), config).ranked, test)
+    assert expected
+    actual = identify_lines(model, reordered, predict_files(model, reordered), config).ranked
+    assert ranking_rows(actual, reordered) == expected
 
 
 @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])

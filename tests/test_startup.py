@@ -118,6 +118,16 @@ def test_random_baseline_loads_no_optimizer_or_lapack(series, tmp_path):
     assert set(loaded) <= set(_scipy_loaded_by("import scipy.sparse, scipy.special"))
 
 
+def test_pooled_explanations_load_no_optimizer(series, tmp_path):
+    data, model = series
+    argv = ["predict", "--method", "linedp", "--model", str(model), "--dataset", str(data),
+            "--release", "demo-2.0", "--out", str(tmp_path / "ranked.csv"), *FAST, "--workers", "2"]
+    loaded = _scipy_loaded(argv)
+    # no explanation calls the optimizer: the explain pool loads the lapack and special modules it calls, no more
+    assert "scipy.linalg.lapack" in loaded
+    assert "scipy.optimize" not in loaded
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="workers see the wrapper only when forked"
 )

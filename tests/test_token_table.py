@@ -31,7 +31,8 @@ from linedefects.synthetic import make_release_series
 
 import reference_corpus
 import reference_ngram
-from conftest import assert_same_table, release_of_files
+import reference_ranking
+from conftest import assert_same_table, ranking_rows, release_of_files
 
 ALPHABET = ("a", "b", "c", "Node", "node", "x_1", "zz")
 SEPARATORS = (" ", "  ", ".", "();", "->")
@@ -186,7 +187,8 @@ class TestFlagLines:
     def test_flags_equal_oracle(self, release, data):
         risky = risky_sets(data.draw)
         for i, f in enumerate(release.files):
-            assert flag_lines(release, i, risky, 0.7) == reference_corpus.flag_lines(f, risky, 0.7)
+            expected = reference_ranking.rows(reference_corpus.flag_lines(f, risky, 0.7))
+            assert ranking_rows(flag_lines(release, i, risky, 0.7), release) == expected
 
     def test_same_matched_set_gives_bitwise_equal_sums(self):
         # Each file's lines match one set of risky tokens, in shuffled order and among a varying
@@ -206,7 +208,7 @@ class TestFlagLines:
         for i in range(len(release.files)):
             flagged = flag_lines(release, i, risky)
             assert len(flagged) == 10
-            assert len({line.score_sum for line in flagged}) == 1
+            assert len(set(flagged.scores.tolist())) == 1
 
     def test_ranked_csv_does_not_depend_on_hash_seed(self, tmp_path):
         data = tmp_path / "dataset.csv"
