@@ -27,7 +27,6 @@ from .pipeline import (
     RiskyTokenSet,
     as_release_list,
     flag_lines,
-    path_ranks,
     predict_files,  # noqa: F401  (the benchmark's traced run wraps this name)
     rank_lines_global,
 )
@@ -55,16 +54,18 @@ def random_baseline(
     """Random scores in [-1, 1] instead of explanation scores; random final order.
 
     Takes the defect-prone files from the pipeline's file-level prediction
-    ``predicted``. Each distinct in-vocabulary token of such a file gets a
-    uniform score; positive scores become risky candidates and the
-    ``k_risky`` highest are kept. Flagged lines are then ranked by a seeded
-    uniform shuffle.
+    ``predicted``, whose ``design`` is over ``vocab``. Each distinct
+    in-vocabulary token of such a file, read from its row of the design as
+    linedp reads it, gets a uniform score in token text order; positive
+    scores become risky candidates and the ``k_risky`` highest are kept.
+    Flagged lines, which come in (path, line) order, are then ranked by a
+    seeded uniform shuffle.
     """
-    file_probs = predicted.probabilities
+    design, file_probs = predicted.design, predicted.probabilities
     parts = []
     for i in predicted.defect_prone:
         f = test.files[i]
-        distinct = [t for t in test.token_table.distinct_tokens(i) if t in vocab.token_to_index]
+        distinct = sorted(vocab.tokens[j] for j in design.indices[design.indptr[i] : design.indptr[i + 1]].tolist())
         if not distinct:
             continue
         rng = np.random.default_rng(derive_seed(seed, "random", f.release_id, f.path))
@@ -72,10 +73,9 @@ def random_baseline(
         risky = RiskyTokenSet.top_positive(zip(distinct, scores.tolist()), k_risky)
         parts.append(flag_lines(test, i, risky, file_probs[f.path]))
     flagged = Ranking.concatenate(parts)
-    by_path = np.lexsort((flagged.lines, path_ranks(test)[flagged.files]))
     rng = np.random.default_rng(derive_seed(seed, "random-rank", test.release_id))
-    shuffled = by_path[rng.permutation(len(flagged))]
-    return MethodResult(method="random", ranked=flagged.take(shuffled), file_probabilities=file_probs)
+    shuffled = flagged.take(rng.permutation(len(flagged)))
+    return MethodResult(method="random", ranked=shuffled, file_probabilities=file_probs)
 
 
 def global_risky_tokens(
@@ -119,7 +119,7 @@ def tmi_lr_baseline(
     )
     return MethodResult(
         method="tmi_lr",
-        ranked=rank_lines_global(flagged, test),
+        ranked=rank_lines_global(flagged),
         file_probabilities=file_probs,
         risky_tokens={"*": risky},
     )
@@ -347,8 +347,8 @@ def ngram_entropy_baseline(
 
     The n-gram model needs no file-level classifier, so every test file is
     scored; ranked rows carry the line's mean entropy as their score, no
-    hits and a file probability of 0. Ties in entropy break on path, then
-    line number.
+    hits and a file probability of 0, so the shared ranking orders them by
+    entropy, then path and line number.
     """
     model = NgramModel().fit(train)
     per_file = [line_entropies(model, test, i) for i in range(len(test.files))]
@@ -356,5 +356,4 @@ def ngram_entropy_baseline(
     lines = np.array([number for entropies in per_file for number in entropies], dtype=np.int64)
     scores = np.array([score for entropies in per_file for score in entropies.values()], dtype=np.float64)
     scored = Ranking(files, lines, np.zeros_like(files), scores, np.zeros(len(files))).take(scores > threshold)
-    order = np.lexsort((scored.lines, path_ranks(test)[scored.files], -scored.scores))
-    return MethodResult(method="ngram", ranked=scored.take(order), file_probabilities={})
+    return MethodResult(method="ngram", ranked=rank_lines_global(scored), file_probabilities={})

@@ -249,11 +249,6 @@ class TokenTable:
             file_of=np.repeat(np.arange(last - first), np.diff(file_ptr)),
         )
 
-    def distinct_tokens(self, index: int) -> list[str]:
-        """The distinct tokens of file ``index``, in text order."""
-        start, end = self.line_ptr[self.file_ptr[index]], self.line_ptr[self.file_ptr[index + 1]]
-        return [self.tokens[i] for i in np.unique(self.ids[start:end]).tolist()]
-
     def occurrences(self, index: int, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Where the distinct ``words`` occur in file ``index``: one entry per line and word in it.
 
@@ -276,9 +271,17 @@ class TokenTable:
 
 @dataclass(frozen=True)
 class ReleaseDataset:
+    """A release's files, in path order: a file's index is its path's rank, the last tie-break of every ranking.
+
+    Paths compare as Python strings, so a trailing NUL still counts.
+    """
+
     release_id: str
     release_date: date | None
     files: tuple[SourceFile, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "files", tuple(sorted(self.files, key=lambda f: f.path)))
 
     @cached_property
     def token_table(self) -> TokenTable:
@@ -286,7 +289,11 @@ class ReleaseDataset:
         return TokenTable.build(self.files)
 
     def subset(self, indices: Sequence[int]) -> "ReleaseDataset":
-        """The release restricted to ``files[i]`` for i in ``indices``; it selects this release's table rows."""
+        """The release restricted to ``files[i]`` for i in ``indices``, in index order, which is path order.
+
+        Its token table is this release's rows of those files.
+        """
+        indices = sorted(indices)
         subset = ReleaseDataset(self.release_id, self.release_date, tuple(self.files[i] for i in indices))
         return _with_table(subset, self.token_table.select(indices))
 
@@ -564,7 +571,7 @@ def _grouped_rows(path: Path, raw: bytes) -> _Rows:
     return rows_by_file
 
 
-# (release id, its files sorted by path), the releases sorted by id: a dataset without its dates
+# (release id, its files in path order), the releases sorted by id: a dataset without its dates
 _Releases = list[tuple[str, tuple[SourceFile, ...]]]
 
 
@@ -792,9 +799,14 @@ def _read_cache(archive) -> tuple[_Releases, list[TokenTable]]:
     ):
         raise ValueError("inconsistent lengths")
     tables = _cached_tables(arrays, _pointer(release_files), _pointer(file_lines))
+    paths = _unpacked(arrays, "path", n_files)
+    # a release's table rows follow its files, which ReleaseDataset keeps in path order
+    for first, last in pairwise(_pointer(release_files).tolist()):
+        if not all(map(str.__lt__, paths[first : last - 1], paths[first + 1 : last])):
+            raise ValueError("paths out of order")
     packed = _Packed(*_joined(arrays, "content", n_lines), arrays["line_label"])
     releases = _assembled(
-        _unpacked(arrays, "release", len(release_files)), release_files.tolist(), _unpacked(arrays, "path", n_files),
+        _unpacked(arrays, "release", len(release_files)), release_files.tolist(), paths,
         arrays["file_label"].tolist(), file_lines.tolist(), packed,
     )
     return releases, tables
@@ -806,8 +818,8 @@ def load_dataset(path: str | Path, metadata_path: str | Path | None = None) -> l
     Validates that each file's line numbers are contiguous from 1, that the
     file label is constant across the file's rows, and that it equals the
     disjunction of the line labels. Violations raise :class:`DatasetError`
-    naming the offending record. Releases are returned sorted by release id
-    and files by path.
+    naming the offending record. Releases are returned sorted by release id;
+    their files are in path order, as every :class:`ReleaseDataset` holds them.
 
     The file is read once, whole: the sha256 of those bytes is the cache
     key, and the parse and any error report read the same bytes, so a pipe
@@ -871,7 +883,7 @@ def write_dataset(
         (
             (ds.release_id, f.path, line.number, line.content, f.file_label, line.is_defective)
             for ds in ordered
-            for f in sorted(ds.files, key=lambda f: f.path)
+            for f in ds.files
             for line in f.lines
         ),
     )

@@ -139,11 +139,12 @@ def inspection_order(
     """The order an effort-aware inspection reads ``test``'s lines in, as positions.
 
     First the ranked ``positions``; then every line not among them, ordered
-    by file probability (descending), then path and line number.
+    by file probability (descending), then path and line number: a stable
+    sort keeps the files' path order among equal probabilities.
     """
     probs = file_probs or {}
     starts = _file_starts(test)
-    files = sorted(range(len(test.files)), key=lambda j: (-probs.get(test.files[j].path, 0.0), test.files[j].path))
+    files = np.argsort([-probs.get(f.path, 0.0) for f in test.files], kind="stable")
     rest = np.concatenate([np.arange(starts[j], starts[j + 1]) for j in files])
     return np.concatenate([positions, rest[np.isin(rest, positions, invert=True)]])
 

@@ -188,10 +188,5 @@ def label_defective_lines(
         files.append(
             SourceFile(release_id=f.release_id, path=f.path, lines=f.lines.with_labels(labels), file_label=bool(hits))
         )
-    labeled = ReleaseDataset(
-        release_id=snapshot.release_id,
-        release_date=snapshot.release_date,
-        files=tuple(sorted(files, key=lambda f: f.path)),
-    )
-    return labeled, unresolved
+    return ReleaseDataset(snapshot.release_id, snapshot.release_date, tuple(files)), unresolved
 

@@ -101,21 +101,14 @@ def flag_lines(
     return Ranking(files, flagged, hit_counts, score_sums, np.full(len(flagged), file_probability))
 
 
-def path_ranks(release: ReleaseDataset) -> np.ndarray:
-    """Each file's rank among the release's paths, which may come in any order: the inverse of the path order.
-
-    Paths compare as Python strings: a numpy string array would drop their trailing NULs.
-    """
-    return np.argsort(sorted(range(len(release.files)), key=lambda j: release.files[j].path))
-
-
-def rank_lines_global(flagged: Ranking, release: ReleaseDataset) -> Ranking:
-    """Total order over all flagged lines of the defect-prone files of ``release``.
+def rank_lines_global(flagged: Ranking) -> Ranking:
+    """Total order over the flagged lines of one release.
 
     Keys: hit count desc, score sum desc, file probability desc, then
-    (path, line number) asc as the final deterministic tie break.
+    (path, line number) asc as the final deterministic tie break: a
+    release's files are in path order, so a file index is its path's rank.
     """
-    keys = (flagged.lines, path_ranks(release)[flagged.files], -flagged.probabilities, -flagged.scores, -flagged.hits)
+    keys = (flagged.lines, flagged.files, -flagged.probabilities, -flagged.scores, -flagged.hits)
     return flagged.take(np.lexsort(keys))
 
 
@@ -138,16 +131,15 @@ class FilePredictions:
 
     design: sp.csr_matrix  # vectorize's matrix, one row per file of the release
     probabilities: dict[str, float]  # file path -> defect probability
-    defect_prone: tuple[int, ...]  # indices into the release's files with probability > 0.5, in path order
+    defect_prone: tuple[int, ...]  # ascending indices into the release's files with probability > 0.5: path order
 
 
 def predict_files(model: LogisticModel, test: ReleaseDataset) -> FilePredictions:
     """Vectorize ``test`` and predict each of its files; the only place the model meets a test release."""
     design = vectorize(test, model.vocab)
-    probabilities = dict(zip((f.path for f in test.files), predict_proba(model, design).tolist()))
-    by_path = sorted(range(len(test.files)), key=lambda i: test.files[i].path)
-    defect_prone = tuple(i for i in by_path if probabilities[test.files[i].path] > 0.5)
-    return FilePredictions(design, probabilities, defect_prone)
+    p = predict_proba(model, design)
+    probabilities = dict(zip((f.path for f in test.files), p.tolist()))
+    return FilePredictions(design, probabilities, tuple(np.flatnonzero(p > 0.5).tolist()))
 
 
 def _explain_file(model: LogisticModel, config: RunConfig, task: tuple[int, FeatureVector]) -> Explanation:
@@ -186,7 +178,7 @@ def identify_lines(
     flagged = Ranking.concatenate(
         [flag_lines(test, i, risky_sets[test.files[i].path], file_probs[test.files[i].path]) for i in files]
     )
-    return MethodResult("linedp", rank_lines_global(flagged, test), file_probs, risky_tokens=risky_sets)
+    return MethodResult("linedp", rank_lines_global(flagged), file_probs, risky_tokens=risky_sets)
 
 
 def run_linedp(

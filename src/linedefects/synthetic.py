@@ -96,11 +96,7 @@ def make_planted_release(
                 release_id=release_id, path=path, lines=lines, file_label=bool(defective_numbers)
             )
         )
-    return ReleaseDataset(
-        release_id=release_id,
-        release_date=release_date,
-        files=tuple(sorted(files, key=lambda f: f.path)),
-    )
+    return ReleaseDataset(release_id=release_id, release_date=release_date, files=tuple(files))
 
 
 def make_release_series(

@@ -30,7 +30,7 @@ def release_of_files(release_id: str, files: dict[str, list[tuple[str, bool]]], 
     return ReleaseDataset(
         release_id=release_id,
         release_date=release_date or date(2024, 1, 1),
-        files=tuple(sorted(built, key=lambda f: f.path)),
+        files=tuple(built),
     )
 
 

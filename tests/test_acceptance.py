@@ -268,7 +268,7 @@ def test_criterion_9_ifa_convention():
     release = release_of_files("r", {"f": [("a", True), ("b", False), ("c", True)]})
     from linedefects.pipeline import rank_lines_global
 
-    ranked = rank_lines_global(ranking_of(release, [("f", 2, 1, 0.5, 0.9), ("f", 1, 2, 1.0, 0.9)]), release)
+    ranked = rank_lines_global(ranking_of(release, [("f", 2, 1, 0.5, 0.9), ("f", 1, 2, 1.0, 0.9)]))
     assert ifa(line_positions(ranked, release), line_labels(release)) == 0
     report = evaluate_ranking("linedp", "u", ranked, release)
     assert report.ifa == 0

@@ -12,6 +12,7 @@ from linedefects.corpus import (
     FeatureVector,
     LineRecord,
     Lines,
+    ReleaseDataset,
     SourceFile,
     Vocabulary,
     build_vocabulary,
@@ -235,6 +236,16 @@ class TestLines:
     def test_source_file_rejects_lines_not_numbered_from_one(self, numbers):
         with pytest.raises(ValueError, match="numbered"):
             SourceFile("r", "A.java", tuple(LineRecord(n, "x", False) for n in numbers), False)
+
+
+class TestReleaseOrder:
+    def test_paths_compare_as_python_strings(self):
+        # a numpy string array would drop the trailing NUL and tie "a\x00" with "a"
+        paths = ["b", "a\x00", "B", "a", "A", "a\x00b"]
+        files = release_of_files("r", {path: [("x", False)] for path in paths}).files
+        for given in (files, files[::-1], files[2:] + files[:2]):
+            release = ReleaseDataset("r", None, given)
+            assert [f.path for f in release.files] == ["A", "B", "a", "a\x00", "a\x00b", "b"] == sorted(paths)
 
 
 class TestDatasetIO:

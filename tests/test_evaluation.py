@@ -150,6 +150,14 @@ class TestEffortMeasures:
         value = recall_at_top_kloc(order, line_labels(release), k_pct=30)
         assert value == pytest.approx(0.5)
 
+    def test_padding_keeps_path_order_among_equal_probabilities(self):
+        # enough tied files that an unstable sort would reorder them; one line each, so a position is a file
+        paths = [f"F{i:03}" for i in range(100)]
+        release = release_of_files("r", {path: [("a", False)] for path in paths})
+        probs = {path: (0.5, 0.7)[i % 2] for i, path in enumerate(paths)}
+        order = inspection_order(np.zeros(0, dtype=np.int64), release, probs)
+        assert [paths[j] for j in order.tolist()] == sorted(paths, key=lambda path: (-probs[path], path))
+
     def test_no_defective_lines_is_missing(self):
         assert recall_at_top_kloc(positions(), column([False]), k_pct=20) is None
 

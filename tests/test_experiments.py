@@ -8,7 +8,7 @@ import pytest
 
 from linedefects import baselines, experiments, pipeline
 from linedefects.config import RunConfig
-from linedefects.corpus import as_release_list
+from linedefects.corpus import ReleaseDataset, as_release_list, load_dataset, write_dataset
 from linedefects.evaluation import METRIC_DIRECTIONS
 from linedefects.experiments import ALL_METHODS, cross_release_eval, within_release_eval
 from linedefects.pipeline import train_file_model
@@ -71,6 +71,15 @@ class TestWithinReleaseEval:
             per_unit.setdefault(rep.unit_id, []).append(rep.method)
         for methods in per_unit.values():
             assert sorted(methods) == ["linedp", "ngram"]
+
+    def test_files_given_out_of_order_split_as_the_loaded_release(self, tmp_path):
+        # the folds deal file indices, so a release must index its files as a load of it does
+        (release,) = make_release_series(seed=0, n_releases=1)
+        reversed_release = ReleaseDataset(release.release_id, release.release_date, release.files[::-1])
+        write_dataset([reversed_release], tmp_path / "data.csv")
+        (loaded,) = load_dataset(tmp_path / "data.csv")
+        config = RunConfig(lime_n=300, folds=3, repeats=1)
+        assert within_release_eval([reversed_release], config=config) == within_release_eval([loaded], config=config)
 
     def test_fold_class_requirement_enforced(self, quick_config):
         from dataclasses import replace

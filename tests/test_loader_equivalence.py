@@ -241,13 +241,13 @@ def _edited(name, change):
     return _resaved(lambda arrays: arrays.update({name: change(arrays[name])}))
 
 
-def _tokens_edited(change):
-    """A damage that saves the cache again with its token list replaced by ``change(tokens)``."""
+def _texts_edited(name, change):
+    """A damage that saves the cache again with its ``name`` texts (tokens, paths) replaced by ``change(texts)``."""
 
     def edit(arrays):
-        bounds = arrays["token_offsets"].tolist()
-        text = arrays["token_text"].tobytes().decode("ascii")
-        arrays.update(corpus._packed("token", change([text[start:end] for start, end in zip(bounds, bounds[1:])])))
+        bounds = arrays[f"{name}_offsets"].tolist()
+        text = arrays[f"{name}_text"].tobytes().decode("ascii")
+        arrays.update(corpus._packed(name, change([text[start:end] for start, end in zip(bounds, bounds[1:])])))
 
     return _resaved(edit)
 
@@ -338,8 +338,12 @@ class TestParseCache:
             pytest.param(_resaved(_last_id_one_past_its_release), id="id-out-of-range"),
             pytest.param(_edited("token_ids", lambda ids: np.r_[-1, ids[1:]]), id="negative-id"),
             # the first release's two first tokens trade places, or the first is given again
-            pytest.param(_tokens_edited(lambda tokens: [tokens[1], tokens[0], *tokens[2:]]), id="unsorted-tokens"),
-            pytest.param(_tokens_edited(lambda tokens: [tokens[0], tokens[0], *tokens[2:]]), id="repeated-token"),
+            pytest.param(_texts_edited("token", lambda tokens: [tokens[1], tokens[0], *tokens[2:]]),
+                         id="unsorted-tokens"),
+            pytest.param(_texts_edited("token", lambda tokens: [tokens[0], tokens[0], *tokens[2:]]),
+                         id="repeated-token"),
+            # the first release's two first files trade paths: sorted on load, they would no longer match its table
+            pytest.param(_texts_edited("path", lambda paths: [paths[1], paths[0], *paths[2:]]), id="unsorted-paths"),
             pytest.param(_edited("line_tokens", lambda counts: np.r_[counts[:-1], counts[-1] + 1]),
                          id="token-count-sum"),
             pytest.param(_edited("line_tokens", lambda counts: np.r_[counts[0] + counts[1] + 1, -1, counts[2:]]),

@@ -34,13 +34,13 @@ flagged_lines = st.lists(
 
 @given(st.data(), flagged_lines)
 def test_rank_lines_global_ignores_input_order(data, lines):
-    # the release's files, as well as the flagged lines, may come in any order
+    # the release's files may be given, and the flagged lines may come, in any order
     release = release_of_files("r", {path: [("x", False)] * 4 for path in PATHS})
     files = data.draw(st.permutations(release.files))
     reordered = ReleaseDataset(release.release_id, release.release_date, tuple(files))
     shuffled = data.draw(st.permutations(lines))
-    expected = ranking_rows(rank_lines_global(ranking_of(release, lines), release), release)
-    assert ranking_rows(rank_lines_global(ranking_of(reordered, shuffled), reordered), reordered) == expected
+    expected = ranking_rows(rank_lines_global(ranking_of(release, lines)), release)
+    assert ranking_rows(rank_lines_global(ranking_of(reordered, shuffled)), reordered) == expected
     assert [row[:2] for row in expected] == [
         row[:2] for row in sorted(lines, key=lambda row: (-row[2], -row[3], -row[4], row[0], row[1]))
     ]

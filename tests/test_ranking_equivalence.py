@@ -54,7 +54,7 @@ def units(seed: int) -> list[Unit]:
     train, test = make_release_series(seed=seed)
     plan = stratified_kfold([f.file_label for f in train.files], folds=5, repeats=1, seed=seed)
     within = CONFIG.entropy_threshold_within
-    # a release built in memory may hold its files out of path order; the ranking must not follow them
+    # a release given its files out of path order must rank as the release in path order
     reversed_test = ReleaseDataset(test.release_id, test.release_date, test.files[::-1])
     pairs = [
         ("cross", train, test, CONFIG.entropy_threshold_cross),

@@ -96,7 +96,8 @@ class TestTable:
     def test_subset_selects_parent_rows(self, release, data):
         indices = data.draw(st.lists(st.integers(0, len(release.files) - 1), unique=True))
         subset = release.subset(indices)
-        assert subset.files == tuple(release.files[i] for i in indices)
+        # a subset holds its files in index order, which is path order, whatever order they are asked for in
+        assert subset.files == tuple(release.files[i] for i in sorted(indices)) == release.subset(indices[::-1]).files
         assert subset.token_table.tokens is release.token_table.tokens
         fresh = TokenTable.build(subset.files)
         assert table_texts(subset.token_table) == table_texts(fresh)
@@ -105,7 +106,6 @@ class TestTable:
     def test_distinct_tokens_and_occurrences(self):
         release = release_of_files("r", {"A.java": [("b a b zz", False), ("x", False), ("", False), ("a", False)]})
         table = release.token_table
-        assert table.distinct_tokens(0) == ["a", "b", "x", "zz"]
         # one entry per line and word, the lines in file order and each line's words in text order
         numbers, words = table.occurrences(0, ["zz", "a", "missing", "b"])
         assert numbers.tolist() == [1, 1, 1, 4]
@@ -238,23 +238,25 @@ class TestRandomBaselineCandidates:
             vocab = build_vocabulary(train)
         except ValueError:
             return
-        # a large bias makes every test file defect-prone
-        model = LogisticModel(np.ones(len(vocab)), 5.0, vocab, TrainMeta(0, True, 0.0))
-        seen = []
-        original = RiskyTokenSet.top_positive
-
-        def record(scored, k):
-            scored = list(scored)
-            seen.append([token for token, _ in scored])
-            return original(scored, k)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(RiskyTokenSet, "top_positive", record)
-            random_baseline(test, vocab, predict_files(model, test))
         expected = [
             sorted({t for t in reference_corpus.token_stream(f) if t in vocab.token_to_index}) for f in test.files
         ]
-        assert seen == [tokens for tokens in expected if tokens]
+        original = RiskyTokenSet.top_positive
+        # a loaded model's vocabulary need not be in text order; the candidates still are
+        for model_vocab in (vocab, Vocabulary(vocab.tokens[::-1])):
+            # a large bias makes every test file defect-prone
+            model = LogisticModel(np.ones(len(vocab)), 5.0, model_vocab, TrainMeta(0, True, 0.0))
+            seen = []
+
+            def record(scored, k):
+                scored = list(scored)
+                seen.append([token for token, _ in scored])
+                return original(scored, k)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(RiskyTokenSet, "top_positive", record)
+                random_baseline(test, model_vocab, predict_files(model, test))
+            assert seen == [tokens for tokens in expected if tokens]
 
 
 class TestNgramStream:
