@@ -20,8 +20,6 @@ from linedefects.miner import (
     load_issue_keys,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="mine-demo-"))
-
 snapshot_lines = [
     "public void init(Config config) {",
     "    this.config = config;",
@@ -53,26 +51,28 @@ commits = [
      "changes": [{"path": "src/Service.java",
                   "removed": [{"line": 4, "content": "    cache.invalidate();"}]}]},
 ]
-(workdir / "commits.jsonl").write_text("\n".join(json.dumps(c) for c in commits))
-(workdir / "issues.txt").write_text("DEMO-7\n")
+with tempfile.TemporaryDirectory(prefix="mine-demo-") as tmp:
+    workdir = Path(tmp)
+    (workdir / "commits.jsonl").write_text("\n".join(json.dumps(c) for c in commits))
+    (workdir / "issues.txt").write_text("DEMO-7\n")
 
-loaded_commits = load_commit_export(workdir / "commits.jsonl")
-issues = load_issue_keys(workdir / "issues.txt")
-bugfix = find_bugfix_commits(loaded_commits, issues)
-print(f"{len(loaded_commits)} commits, {len(bugfix)} reference a bug report id:")
-for c in bugfix:
-    print(f"  {c.commit_id}: {c.message}")
+    loaded_commits = load_commit_export(workdir / "commits.jsonl")
+    issues = load_issue_keys(workdir / "issues.txt")
+    bugfix = find_bugfix_commits(loaded_commits, issues)
+    print(f"{len(loaded_commits)} commits, {len(bugfix)} reference a bug report id:")
+    for c in bugfix:
+        print(f"  {c.commit_id}: {c.message}")
 
-labeled, unresolved = label_defective_lines(snapshot, bugfix)
-print(f"\nunresolved changed lines: {unresolved}")
-for f in labeled.files:
-    print(f"{f.path} (file_label={f.file_label}):")
-    for line in f.lines:
-        mark = "*" if line.is_defective else " "
-        print(f"  {mark} {line.number}: {line.content}")
+    labeled, unresolved = label_defective_lines(snapshot, bugfix)
+    print(f"\nunresolved changed lines: {unresolved}")
+    for f in labeled.files:
+        print(f"{f.path} (file_label={f.file_label}):")
+        for line in f.lines:
+            mark = "*" if line.is_defective else " "
+            print(f"  {mark} {line.number}: {line.content}")
 
-out = workdir / "demo-dataset.csv"
-meta = workdir / "demo-releases.csv"
-write_dataset([labeled], out, meta)
-(reloaded,) = load_dataset(out, meta)
-print(f"\nexported to {out} and reloaded: round-trip equal = {reloaded == labeled}")
+    out = workdir / "demo-dataset.csv"
+    meta = workdir / "demo-releases.csv"
+    write_dataset([labeled], out, meta)
+    (reloaded,) = load_dataset(out, meta)
+    print(f"\nexported to {out} and reloaded: round-trip equal = {reloaded == labeled}")

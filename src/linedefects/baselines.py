@@ -8,6 +8,7 @@ harness covers every method.
 from __future__ import annotations
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,44 +126,73 @@ def tmi_lr_baseline(
     )
 
 
-def _stream(table: TokenTable, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-    """Token stream of the table's files ``first..last-1``, each with start padding, and line sentinels.
+def _stream(table: TokenTable) -> tuple[np.ndarray, np.ndarray]:
+    """Token stream of the table's files, each with start padding, and line sentinels.
 
     Tokens keep their table ids; the padding is id ``len(table.tokens)`` and
     the line sentinel the id after it. Returns the stream and, per
-    position, the owning line number (0 for padding and sentinel positions,
-    which provide context but are not scored).
+    position, the owning line as an index into the table's lines (-1 for
+    padding and sentinel positions, which provide context but are not
+    scored).
     """
     pad, sentinel = len(table.tokens), len(table.tokens) + 1
-    lines = table.lines(first, last)
+    n_files = len(table.file_ptr) - 1
+    lines = table.lines(0, n_files)
     n_lines = len(lines.numbers)
     # line r follows the padding of its own and earlier files, the earlier lines' sentinels and their tokens
     shift = (lines.file_of + 1) * (NGRAM_ORDER - 1) + np.arange(n_lines)
     tokens_through = np.cumsum(np.bincount(lines.line_of, minlength=n_lines))
-    size = (last - first) * (NGRAM_ORDER - 1) + len(lines.ids) + n_lines
+    size = n_files * (NGRAM_ORDER - 1) + len(lines.ids) + n_lines
     stream = np.full(size, pad, dtype=np.int64)
-    owners = np.zeros(size, dtype=np.int64)
+    rows = np.full(size, -1, dtype=np.int32)
     token_at = shift[lines.line_of] + np.arange(len(lines.ids))
     stream[token_at] = lines.ids
-    owners[token_at] = lines.numbers[lines.line_of]
+    rows[token_at] = lines.line_of
     stream[shift + tokens_through] = sentinel
-    return stream, owners
+    return stream, rows
 
 
-def _tuple_ids(ids: np.ndarray, base: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Dense ids of every k-tuple of ``ids``, k = 1..NGRAM_ORDER.
+def _packed_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort of non-negative int keys from one ``np.sort``: the order and the sorted keys.
 
-    ``grams[k-1][j]`` identifies the k-tuple ``ids[j : j+k]`` as its rank
-    among the sorted distinct keys ``keys[k-1]``. For k = 1 the key is the
-    token id itself (ids are dense in 0..base-1); for k >= 2 it is
-    ``grams[k-2][j] * base + ids[j+k-1]``: prefix id, then last token.
+    Each key is packed with its position as ``key << b | position`` in an
+    int64, b the bit width of the largest position, so positions break ties
+    and ``order`` equals ``np.argsort(keys, kind="stable")``. The packing
+    overwrites an int64 ``keys``, so a sort of n-gram keys allocates no
+    second copy of them.
     """
-    keys, grams = [np.arange(base)], [ids]
-    for k in range(2, NGRAM_ORDER + 1):
-        distinct, rank = np.unique(grams[-1][:-1] * base + ids[k - 1 :], return_inverse=True)
-        keys.append(distinct)
-        grams.append(rank)
-    return keys, grams
+    keys = np.asarray(keys, dtype=np.int64)
+    shift = max(len(keys) - 1, 0).bit_length()
+    width = int(keys.max(initial=0)).bit_length() + shift
+    if width > 63:
+        raise ValueError(
+            f"cannot sort the n-gram keys of a {len(keys):,}-position stream: "
+            f"keys and positions need {width} bits, an int64 holds 63"
+        )
+    packed = keys
+    packed <<= shift
+    packed |= np.arange(len(keys))
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return order, packed
+
+
+def _group_starts(ranked: np.ndarray) -> np.ndarray:
+    """Where a new key begins in the sorted ``ranked``."""
+    starts = np.empty(len(ranked), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    return starts
+
+
+def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's rank among the distinct keys, as int32, and the distinct keys in ascending order."""
+    order, ranked = _packed_sort(keys)
+    starts = _group_starts(ranked)
+    ranks = np.empty(len(keys), dtype=np.int32)
+    ranks[order] = np.cumsum(starts, dtype=np.int32) - 1
+    return ranks, ranked[starts]
 
 
 def _jm_step(p: np.ndarray, count: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -172,15 +202,73 @@ def _jm_step(p: np.ndarray, count: np.ndarray, total: np.ndarray) -> np.ndarray:
     return np.where(seen, JM_ML_WEIGHT * ml + (1.0 - JM_ML_WEIGHT) * p, p)
 
 
-def _prior_occurrences(keys: np.ndarray) -> np.ndarray:
-    """For each position, how many earlier positions hold the same key."""
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    index = np.arange(len(keys))
-    group_start = np.maximum.accumulate(np.where(np.r_[True, ranked[1:] != ranked[:-1]], index, 0))
+def _prior_occurrences(keys: np.ndarray, files: np.ndarray) -> np.ndarray:
+    """For each position, how many earlier positions of the same file hold the same key.
+
+    ``files`` is each position's file, and a file's positions are contiguous.
+    """
+    order, ranked = _packed_sort(keys)
+    starts = _group_starts(ranked)
+    # within one key, positions ascend, so a group of the key ends where its file does
+    file_in_order = files[order]
+    starts[1:] |= file_in_order[1:] != file_in_order[:-1]
+    index = np.arange(len(keys), dtype=np.int32)
+    group_start = np.where(starts, index, 0)
+    np.maximum.accumulate(group_start, out=group_start)
     out = np.empty_like(index)
     out[order] = index - group_start
     return out
+
+
+def _held_table(values: np.ndarray) -> np.ndarray:
+    """The held tuples' ``values`` as int32, then a 0 that every id past them reads (see ``_at``)."""
+    table = np.zeros(len(values) + 1, dtype=np.int32)
+    table[:-1] = values
+    return table
+
+
+def _at(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``table[ids]``, an id past the table's end reading its last entry."""
+    return table[np.minimum(ids, len(table) - 1)]
+
+
+def _held_tuples(
+    prefixes: np.ndarray, last: np.ndarray, base: int, continuations: np.ndarray, contexts: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Ids of the tuples ``prefixes * base + last``, and the tables of the tuples training holds.
+
+    ``continuations`` are the positions whose tuple is a training
+    continuation and ``contexts`` those whose tuple is the context of one
+    (None at the top order). The tuples training holds, as either, take the
+    first ids in key order, so the stored tables stop at them; a test-only
+    tuple's id is past theirs and below twice the number of tuples. Returns
+    each position's id, the held tuples' keys in ascending order, and their
+    continuation and context counts as ``_held_table``s.
+    """
+    key = prefixes.astype(np.int64)
+    key *= base
+    key += last
+    ids, keys = _dense_ranks(key)
+    del key
+    counts = np.bincount(ids[continuations], minlength=len(keys))
+    held = counts > 0
+    if contexts is not None:
+        totals = np.bincount(ids[contexts], minlength=len(keys))
+        held |= totals > 0
+    n_held = int(np.count_nonzero(held))
+    # a test-only tuple's id is its rank plus the held count: distinct, and past every held id
+    renumber = np.arange(n_held, n_held + len(keys), dtype=np.int32)
+    renumber[held] = np.arange(n_held)
+    context_table = None if contexts is None else _held_table(totals[held])
+    return renumber[ids], keys[held], _held_table(counts[held]), context_table
+
+
+class _TestStream(NamedTuple):
+    """The test release a model was fitted with, as ``line_entropies`` reads it."""
+
+    release: ReleaseDataset
+    rows: np.ndarray  # each position's line, an index into ``release.token_table``'s lines; -1 if not scored
+    grams: list[np.ndarray]  # grams[k-1][j]: the fitted id of the k-tuple ending at position j
 
 
 class NgramModel:
@@ -193,11 +281,16 @@ class NgramModel:
     and unseen tokens keep a small positive probability.
 
     The counts live in integer arrays. Every stream token, the padding and
-    line sentinels included, has an int id; every k-tuple seen in training
-    has a dense id (see ``_tuple_ids``), ``_counts[k-1]`` counts it as a
-    continuation and ``_totals[k]`` counts it as the context of a
-    continuation. Padding positions provide context only, never a
-    continuation event. File streams are padded with NGRAM_ORDER-1 start
+    line sentinels included, has an int id, and every k-tuple of the
+    training and test streams has a dense id. For k = 1 the key is the token
+    id itself; for k >= 2 it is the prefix's id times the number of token
+    ids, plus the last token's id. The tuples training holds, as a
+    continuation or as the context of one, take the first ids in key order:
+    ``_keys[k-1]`` holds their sorted keys, ``_counts[k-1]`` counts each as
+    a training continuation and ``_totals[k]`` as the context of one. For
+    k >= 2 those tables end in a 0, which a tuple only the test holds reads,
+    as its id is past theirs. Padding positions provide context only, never
+    a continuation event. File streams are padded with NGRAM_ORDER-1 start
     symbols, so no n-gram crosses a file boundary.
     """
 
@@ -205,36 +298,53 @@ class NgramModel:
         self._tokens: tuple[str, ...] = ()
         self._index: dict[str, int] = {}
         self._seen = np.zeros(0, dtype=np.int64)
-        self._mapped: tuple[tuple[str, ...], np.ndarray] | None = None
+        self._test: _TestStream | None = None
 
-    def fit(self, train: ReleaseDataset | list[ReleaseDataset]) -> "NgramModel":
-        """Count every training stream; refitting starts from empty tables.
+    def fit(self, train: ReleaseDataset | list[ReleaseDataset], test: ReleaseDataset | None = None) -> "NgramModel":
+        """Count every training stream, and id the test stream's tuples for ``line_entropies``.
 
-        Model ids number the sorted union of the training tables' tokens,
-        then the padding and the line sentinel.
+        Model ids number the sorted union of the training and test tables'
+        tokens, then the padding and the line sentinel. Each order's tuple
+        ids come from one sort over the training streams followed by the
+        test stream. Refitting starts from empty tables.
         """
-        releases = as_release_list(train)
-        self._tokens = tuple(sorted(set().union(*(ds.token_table.tokens for ds in releases))))
-        self._index = {token: i for i, token in enumerate(self._tokens + (_STREAM_START, _LINE_SENTINEL))}
-        self._mapped = None
-        streams = [
-            self._id_map(ds.token_table.tokens)[_stream(ds.token_table, 0, len(ds.files))[0]] for ds in releases
-        ]
-        ids = np.concatenate(streams) if streams else np.zeros(0, dtype=np.int64)
-        body = np.flatnonzero(ids != len(self._tokens))
-        self._seen = np.unique(ids[body])
+        train_tables = [ds.token_table for ds in as_release_list(train)]
+        tables = train_tables + ([test.token_table] if test is not None else [])
+        self._tokens = tuple(sorted(set().union(*(table.tokens for table in tables))))
+        texts = (_STREAM_START, _LINE_SENTINEL)
+        self._index = {token: i for i, token in enumerate(self._tokens + texts)}
+        mapped = [self._encode(table.tokens + texts).astype(np.int32)[_stream(table)[0]] for table in train_tables]
+        n_train = sum(map(len, mapped))
+        if test is not None:
+            stream, rows = _stream(test.token_table)
+            mapped.append(self._encode(test.token_table.tokens + texts).astype(np.int32)[stream])
+            del stream
+        ids = np.concatenate(mapped) if mapped else np.zeros(0, dtype=np.int32)
+        del mapped
+        base = len(self._tokens) + 2
+        body = np.flatnonzero(ids[:n_train] != len(self._tokens))
+        unigrams = np.bincount(ids[body], minlength=base)
+        self._seen = np.flatnonzero(unigrams)
         if not self._seen.size:
             raise ValueError("cannot fit an n-gram model on an empty training corpus")
-        self._keys, grams = _tuple_ids(ids, len(self._tokens) + 2)
-        # the gram of order o and its context of order o-1 both start at body - (o-1)
-        starts = [body - (o - 1) for o in range(1, NGRAM_ORDER + 1)]
-        self._counts = [
-            np.bincount(grams[k][starts[k]], minlength=len(self._keys[k])) for k in range(NGRAM_ORDER)
-        ]
+        self._keys = [np.arange(base)]
+        self._counts = [unigrams]
         # the empty context (id 0) precedes every continuation
-        self._totals = [np.array([len(body)])] + [
-            np.bincount(grams[k - 1][starts[k]], minlength=len(self._keys[k - 1])) for k in range(1, NGRAM_ORDER)
-        ]
+        self._totals = [np.array([len(body)]), np.bincount(ids[body - 1], minlength=base)]
+        grams = ids
+        test_grams = [ids[n_train:].copy()]
+        for k in range(2, NGRAM_ORDER + 1):
+            # the k-tuple starting at j is a continuation if it ends at a body position, j + k - 1,
+            # and the context of one if a body position follows it, j + k
+            contexts = body - k if k < NGRAM_ORDER else None
+            grams, keys, counts, totals = _held_tuples(grams[:-1], ids[k - 1 :], base, body - (k - 1), contexts)
+            self._keys.append(keys)
+            self._counts.append(counts)
+            if totals is not None:
+                self._totals.append(totals)
+            # grams[j] starts at j, so the tuple ending at test position j starts at n_train + j - (k-1)
+            test_grams.append(grams[n_train - (k - 1) :].copy())
+        self._test = None if test is None else _TestStream(test, rows, test_grams)
         return self
 
     @property
@@ -247,7 +357,7 @@ class NgramModel:
         return 1.0 / (len(self._seen) + 1)
 
     def _lookup(self, ids: np.ndarray) -> list[np.ndarray]:
-        """Fitted tuple ids of every k-tuple of ``ids`` as ``_tuple_ids`` lays them out; -1 if unseen."""
+        """Fitted tuple ids of every k-tuple of ``ids``, the k-tuple ``ids[j : j+k]`` at index j; -1 if unknown."""
         grams = [ids]
         for k in range(2, NGRAM_ORDER + 1):
             prefix, last = grams[-1][:-1], ids[k - 1 :]
@@ -258,86 +368,81 @@ class NgramModel:
             grams.append(np.where(found, at, -1))
         return grams
 
-    def _static_probabilities(self, ids: np.ndarray) -> np.ndarray:
-        """P(ids[i] | up to NGRAM_ORDER-1 ids before it) at every position i; unknown tokens have id -1."""
-        grams = self._lookup(ids)
-        p = np.full(len(ids), self.floor)
-        for o in range(1, min(NGRAM_ORDER, len(ids)) + 1):
-            gram = grams[o - 1]
-            count = np.where(gram >= 0, self._counts[o - 1][gram], 0)
-            # order 1 conditions on the empty context, id 0
-            context = grams[o - 2][: len(gram)] if o > 1 else np.zeros(len(gram), dtype=np.int64)
-            total = np.where(context >= 0, self._totals[o - 1][context], 0)
-            p[o - 1 :] = _jm_step(p[o - 1 :], count, total)
-        return p
-
     def _encode(self, tokens) -> np.ndarray:
         """Model ids of token texts, the padding and sentinel texts included; -1 for a token not in the model.
 
-        A token of a training table that no training line holds (a CV subset
-        keeps its parent's tokens) has an id but zero counts, so it scores as
-        an unknown token does.
+        A token that no training line holds (a test token, or one a CV
+        subset keeps from its parent's table) has an id but zero counts, so
+        it scores as an unknown token does.
         """
         return np.array([self._index.get(token, -1) for token in tokens], dtype=np.int64)
 
-    def _id_map(self, tokens: tuple[str, ...]) -> np.ndarray:
-        """Model id of each id of a table over ``tokens``, then of its padding and sentinel."""
-        if self._mapped is None or self._mapped[0] is not tokens:
-            self._mapped = (tokens, self._encode(tokens + (_STREAM_START, _LINE_SENTINEL)))
-        return self._mapped[1]
-
     def probability(self, token: str, context: tuple[str, ...]) -> float:
         """Interpolated P(token | up to NGRAM_ORDER-1 preceding tokens)."""
-        stream = list(context)[-(NGRAM_ORDER - 1) :] + [token]
-        return float(self._static_probabilities(self._encode(stream))[-1])
+        ids = self._encode(list(context)[-(NGRAM_ORDER - 1) :] + [token])
+        grams = self._lookup(ids)
+        p = self.floor
+        for o in range(1, len(ids) + 1):
+            # the gram ending at the last position; order 1 conditions on the empty context, id 0
+            gram = grams[o - 1][-1]
+            context_id = grams[o - 2][-2] if o > 1 else 0
+            count = self._counts[o - 1][gram] if gram >= 0 else 0
+            total = self._totals[o - 1][context_id] if context_id >= 0 else 0
+            p = float(_jm_step(np.float64(p), count, total))
+        return p
 
     def surprisal(self, token: str, context: tuple[str, ...]) -> float:
         """Negative log2 probability in bits."""
         return -float(np.log2(self.probability(token, context)))
 
 
-def _cache_probabilities(local_ids: np.ndarray, base: int, static_p: np.ndarray) -> np.ndarray:
-    """The per-file cache chain (orders 2..NGRAM_ORDER) at every position after the padding.
+def line_entropies(model: NgramModel, test: ReleaseDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean token surprisal of every line of ``test`` that holds a token, the release scored in one pass.
 
-    The cache counts of position i are the earlier non-padding positions of
-    the same file that share its gram (or context); ``static_p`` holds the
-    static model's probabilities at those positions and starts the chain.
+    ``model`` must have been fitted with ``test``. Returns the lines' file
+    indices, line numbers and entropies, in file and line order. A per-file
+    cache of orders >= 2, reset for each file, is mixed with the static
+    model. Its chain backs off to the static model's prediction, so a cache
+    that has never seen the current context defers entirely to the static
+    model instead of punishing it.
     """
-    _, grams = _tuple_ids(local_ids, base)
-    scored = len(static_p)
+    if model._test is None or model._test.release is not test:
+        raise ValueError("line_entropies needs the model fitted with this test release")
+    grams, rows = model._test.grams, model._test.rows
+    table = test.token_table
+    n_files = len(table.file_ptr) - 1
+    # a file's stream is its padding, its tokens and a sentinel per line
+    sizes = (NGRAM_ORDER - 1) + np.diff(table.line_ptr[table.file_ptr]) + np.diff(table.file_ptr)
+    file_of = np.repeat(np.arange(n_files, dtype=np.int32), sizes)
+    offset = np.arange(len(rows), dtype=np.int32) - (np.cumsum(sizes) - sizes).astype(np.int32)[file_of]
+    # each file's last padding position, whose tuples are its first scored position's contexts, then its scored ones
+    window = np.flatnonzero(offset >= NGRAM_ORDER - 2)
+    scored = np.flatnonzero(offset[window] >= NGRAM_ORDER - 1)
+    files = file_of[window]
+    del file_of, offset
+    at = window[scored]
+    static_p = np.full(len(at), model.floor)
+    for o in range(1, NGRAM_ORDER + 1):
+        count = _at(model._counts[o - 1], grams[o - 1][at])
+        total = _at(model._totals[o - 1], grams[o - 2][at - 1]) if o > 1 else model._totals[0]
+        static_p = _jm_step(static_p, count, total)
+    # the cache counts of a position are the earlier positions of its file that share its tuple (or context)
     p = static_p
+    context = _prior_occurrences(grams[0][window], files)
     for o in range(2, NGRAM_ORDER + 1):
-        start = NGRAM_ORDER - o  # the gram ending at the first scored position starts here
-        gram = grams[o - 1][start : start + scored]
-        context = grams[o - 2][start : start + scored]
-        p = _jm_step(p, _prior_occurrences(gram), _prior_occurrences(context))
-    return p
-
-
-def line_entropies(model: NgramModel, release: ReleaseDataset, index: int) -> dict[int, float]:
-    """Mean token surprisal per line of ``release.files[index]``; lines without tokens are absent.
-
-    A per-file cache of orders >= 2, reset for each file, is mixed with the
-    static model. Its chain backs off to the static model's prediction, so
-    a cache that has never seen the current context defers entirely to the
-    static model instead of punishing it.
-    """
-    table = release.token_table
-    # table ids keep tokens the model never saw distinct for the cache
-    local_ids, owners = _stream(table, index, index + 1)
-    if len(local_ids) < NGRAM_ORDER:
-        return {}
-    static_p = model._static_probabilities(model._id_map(table.tokens)[local_ids])[NGRAM_ORDER - 1 :]
-    cache_p = _cache_probabilities(local_ids, len(table.tokens) + 2, static_p)
-    p = (1.0 - CACHE_WEIGHT) * static_p + CACHE_WEIGHT * cache_p
-    surprisal = -np.log2(p)
-    owner = owners[NGRAM_ORDER - 1 :]
-    in_line = owner > 0
-    lines, slot = np.unique(owner[in_line], return_inverse=True)
+        count = _prior_occurrences(grams[o - 1][window], files)
+        p = _jm_step(p, count[scored], context[scored - 1])
+        context = count
+    surprisal = -np.log2((1.0 - CACHE_WEIGHT) * static_p + CACHE_WEIGHT * p)
+    row = rows[at]
+    in_line = row >= 0
     # bincount adds in position order, as a running sum per line would
-    sums = np.bincount(slot, weights=surprisal[in_line], minlength=len(lines))
-    means = sums / np.bincount(slot, minlength=len(lines))
-    return dict(zip(lines.tolist(), means.tolist()))
+    n_lines = len(table.line_ptr) - 1
+    sums = np.bincount(row[in_line], weights=surprisal[in_line], minlength=n_lines)
+    counts = np.bincount(row[in_line], minlength=n_lines)
+    kept = np.flatnonzero(counts)
+    lines = table.lines(0, n_files)
+    return lines.file_of[kept], lines.numbers[kept], sums[kept] / counts[kept]
 
 
 def ngram_entropy_baseline(
@@ -350,10 +455,7 @@ def ngram_entropy_baseline(
     hits and a file probability of 0, so the shared ranking orders them by
     entropy, then path and line number.
     """
-    model = NgramModel().fit(train)
-    per_file = [line_entropies(model, test, i) for i in range(len(test.files))]
-    files = np.array([i for i, entropies in enumerate(per_file) for _ in entropies], dtype=np.int64)
-    lines = np.array([number for entropies in per_file for number in entropies], dtype=np.int64)
-    scores = np.array([score for entropies in per_file for score in entropies.values()], dtype=np.float64)
+    model = NgramModel().fit(train, test)
+    files, lines, scores = line_entropies(model, test)
     scored = Ranking(files, lines, np.zeros_like(files), scores, np.zeros(len(files))).take(scores > threshold)
     return MethodResult(method="ngram", ranked=rank_lines_global(scored), file_probabilities={})

@@ -5,6 +5,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from linedefects.baselines import NgramModel, line_entropies
 from linedefects.config import RunConfig
 from linedefects.corpus import LineRecord, ReleaseDataset, SourceFile, TokenTable, Vocabulary
 from linedefects.pipeline import Ranking
@@ -83,6 +84,14 @@ def ranking_of(release: ReleaseDataset, rows) -> Ranking:
 
 def defective_line_numbers(f: SourceFile) -> set[int]:
     return {line.number for line in f.lines if line.is_defective}
+
+
+def entropies_by_file(model: NgramModel, release: ReleaseDataset) -> list[dict[int, float]]:
+    """``line_entropies`` of a release as one {line number: entropy} dict per file, the oracle's shape."""
+    per_file: list[dict[int, float]] = [{} for _ in release.files]
+    for index, number, entropy in zip(*(column.tolist() for column in line_entropies(model, release))):
+        per_file[index][number] = entropy
+    return per_file
 
 
 def unseen_token_pair() -> tuple[ReleaseDataset, ReleaseDataset]:

@@ -93,7 +93,8 @@ class NgramModel:
         self.table = _NgramCounts(lowest_order=1)
         self.vocabulary: set[str] = set()
 
-    def fit(self, train: ReleaseDataset | list[ReleaseDataset]) -> "NgramModel":
+    def fit(self, train: ReleaseDataset | list[ReleaseDataset], test: ReleaseDataset | None = None) -> "NgramModel":
+        """Count every training stream; ``test`` is accepted for ``baselines.NgramModel``'s signature and unused."""
         for ds in as_release_list(train):
             for f in ds.files:
                 stream, _ = _file_stream(f)
@@ -143,3 +144,12 @@ def line_entropies(model: NgramModel, file: SourceFile) -> dict[int, float]:
             counts[owner] = counts.get(owner, 0) + 1
         cache.add(stream, i)
     return {line: sums[line] / counts[line] for line in sums}
+
+
+def release_entropies(model: NgramModel, release: ReleaseDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``line_entropies`` of every file: the file index, line number and entropy columns, in file and line order."""
+    rows = [
+        (i, number, entropy) for i, f in enumerate(release.files) for number, entropy in line_entropies(model, f).items()
+    ]
+    files, numbers, entropies = zip(*rows) if rows else ((), (), ())
+    return np.array(files, dtype=np.int64), np.array(numbers, dtype=np.int64), np.array(entropies, dtype=np.float64)

@@ -23,7 +23,7 @@ from linedefects.model import LogisticModel, TrainMeta
 from linedefects.pipeline import predict_files, train_file_model
 from linedefects.synthetic import PLANTED_TOKENS
 
-from conftest import file_at, ranking_rows, release_of_files
+from conftest import entropies_by_file, file_at, ranking_rows, release_of_files
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +159,7 @@ class TestNgramModel:
     def test_deterministic_continuation_close_to_zero_surprisal(self):
         train = single_file_release("t", ["alpha beta gamma delta epsilon zeta;"] * 50)
         test = single_file_release("s", ["alpha beta gamma delta epsilon zeta;"])
-        model = NgramModel().fit(train)
-        entropies = line_entropies(model, test, 0)
+        (entropies,) = entropies_by_file(NgramModel().fit(train, test), test)
         assert entropies[1] < 0.01
         # not flagged at any positive threshold
         for threshold in (0.01, 0.1, 0.7, 2.0):
@@ -183,15 +182,13 @@ class TestNgramModel:
     def test_empty_line_never_flagged(self):
         train = single_file_release("t", ["alpha beta;"] * 10)
         test = single_file_release("s", ["alpha beta;", "   ", "alpha beta;"])
-        model = NgramModel().fit(train)
-        entropies = line_entropies(model, test, 0)
-        assert 2 not in entropies
+        files, lines, _ = line_entropies(NgramModel().fit(train, test), test)
+        assert files.tolist() == [0, 0] and lines.tolist() == [1, 3]
 
     def test_cache_lowers_surprisal_of_repeated_novel_line(self):
         train = single_file_release("t", ["alpha beta gamma delta;"] * 20)
         test = single_file_release("s", ["qq ww ee rr;"] * 3)
-        model = NgramModel().fit(train)
-        entropies = line_entropies(model, test, 0)
+        (entropies,) = entropies_by_file(NgramModel().fit(train, test), test)
         assert entropies[3] < entropies[1]
 
     @pytest.mark.parametrize(
@@ -200,8 +197,10 @@ class TestNgramModel:
         ids=["no-releases", "no-files", "no-lines"],
     )
     def test_empty_corpus_rejected(self, train):
-        with pytest.raises(ValueError, match="cannot fit an n-gram model on an empty training corpus"):
-            NgramModel().fit(train)
+        test = single_file_release("s", ["alpha beta;"])
+        for fit in (lambda: NgramModel().fit(train), lambda: NgramModel().fit(train, test)):
+            with pytest.raises(ValueError, match="cannot fit an n-gram model on an empty training corpus"):
+                fit()
 
     def test_flagged_set_anti_monotone_in_threshold(self):
         train = single_file_release("t", ["alpha beta gamma delta;", "beta gamma epsilon;"] * 10)

@@ -103,12 +103,11 @@ def expected_ranking(method: str, unit: Unit) -> list[RankedLine]:
     if method == "random":
         random_flags = flagged(unit, lambda f: random_risky(unit, f))
         return reference_ranking.random_order(random_flags, unit.test.release_id, unit.seed)
-    model = NgramModel().fit(unit.train)
+    files, numbers, scores = line_entropies(NgramModel().fit(unit.train, unit.test), unit.test)
     return reference_ranking.ngram_order(
         [
             RankedLine(f.release_id, f.path, number, 0, score, 0.0)
-            for i, f in enumerate(unit.test.files)
-            for number, score in line_entropies(model, unit.test, i).items()
+            for f, number, score in zip([unit.test.files[i] for i in files], numbers.tolist(), scores.tolist())
             if score > unit.threshold
         ]
     )

@@ -108,6 +108,13 @@ def test_mine_loads_no_scipy(tmp_path):
     assert _scipy_loaded(argv) == []
 
 
+def test_ngram_baseline_loads_no_scipy(series, tmp_path):
+    data, _ = series
+    argv = ["predict", "--method", "ngram", "--dataset", str(data), "--release", "demo-2.0",
+            "--train-release", "demo-1.0", "--out", str(tmp_path / "ngram.csv")]
+    assert _scipy_loaded(argv) == []
+
+
 def test_random_baseline_loads_no_optimizer_or_lapack(series, tmp_path):
     data, model = series
     loaded = _scipy_loaded(["predict", "--method", "random", "--model", str(model), "--dataset", str(data),

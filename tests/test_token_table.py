@@ -265,15 +265,14 @@ class TestNgramStream:
     def test_stream_equals_oracle(self, release):
         table = release.token_table
         texts = table.tokens + (_STREAM_START, _LINE_SENTINEL)
-        for i, f in enumerate(release.files):
-            stream, owners = _stream(table, i, i + 1)
-            expected_stream, expected_owners = reference_ngram._file_stream(f)
-            assert [texts[t] for t in stream.tolist()] == expected_stream
-            assert owners.tolist() == expected_owners
-        whole, _ = _stream(table, 0, len(release.files))
-        assert [texts[t] for t in whole.tolist()] == [
-            token for f in release.files for token in reference_ngram._file_stream(f)[0]
-        ]
+        stream, rows = _stream(table)
+        expected = [reference_ngram._file_stream(f) for f in release.files]
+        assert [texts[t] for t in stream.tolist()] == [token for tokens, _ in expected for token in tokens]
+        # a token position's row names its file and line number; the oracle's owner, per file, is the number
+        lines = table.lines(0, len(release.files))
+        file_of, numbers = lines.file_of.tolist(), lines.numbers.tolist()
+        owners = [(file_of[row], numbers[row]) if row >= 0 else 0 for row in rows.tolist()]
+        assert owners == [(i, n) if n else 0 for i, (_, file_owners) in enumerate(expected) for n in file_owners]
 
 
 class TestBuildOnlyWhatIsUsed:
