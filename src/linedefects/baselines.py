@@ -63,7 +63,7 @@ def random_baseline(
     seeded uniform shuffle.
     """
     design, file_probs = predicted.design, predicted.probabilities
-    parts = []
+    risky = {}
     for i in predicted.defect_prone:
         f = test.files[i]
         distinct = sorted(vocab.tokens[j] for j in design.indices[design.indptr[i] : design.indptr[i + 1]].tolist())
@@ -71,9 +71,8 @@ def random_baseline(
             continue
         rng = np.random.default_rng(derive_seed(seed, "random", f.release_id, f.path))
         scores = rng.uniform(-1.0, 1.0, size=len(distinct))
-        risky = RiskyTokenSet.top_positive(zip(distinct, scores.tolist()), k_risky)
-        parts.append(flag_lines(test, i, risky, file_probs[f.path]))
-    flagged = Ranking.concatenate(parts)
+        risky[i] = RiskyTokenSet.top_positive(zip(distinct, scores.tolist()), k_risky)
+    flagged = flag_lines(test, risky, file_probs)
     rng = np.random.default_rng(derive_seed(seed, "random-rank", test.release_id))
     shuffled = flagged.take(rng.permutation(len(flagged)))
     return MethodResult(method="random", ranked=shuffled, file_probabilities=file_probs)
@@ -114,14 +113,11 @@ def tmi_lr_baseline(
     ranking are otherwise identical.
     """
     risky = global_risky_tokens(train, vocab, k_risky)
-    file_probs = predicted.probabilities
-    flagged = Ranking.concatenate(
-        [flag_lines(test, i, risky, file_probs[test.files[i].path]) for i in predicted.defect_prone]
-    )
+    flagged = flag_lines(test, dict.fromkeys(predicted.defect_prone, risky), predicted.probabilities)
     return MethodResult(
         method="tmi_lr",
         ranked=rank_lines_global(flagged),
-        file_probabilities=file_probs,
+        file_probabilities=predicted.probabilities,
         risky_tokens={"*": risky},
     )
 
@@ -137,7 +133,7 @@ def _stream(table: TokenTable) -> tuple[np.ndarray, np.ndarray]:
     """
     pad, sentinel = len(table.tokens), len(table.tokens) + 1
     n_files = len(table.file_ptr) - 1
-    lines = table.lines(0, n_files)
+    lines = table.lines()
     n_lines = len(lines.numbers)
     # line r follows the padding of its own and earlier files, the earlier lines' sentinels and their tokens
     shift = (lines.file_of + 1) * (NGRAM_ORDER - 1) + np.arange(n_lines)
@@ -441,7 +437,7 @@ def line_entropies(model: NgramModel, test: ReleaseDataset) -> tuple[np.ndarray,
     sums = np.bincount(row[in_line], weights=surprisal[in_line], minlength=n_lines)
     counts = np.bincount(row[in_line], minlength=n_lines)
     kept = np.flatnonzero(counts)
-    lines = table.lines(0, n_files)
+    lines = table.lines()
     return lines.file_of[kept], lines.numbers[kept], sums[kept] / counts[kept]
 
 

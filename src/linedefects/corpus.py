@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -169,12 +168,12 @@ def _row_positions(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class TableLines(NamedTuple):
-    """Some files of a token table, line by line: the lines in file order, each line's tokens in source order."""
+    """A token table line by line: the lines in file order, each line's tokens in source order."""
 
     ids: np.ndarray  # token ids, line after line
     line_of: np.ndarray  # each token's line, an index into ``numbers``
     numbers: np.ndarray  # each line's number in its file
-    file_of: np.ndarray  # each line's file, counted from the first file asked for
+    file_of: np.ndarray  # each line's file, an index into the table's files
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,56 +223,23 @@ class TokenTable:
         line_ptr, positions = _row_positions(self.line_ptr, lines)
         return TokenTable(self.tokens, self.ids[positions], line_ptr, file_ptr)
 
-    @cached_property
-    def file_counts(self) -> sp.csr_matrix:
-        """Files x ids matrix of occurrence counts, column indices ascending in each row; built on first use."""
-        import scipy.sparse as sp
-
-        n_files, n_tokens = len(self.file_ptr) - 1, len(self.tokens)
-        token_ptr = self.line_ptr[self.file_ptr]
-        file_of = np.repeat(np.arange(n_files), np.diff(token_ptr))
-        keys, counts = np.unique(file_of * n_tokens + self.ids, return_counts=True)
-        rows = keys // max(n_tokens, 1)
-        indptr = np.searchsorted(rows, np.arange(n_files + 1))
-        return sp.csr_matrix((counts, keys - rows * n_tokens, indptr), shape=(n_files, n_tokens))
-
-    def lines(self, first: int, last: int) -> TableLines:
-        """The lines of files ``first..last-1``."""
-        line_first, line_last = self.file_ptr[first], self.file_ptr[last]
-        lengths = np.diff(self.line_ptr[line_first : line_last + 1])
-        file_ptr = self.file_ptr[first : last + 1] - line_first
+    def lines(self) -> TableLines:
+        """Every line of the table."""
+        n_lines = len(self.line_ptr) - 1
         return TableLines(
-            ids=self.ids[self.line_ptr[line_first] : self.line_ptr[line_last]],
-            line_of=np.repeat(np.arange(line_last - line_first), lengths),
-            numbers=_line_numbers(file_ptr),
-            file_of=np.repeat(np.arange(last - first), np.diff(file_ptr)),
+            ids=self.ids,
+            line_of=np.repeat(np.arange(n_lines), np.diff(self.line_ptr)),
+            numbers=_line_numbers(self.file_ptr),
+            file_of=np.repeat(np.arange(len(self.file_ptr) - 1), np.diff(self.file_ptr)),
         )
-
-    def occurrences(self, index: int, words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Where the distinct ``words`` occur in file ``index``: one entry per line and word in it.
-
-        Returns each entry's line number and the index into ``words`` of its
-        word. Entries follow the file's lines, and within a line the words'
-        text order.
-        """
-        word_of_id = np.full(len(self.tokens), -1, dtype=np.int64)
-        for j, word in enumerate(words):
-            i = bisect_left(self.tokens, word)
-            if i < len(self.tokens) and self.tokens[i] == word:
-                word_of_id[i] = j
-        lines = self.lines(index, index + 1)
-        hit = word_of_id[lines.ids] >= 0
-        # ids ascend with token text, so this key orders each line's words by text
-        keys = np.unique(lines.line_of[hit] * len(self.tokens) + lines.ids[hit])
-        rows, ids = np.divmod(keys, len(self.tokens))
-        return lines.numbers[rows], word_of_id[ids]
 
 
 @dataclass(frozen=True)
 class ReleaseDataset:
     """A release's files, in path order: a file's index is its path's rank, the last tie-break of every ranking.
 
-    Paths compare as Python strings, so a trailing NUL still counts.
+    Paths compare as Python strings, so a trailing NUL still counts. No two
+    files share a path.
     """
 
     release_id: str
@@ -282,6 +248,9 @@ class ReleaseDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "files", tuple(sorted(self.files, key=lambda f: f.path)))
+        for before, after in pairwise(self.files):
+            if before.path == after.path:
+                raise ValueError(f"release {self.release_id!r} holds two files with path {after.path!r}")
 
     @cached_property
     def token_table(self) -> TokenTable:
@@ -392,25 +361,23 @@ def _vocabulary_remap(table: TokenTable, vocab: Vocabulary) -> np.ndarray:
 def vectorize(train: ReleaseDataset | list[ReleaseDataset], vocab: Vocabulary) -> sp.csr_matrix:
     """Bag-of-tokens counts, one row per file of the releases; out-of-vocabulary tokens are ignored.
 
-    Each release's per-file token counts pass through one table-id to
-    vocabulary-index remap. Column indices ascend within every row.
+    Each release's table ids pass through one table-id to vocabulary-index
+    remap and are counted per file. Column indices ascend within every row.
     """
     import scipy.sparse as sp
 
     blocks = []
     for ds in as_release_list(train):
-        counts = ds.token_table.file_counts
-        columns = _vocabulary_remap(ds.token_table, vocab)[counts.indices]
-        keep = columns >= 0
-        kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept_before[1:])
-        X = sp.csr_matrix(
-            (counts.data[keep].astype(np.float64), columns[keep], kept_before[counts.indptr]),
-            shape=(counts.shape[0], len(vocab)),
-        )
-        # the remap keeps the column order when the vocabulary is in token-text order, as built ones are
-        X.sort_indices()
-        blocks.append(X)
+        table = ds.token_table
+        n_files = len(table.file_ptr) - 1
+        columns = _vocabulary_remap(table, vocab)[table.ids]
+        file_of = np.repeat(np.arange(n_files), np.diff(table.line_ptr[table.file_ptr]))
+        kept = columns >= 0
+        # one key per (file, column): sorted, the rows come in order and each row's columns ascend
+        keys, counts = np.unique(file_of[kept] * len(vocab) + columns[kept], return_counts=True)
+        rows, indices = np.divmod(keys, len(vocab))
+        indptr = np.searchsorted(rows, np.arange(n_files + 1))
+        blocks.append(sp.csr_matrix((counts.astype(np.float64), indices, indptr), shape=(n_files, len(vocab))))
     if not blocks:
         raise ValueError("no releases to vectorize")
     return blocks[0] if len(blocks) == 1 else sp.vstack(blocks, format="csr")
@@ -747,7 +714,7 @@ def _cached_tables(arrays: dict[str, np.ndarray], file_ptr: np.ndarray, line_ptr
     tables = []
     for r in range(len(release_tokens)):
         words = tokens[token_ptr[r] : token_ptr[r + 1]]
-        # ids are text ranks, which TokenTable.occurrences bisects on
+        # ids are text ranks: flag_lines bisects on the tokens and orders a line's tokens by id
         if not all(map(str.__lt__, words, words[1:])):
             raise ValueError("tokens out of text order")
         first_line, last_line = release_line_ptr[r], release_line_ptr[r + 1]

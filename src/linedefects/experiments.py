@@ -288,16 +288,12 @@ def sensitivity_k(
     if not k_grid or min(k_grid) < 1:
         raise ValueError("k_grid must be nonempty with positive entries")
     widest = replace(config, k_risky=max(k_grid), lime_k_features=max(config.lime_k_features, max(k_grid)))
-    risky = run_linedp(train, test, widest).risky_tokens
+    result = run_linedp(train, test, widest)
+    explained = {i: result.risky_tokens[f.path] for i, f in enumerate(test.files) if f.path in result.risky_tokens}
 
     def flagged_at(k: int) -> Ranking:
-        return Ranking.concatenate(
-            [
-                flag_lines(test, i, RiskyTokenSet(risky[file.path].tokens[:k]))
-                for i, file in enumerate(test.files)
-                if file.path in risky
-            ]
-        )
+        risky = {i: RiskyTokenSet(tokens.tokens[:k]) for i, tokens in explained.items()}
+        return flag_lines(test, risky, result.file_probabilities)
 
     return _sweep("k", k_grid, flagged_at, test)
 

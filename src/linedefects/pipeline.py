@@ -8,8 +8,9 @@ contains a risky token, and rank all flagged lines globally.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -61,17 +62,6 @@ class Ranking:
         """The rows that ``order``, an index array, a boolean mask or a slice, selects, in its order."""
         return Ranking(*(getattr(self, f.name)[order] for f in fields(self)))
 
-    @classmethod
-    def concatenate(cls, parts: Sequence["Ranking"]) -> "Ranking":
-        """The rows of ``parts``, one part after another; no parts give no rows."""
-        dtypes = (np.int64, np.int64, np.int64, np.float64, np.float64)
-        return cls(
-            *(
-                np.concatenate([np.zeros(0, dtype), *(getattr(part, f.name) for part in parts)])
-                for f, dtype in zip(fields(cls), dtypes)
-            )
-        )
-
 
 @dataclass
 class MethodResult:
@@ -84,21 +74,43 @@ class MethodResult:
 
 
 def flag_lines(
-    release: ReleaseDataset, index: int, risky: RiskyTokenSet, file_probability: float = 1.0
+    release: ReleaseDataset, risky: Mapping[int, RiskyTokenSet], probabilities: Mapping[str, float]
 ) -> Ranking:
-    """Flag every line of ``release.files[index]`` containing at least one risky token; rows in line order, unranked.
+    """Flag the lines of each file ``release.files[i]`` holding a token of ``risky[i]``: one unranked ranking.
 
-    The hit count is the number of DISTINCT risky tokens present in the
-    line; repeated occurrences of the same token do not accumulate. The
-    score sum adds the matched tokens' scores in ascending token order, so
-    lines that match the same tokens get bitwise-equal sums.
+    Rows come in (file, line) order. Files missing from ``risky`` flag
+    nothing; a flagged line carries its file's probability from
+    ``probabilities``, keyed by path. The hit count is the number of
+    DISTINCT risky tokens present in the line; repeated occurrences of the
+    same token do not accumulate. The score sum adds the matched tokens'
+    scores in ascending token order, so lines that match the same tokens
+    get bitwise-equal sums.
     """
-    numbers, words = release.token_table.occurrences(index, [token for token, _ in risky.tokens])
-    flagged, slot, hit_counts = np.unique(numbers, return_inverse=True, return_counts=True)
-    # bincount adds each line's scores in the order of the occurrences, the tokens' text order
-    score_sums = np.bincount(slot, weights=np.array([score for _, score in risky.tokens])[words], minlength=len(flagged))
-    files = np.full(len(flagged), index, dtype=np.int64)
-    return Ranking(files, flagged, hit_counts, score_sums, np.full(len(flagged), file_probability))
+    files = sorted(risky)
+    table = release.token_table.select(files)
+    n_tokens = len(table.tokens)
+    # (file, table id) -> score, a file counted by its position in ``files``; tokens not in the table are skipped
+    score_of: dict[int, float] = {}
+    for slot, i in enumerate(files):
+        for token, score in risky[i].tokens:
+            found = bisect_left(table.tokens, token)
+            if found < n_tokens and table.tokens[found] == token:
+                score_of[slot * n_tokens + found] = score
+    keys = np.array(sorted(score_of), dtype=np.int64)
+    scores = np.array([score_of[key] for key in keys.tolist()], dtype=np.float64)
+    lines = table.lines()
+    token_keys = lines.file_of[lines.line_of] * n_tokens + lines.ids
+    hit = np.isin(token_keys, keys)
+    matched = np.searchsorted(keys, token_keys[hit])
+    # keys ascend with the id within a file, and ids with token text: each line's matches come in text order, once
+    rows, matched = np.divmod(np.unique(lines.line_of[hit] * len(keys) + matched), len(keys))
+    flagged, row_of, hit_counts = np.unique(rows, return_inverse=True, return_counts=True)
+    # bincount adds each line's scores in the order of its matches, the tokens' text order
+    score_sums = np.bincount(row_of, weights=scores[matched], minlength=len(flagged))
+    file_of = lines.file_of[flagged]
+    file_probabilities = np.array([probabilities[release.files[i].path] for i in files], dtype=np.float64)
+    indices = np.array(files, dtype=np.int64)[file_of]
+    return Ranking(indices, lines.numbers[flagged], hit_counts, score_sums, file_probabilities[file_of])
 
 
 def rank_lines_global(flagged: Ranking) -> Ranking:
@@ -171,13 +183,9 @@ def identify_lines(
     if workers > 1:  # loaded here, the modules an explanation calls reach every forked worker (see pool_map)
         import scipy.linalg.lapack, scipy.special  # noqa: E401, F401
     explanations = pool_map(_explain_file, tasks, (model, config), workers)
-    risky_sets = {
-        test.files[i].path: RiskyTokenSet.top_positive(expl.scores.items(), config.k_risky)
-        for i, expl in zip(files, explanations)
-    }
-    flagged = Ranking.concatenate(
-        [flag_lines(test, i, risky_sets[test.files[i].path], file_probs[test.files[i].path]) for i in files]
-    )
+    risky = {i: RiskyTokenSet.top_positive(expl.scores.items(), config.k_risky) for i, expl in zip(files, explanations)}
+    flagged = flag_lines(test, risky, file_probs)
+    risky_sets = {test.files[i].path: tokens for i, tokens in risky.items()}
     return MethodResult("linedp", rank_lines_global(flagged), file_probs, risky_tokens=risky_sets)
 
 

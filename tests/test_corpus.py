@@ -247,6 +247,16 @@ class TestReleaseOrder:
             release = ReleaseDataset("r", None, given)
             assert [f.path for f in release.files] == ["A", "B", "a", "a\x00", "a\x00b", "b"] == sorted(paths)
 
+    def test_repeated_path_rejected(self):
+        # every map keyed by path, such as a run's file probabilities, would merge the two files
+        files = make_planted_release("r-1.0", seed=1, n_files=5, n_defective=2).files
+        repeated = files[2]
+        with pytest.raises(ValueError, match=re.escape(f"release 'r-1.0' holds two files with path {repeated.path!r}")):
+            ReleaseDataset("r-1.0", None, files + (repeated,))
+        changed = SourceFile(repeated.release_id, repeated.path, repeated.lines[:1], not repeated.file_label)
+        with pytest.raises(ValueError, match="two files with path"):
+            ReleaseDataset("r-1.0", None, (changed,) + files)
+
 
 class TestDatasetIO:
     def test_round_trip_identity(self, tmp_path):

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from linedefects.corpus import tokenize
-from linedefects.evaluation import evaluate_ranking
+from linedefects.evaluation import detection_rates, evaluate_ranking
 from linedefects.experiments import sensitivity_k
 from linedefects.explain import Explanation
 from linedefects.pipeline import RiskyTokenSet, flag_lines, rank_lines_global, run_linedp
-from linedefects.synthetic import PLANTED_TOKENS
+from linedefects.synthetic import PLANTED_TOKENS, make_release_series
 
+import reference_corpus
+import reference_evaluation
 from conftest import file_at, ranking_of, ranking_rows, release_of_files, unseen_token_pair
 
 
@@ -50,22 +54,22 @@ class TestFlagLines:
             {"F.java": [("A B C D", False), ("C D E F G", False)]},
         )
         risky = RiskyTokenSet(tokens=(("A", 0.5), ("B", 0.4), ("E", 0.3)))
-        flagged = flag_lines(release, 0, risky)
+        flagged = flag_lines(release, {0: risky}, {"F.java": 1.0})
         assert ranking_rows(flagged, release) == [("F.java", 1, 2, 0.5 + 0.4, 1.0), ("F.java", 2, 1, 0.3, 1.0)]
 
     def test_empty_risky_set_flags_nothing(self):
         release = release_of_files("r", {"F.java": [("a b", False)]})
-        assert len(flag_lines(release, 0, RiskyTokenSet(tokens=()))) == 0
+        assert len(flag_lines(release, {0: RiskyTokenSet(tokens=())}, {"F.java": 1.0})) == 0
 
     def test_repeated_token_counts_once(self):
         release = release_of_files("r", {"F.java": [("node node", False)]})
         risky = RiskyTokenSet(tokens=(("node", 0.9),))
-        assert ranking_rows(flag_lines(release, 0, risky, 0.7), release) == [("F.java", 1, 1, 0.9, 0.7)]
+        assert ranking_rows(flag_lines(release, {0: risky}, {"F.java": 0.7}), release) == [("F.java", 1, 1, 0.9, 0.7)]
 
     def test_matching_is_exact_and_case_sensitive(self):
         release = release_of_files("r", {"F.java": [("Node nodeFactory", False)]})
         risky = RiskyTokenSet(tokens=(("node", 0.9),))
-        assert len(flag_lines(release, 0, risky)) == 0
+        assert len(flag_lines(release, {0: risky}, {"F.java": 1.0})) == 0
 
 
 RELEASE = release_of_files("r", {path: [("x", False)] * 30 for path in ("a", "a\x00", "b", "f")})
@@ -187,6 +191,26 @@ class TestSensitivityK:
         train, test = small_planted_pair
         rows = sensitivity_k(train, test, k_grid=(10, 10_000), config=fast_config)
         assert rows[-1]["recall"] >= rows[0]["recall"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rates_equal_oracle(self, seed, fast_config):
+        train, test = make_release_series(seed=seed)
+        grid = (1, 3, 10, 40)
+        config = replace(fast_config, seed=seed)
+        # the explanations of one run at the largest k; each k flags with every explained file's first k tokens
+        widest = replace(config, k_risky=max(grid), lime_k_features=max(config.lime_k_features, max(grid)))
+        risky = run_linedp(train, test, widest).risky_tokens
+        truth = reference_evaluation.line_truth(test)
+        expected = []
+        for k in grid:
+            flagged = {
+                (line.file_path, line.line_number)
+                for f in test.files
+                if f.path in risky
+                for line in reference_corpus.flag_lines(f, RiskyTokenSet(risky[f.path].tokens[:k]))
+            }
+            expected.append({"k": k, **detection_rates(reference_evaluation.confusion_counts(flagged, truth))})
+        assert sensitivity_k(train, test, grid, config) == expected
 
     def test_bad_grid_rejected(self, small_planted_pair, fast_config):
         train, test = small_planted_pair

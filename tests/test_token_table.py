@@ -82,7 +82,7 @@ class TestTable:
         assert list(table.tokens) == sorted(set(table.tokens))
         assert table_texts(table) == [corpus.tokenize(line.content) for f in release.files for line in f.lines]
         for first in range(len(release.files)):
-            lines = table.lines(first, len(release.files))
+            lines = release.subset(range(first, len(release.files))).token_table.lines()
             assert lines.numbers.tolist() == [line.number for f in release.files[first:] for line in f.lines]
         assert np.diff(table.file_ptr).tolist() == [len(f.lines) for f in release.files]
 
@@ -103,13 +103,15 @@ class TestTable:
         assert table_texts(subset.token_table) == table_texts(fresh)
         assert subset.token_table.file_ptr.tolist() == fresh.file_ptr.tolist()
 
-    def test_distinct_tokens_and_occurrences(self):
+    def test_flags_skip_missing_words_and_add_in_text_order(self):
         release = release_of_files("r", {"A.java": [("b a b zz", False), ("x", False), ("", False), ("a", False)]})
-        table = release.token_table
-        # one entry per line and word, the lines in file order and each line's words in text order
-        numbers, words = table.occurrences(0, ["zz", "a", "missing", "b"])
-        assert numbers.tolist() == [1, 1, 1, 4]
-        assert words.tolist() == [1, 3, 0, 1]
+        # added in text order (a, b, zz) the sum keeps both small scores; added in set order it loses them
+        risky = RiskyTokenSet((("zz", 1.0), ("a", 1e-16), ("missing", 5.0), ("b", 1e-16)))
+        flagged = flag_lines(release, {0: risky}, {"A.java": 0.5})
+        # one row per line holding a word, the lines in file order, each line's words counted once
+        expected = [("A.java", 1, 3, (1e-16 + 1e-16) + 1.0, 0.5), ("A.java", 4, 1, 1e-16, 0.5)]
+        assert ranking_rows(flagged, release) == expected
+        assert (1e-16 + 1e-16) + 1.0 != (1.0 + 1e-16) + 1e-16
 
     def test_each_line_is_tokenised_once_per_process(self, monkeypatch):
         releases_ = make_release_series(seed=0)
@@ -181,6 +183,20 @@ def risky_sets(draw):
     return RiskyTokenSet.top_positive(zip(tokens, scores), 20)
 
 
+def file_probabilities(release, p=0.7):
+    return {f.path: p for f in release.files}
+
+
+def oracle_rows(release, risky, probabilities):
+    """The per-file oracle's flags of the files in ``risky``, one file after another."""
+    return [
+        row
+        for i, f in enumerate(release.files)
+        if i in risky
+        for row in reference_ranking.rows(reference_corpus.flag_lines(f, risky[i], probabilities[f.path]))
+    ]
+
+
 class TestFlagLines:
     @settings(max_examples=150, deadline=None)
     @given(releases(), st.data())
@@ -188,7 +204,40 @@ class TestFlagLines:
         risky = risky_sets(data.draw)
         for i, f in enumerate(release.files):
             expected = reference_ranking.rows(reference_corpus.flag_lines(f, risky, 0.7))
-            assert ranking_rows(flag_lines(release, i, risky, 0.7), release) == expected
+            assert ranking_rows(flag_lines(release, {i: risky}, file_probabilities(release)), release) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(releases(), st.data())
+    def test_release_flags_equal_per_file_oracle(self, release, data):
+        # some files are left out; the others get their own sets, which may share tokens with other scores
+        explained = data.draw(st.lists(st.integers(0, len(release.files) - 1), unique=True))
+        risky = {i: risky_sets(data.draw) for i in explained}
+        probabilities = {f.path: data.draw(st.floats(0.0, 1.0)) for f in release.files}
+        expected = oracle_rows(release, risky, probabilities)
+        assert ranking_rows(flag_lines(release, risky, probabilities), release) == expected
+
+    def test_each_file_flags_with_its_own_set(self):
+        release = release_of_files(
+            "r",
+            {
+                "A.java": [("a b", False), ("c", False)],
+                "B.java": [("a", False), ("b zz", False)],
+                "C.java": [("a b c", False)],
+                "D.java": [("zz", False)],
+                "E.java": [("a", False)],
+            },
+        )
+        risky = {
+            0: RiskyTokenSet((("a", 0.9), ("zz", 0.4))),  # zz is only in B and D
+            1: RiskyTokenSet((("a", 0.2), ("b", 0.3))),  # a and b again, with other scores
+            2: RiskyTokenSet((("absent", 0.8),)),  # no token of the table
+            3: RiskyTokenSet(()),  # empty; E.java is left out
+        }
+        probabilities = {"A.java": 0.6, "B.java": 0.7, "C.java": 0.8, "D.java": 0.9, "E.java": 1.0}
+        expected = [("A.java", 1, 1, 0.9, 0.6), ("B.java", 1, 1, 0.2, 0.7), ("B.java", 2, 1, 0.3, 0.7)]
+        assert ranking_rows(flag_lines(release, risky, probabilities), release) == expected
+        assert oracle_rows(release, risky, probabilities) == expected
+        assert len(flag_lines(release, {}, probabilities)) == 0
 
     def test_same_matched_set_gives_bitwise_equal_sums(self):
         # Each file's lines match one set of risky tokens, in shuffled order and among a varying
@@ -205,10 +254,11 @@ class TestFlagLines:
                 for _ in range(10)
             ]
         release = release_of_files("r", files)
+        flagged = flag_lines(release, dict.fromkeys(range(len(release.files)), risky), file_probabilities(release))
         for i in range(len(release.files)):
-            flagged = flag_lines(release, i, risky)
-            assert len(flagged) == 10
-            assert len(set(flagged.scores.tolist())) == 1
+            scores = flagged.scores[flagged.files == i]
+            assert len(scores) == 10
+            assert len(set(scores.tolist())) == 1
 
     def test_ranked_csv_does_not_depend_on_hash_seed(self, tmp_path):
         data = tmp_path / "dataset.csv"
@@ -269,7 +319,7 @@ class TestNgramStream:
         expected = [reference_ngram._file_stream(f) for f in release.files]
         assert [texts[t] for t in stream.tolist()] == [token for tokens, _ in expected for token in tokens]
         # a token position's row names its file and line number; the oracle's owner, per file, is the number
-        lines = table.lines(0, len(release.files))
+        lines = table.lines()
         file_of, numbers = lines.file_of.tolist(), lines.numbers.tolist()
         owners = [(file_of[row], numbers[row]) if row >= 0 else 0 for row in rows.tolist()]
         assert owners == [(i, n) if n else 0 for i, (_, file_owners) in enumerate(expected) for n in file_owners]
